@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
@@ -20,6 +19,7 @@ from .dataio import (
     load_model,
     model_file_from_fit,
     read_dataset,
+    read_grid,
     read_predictions,
     save_model,
     write_dataset,
@@ -229,14 +229,7 @@ def _cmd_gridsearch(args) -> int:
     if dataset.truth is None:
         raise DataError("grid search needs a truth column for validation scoring")
     train, val, _ = split(dataset, SplitSpec(seed=seed))
-    grid = GridSpec()
-    if args.grid is not None:
-        raw = json.loads(open(args.grid).read())
-        known = {"strengths", "learning_rates", "alpha_inits", "ps", "force_abstain"}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown grid keys {sorted(unknown)}")
-        grid = GridSpec(**{key: tuple(value) for key, value in raw.items()})
+    grid = GridSpec() if args.grid is None else read_grid(args.grid)
     base = TrainConfig(
         max_epochs=args.epochs, batch_size=args.batch, patience=args.patience, seed=seed
     )
@@ -489,7 +482,7 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, LabelForgeError, OSError, json.JSONDecodeError) as exc:
+    except (LabelForgeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,11 +124,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Sample (votes, truth) from the generative model, deterministic per seed."""
     acc, cov = spec.vectors()
     rng = np.random.default_rng(spec.seed)
-    truth = np.where(rng.random(spec.n) < spec.class_balance, 1, -1).astype(np.int64)
+    truth = np.where(rng.random(spec.n) < spec.class_balance, 1, -1).astype(np.int8)
     voted = rng.random((spec.n, spec.m)) < cov
     correct = rng.random((spec.n, spec.m)) < acc
     votes = voted * np.where(correct, truth[:, None], -truth[:, None])
-    return Dataset(votes.astype(np.int64), truth)
+    return Dataset(votes, truth)
 
 
 def build_mode_priors(

@@ -95,7 +95,7 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
     score_neg = 1.0 - score_pos
 
     n = votes.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int8)
     reasons = np.full(n, REASON_NONE, dtype="<U10")
 
     diff = score_pos - score_neg

@@ -41,30 +41,45 @@ MARGINAL_FLOOR = 1e-300
 VALID_VOTES = (-1, 0, 1)
 
 
+def _as_votes(values: np.ndarray, allowed: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as int8, after checking that every entry is in ``allowed``.
+
+    int8 input is returned as is. Other input is checked before the cast,
+    so 0.5 or 257 is rejected rather than truncated or wrapped.
+    """
+    if (
+        values.dtype == np.int8
+        and values.size
+        and values.min() >= allowed[0]
+        and values.max() <= allowed[-1]
+        and (0 in allowed or values.all())
+    ):
+        return values
+    if values.dtype.kind not in "biuf":
+        raise DataError(f"{what} entries must be numbers, got dtype {values.dtype}")
+    ok = np.isin(values, allowed)
+    if not ok.all():
+        raise DataError(f"{what} entries must be in {set(allowed)}, found {values[~ok][0]}")
+    return values.astype(np.int8, copy=False)
+
+
 def as_lf_matrix(values) -> np.ndarray:
-    """Validate and return an (n, m) int array of ternary LF votes."""
-    mat = np.asarray(values, dtype=np.int64)
+    """Validate and return an (n, m) int8 array of ternary LF votes."""
+    mat = np.asarray(values)
     if mat.ndim != 2:
         raise DataError(f"LF matrix must be 2-dimensional, got shape {mat.shape}")
     n, m = mat.shape
     if n < 1 or m < 1:
         raise DataError(f"LF matrix needs at least one row and one column, got {n}x{m}")
-    if not np.isin(mat, VALID_VOTES).all():
-        bad = mat[~np.isin(mat, VALID_VOTES)][0]
-        raise DataError(f"LF matrix entries must be in {{-1, 0, 1}}, found {bad}")
-    return mat
+    return _as_votes(mat, VALID_VOTES, "LF matrix")
 
 
 def as_label_vector(values, allow_abstain: bool = True) -> np.ndarray:
-    """Validate a label vector; entries in {-1, 0, 1}, or {-1, 1} for ground truth."""
-    vec = np.asarray(values, dtype=np.int64)
+    """Validate an int8 label vector; entries in {-1, 0, 1}, or {-1, 1} for ground truth."""
+    vec = np.asarray(values)
     if vec.ndim != 1:
         raise DataError(f"label vector must be 1-dimensional, got shape {vec.shape}")
-    allowed = VALID_VOTES if allow_abstain else (-1, 1)
-    if not np.isin(vec, allowed).all():
-        bad = vec[~np.isin(vec, allowed)][0]
-        raise DataError(f"label entries must be in {set(allowed)}, found {bad}")
-    return vec
+    return _as_votes(vec, VALID_VOTES if allow_abstain else (-1, 1), "label")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def majority_vote(votes) -> np.ndarray:
     votes = as_lf_matrix(votes)
     pos = (votes == 1).sum(axis=1)
     neg = (votes == -1).sum(axis=1)
-    return np.sign(pos - neg).astype(np.int64)
+    return np.sign(pos - neg).astype(np.int8)
 
 
 def vote_fraction(votes) -> np.ndarray:

@@ -128,6 +128,34 @@ class TestExitCodes:
         bad.write_text("lf_0\n7\n")
         assert run("train", "--data", bad, "--out", tmp_path / "m.txt") == 2
 
+    def test_bad_model_field_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=120)
+        model = tmp_path / "m.txt"
+        assert run("train", "--data", data, "--epochs", "2", "--out", model) == 0
+        text = model.read_text()
+        model.write_text(text.replace("prior_p: 0.5", "prior_p: abc"))
+        capsys.readouterr()
+        assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 2
+        assert "'prior_p'" in capsys.readouterr().err
+        model.write_text(text.replace("prior_u: ", "prior_u: 1.0,"))
+        assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 2
+        assert "'prior_u'" in capsys.readouterr().err
+
+    def test_malformed_grid_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=120)
+        grid = tmp_path / "grid.json"
+        for text, key in (('{"strengths": 5}', "'strengths'"), ("[0.5]", "JSON object")):
+            grid.write_text(text)
+            assert run("gridsearch", "--data", data, "--grid", grid) == 2
+            assert key in capsys.readouterr().err
+
+    def test_bad_prediction_row_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=120)
+        preds = tmp_path / "p.csv"
+        preds.write_text("index,label,score_pos,abstain_reason\n0,1,nan,none\n")
+        assert run("evaluate", "--pred", preds, "--truth", data) == 2
+        assert "row 0, column 'score_pos'" in capsys.readouterr().err
+
     def test_evaluate_source_conflict_is_usage_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         assert run("evaluate", "--data", data) == 1

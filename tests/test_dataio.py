@@ -1,5 +1,7 @@
 """File round trips and parse diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from labelforge import (
     write_results_table,
     SyntheticSpec,
 )
-from labelforge.dataio import model_file_from_fit
+from labelforge.dataio import model_file_from_fit, read_grid
 
 SAMPLE = """lf_0,lf_1,lf_2,lf_3,lf_4,lf_5,lf_6,lf_7,lf_8,lf_9,y
 0,0,0,0,0,1,0,0,0,0,1
@@ -99,8 +101,68 @@ class TestReadDataset:
         np.testing.assert_array_equal(back.votes, ds.votes)
         assert back.truth is None
 
+    def test_reads_padded_crlf_rows_and_blank_lines(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_bytes(b"lf_0,lf_1,y\r\n\r\n +1 ,\t0,-1\r\n  \r\n-1,+0 , 1")
+        ds = read_dataset(path)
+        assert ds.votes.dtype == np.int8 and ds.truth.dtype == np.int8
+        np.testing.assert_array_equal(ds.votes, [[1, 0], [-1, 0]])
+        np.testing.assert_array_equal(ds.truth, [-1, 1])
+
+    @pytest.mark.parametrize("cell", ["- 1", "01", "1.0", "x", "", "+", "2"])
+    def test_rejects_cell_spelling(self, tmp_path, cell):
+        path = tmp_path / "spelling.csv"
+        path.write_text(f"lf_0,lf_1\n1,0\n0,{cell}\n")
+        with pytest.raises(DataError, match=re.escape(f"row 1, column 'lf_1': cell {cell!r}")):
+            read_dataset(path)
+
+    def test_first_error_in_row_order(self, tmp_path):
+        path = tmp_path / "errors.csv"
+        path.write_text("y,lf_0,lf_1\n1,0,0\n0,1,7\n1\n")
+        # within a row the LF columns are checked before the truth column
+        with pytest.raises(DataError, match=r"row 1, column 'lf_1'"):
+            read_dataset(path)
+        path.write_text("lf_0,lf_1\n1,0\n1\n1,7\n")
+        with pytest.raises(DataError, match="row 1: expected 2 fields, got 1"):
+            read_dataset(path)
+
+    def test_non_utf8_header(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"lf_\xe9\n1\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            read_dataset(path)
+
 
 class TestPredictionsIO:
+    HEADER = "index,label,score_pos,abstain_reason\n"
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("2,0,0.5,tie", "index"),
+            ("x,0,0.5,tie", "index"),
+            ("01,0,0.5,tie", "index"),
+            ("1,2,0.5,tie", "label"),
+            ("1,0,nan,tie", "score_pos"),
+            ("1,0,1.5,tie", "score_pos"),
+            ("1,0,-0.1,tie", "score_pos"),
+            ("1,0,abc,tie", "score_pos"),
+            ("1,0,0.5,maybe", "abstain_reason"),
+            ("1,0,0.5,", "abstain_reason"),
+        ],
+    )
+    def test_rejects_bad_row(self, tmp_path, row, column):
+        path = tmp_path / "bad_preds.csv"
+        path.write_text(self.HEADER + "0,1,0.75,none\n" + row + "\n2,1,0.5,none\n")
+        with pytest.raises(DataError, match=rf"row 1, column '{column}'"):
+            read_predictions(path)
+
+    def test_ragged_row(self, tmp_path):
+        path = tmp_path / "ragged_preds.csv"
+        path.write_text(self.HEADER + "0,1,0.75,none\n1,0,0.5\n")
+        with pytest.raises(DataError, match="row 1: expected 4 fields, got 3"):
+            read_predictions(path)
+
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(m=3, n=25, accuracy=0.8, coverage=0.5, seed=4))
         params = ModelParams([0.8, 0.7, 0.6], [0.5, 0.5, 0.5])
@@ -166,6 +228,35 @@ class TestModelFile:
         assert loaded.prior_strength is None
         assert loaded.label_prior().p == 0.5
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("m", "abc", "'m'"),
+            ("m", "0", "'m'"),
+            ("prior_p", "abc", "'prior_p'"),
+            ("prior_strength", "strong", "'prior_strength'"),
+            ("prior_force_abstain", "yes", "'prior_force_abstain'"),
+            ("accuracy", "0.8,x", "'accuracy'"),
+            ("accuracy", "none", "'accuracy'"),
+            ("coverage", "0.5", "'coverage' has 1 entries"),
+            ("prior_u", "1.0", "'prior_u' has 1 entries"),
+            ("prior_v", "1.0,2.0,3.0", "'prior_v' has 3 entries"),
+            ("prior_means", "0.5", "'prior_means' has 1 entries"),
+        ],
+    )
+    def test_bad_field_names_it(self, tmp_path, field, value, message):
+        params = ModelParams([0.8, 0.7], [0.4, 0.5])
+        prior = build_mv_priors([[1, 0], [1, -1], [-1, -1]], 10.0)
+        path = tmp_path / "bad_model.txt"
+        save_model(path, model_file_from_fit(params, prior, "d4"))
+        lines = [
+            f"{field}: {value}" if line.startswith(f"{field}: ") else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
     def test_unsupported_version(self, tmp_path):
         params = ModelParams([0.8], [0.4])
         path = tmp_path / "v.txt"
@@ -192,3 +283,34 @@ class TestResultsTable:
         assert lines[0] == "experiment,mode,size,replicate,metric,value"
         assert lines[1] == "lowdata,mle,10,0,f1,0.5"
         assert lines[2] == "lowdata,mle,10,1,f1,NA"
+
+
+class TestGridFile:
+    def test_reads_lists(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text('{"strengths": [10, 100.0], "force_abstain": [true]}')
+        grid = read_grid(path)
+        assert grid.strengths == (10, 100.0)
+        assert grid.force_abstain == (True,)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"strengths": 5}', "'strengths'"),
+            ('{"strengths": []}', "'strengths'"),
+            ('{"ps": ["0.5"]}', "'ps'"),
+            ('{"ps": [true]}', "'ps'"),
+            ('{"learning_rates": [1e999]}', "'learning_rates'"),
+            ('{"alpha_inits": [' + "9" * 400 + "]}", "'alpha_inits'"),
+            ('{"force_abstain": [1]}', "'force_abstain'"),
+            ('{"depth": [1]}', "unknown grid keys"),
+            ("[1, 2]", "JSON object"),
+            ("5", "JSON object"),
+            ('{"ps": [0.5]', "invalid JSON"),
+        ],
+    )
+    def test_malformed_grid(self, tmp_path, text, message):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_grid(path)

@@ -9,6 +9,7 @@ import pytest
 from labelforge import (
     BetaPrior,
     DataError,
+    Dataset,
     DegenerateMarginalError,
     LabelPrior,
     ModelParams,
@@ -191,6 +192,35 @@ class TestValidation:
     def test_rejects_bad_votes(self):
         with pytest.raises(DataError):
             as_lf_matrix([[2, 0]])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[0.5, 1.7]],  # non-integral: must not truncate to [[0, 1]]
+            np.array([[257, 0]]),  # out of range: must not wrap to int8 1
+            np.array([[255, 0]], dtype=np.uint8),  # wraps to int8 -1
+            np.array([[np.nan, 0.0]]),
+            np.array([[-2, 0]], dtype=np.int8),
+            [["1", "0"]],
+        ],
+    )
+    def test_rejects_non_vote_values_before_narrowing(self, values):
+        with pytest.raises(DataError):
+            as_lf_matrix(values)
+        with pytest.raises(DataError):
+            Dataset(values)
+
+    @pytest.mark.parametrize("truth", [[1.0, -0.5], [1, 0], np.array([1, 255], dtype=np.uint8)])
+    def test_rejects_non_label_truth(self, truth):
+        with pytest.raises(DataError):
+            Dataset([[1], [0]], truth)
+
+    def test_votes_are_int8_and_int8_input_is_not_copied(self):
+        votes = np.array([[1, 0], [-1, 1]], dtype=np.int8)
+        assert as_lf_matrix(votes) is votes
+        assert Dataset(votes).votes is votes
+        assert as_lf_matrix([[1.0, -1.0]]).dtype == np.int8
+        assert Dataset([[1, 0]], [1]).truth.dtype == np.int8
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(DataError):
