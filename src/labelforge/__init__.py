@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DataError,
-    DegenerateMarginalError,
     EmptyOverlapError,
     LabelForgeError,
     NumericalError,
@@ -19,11 +18,7 @@ from .model import (
     Dataset,
     LabelPrior,
     ModelParams,
-    class_joint,
-    lf_factor,
     log_objective,
-    marginal,
-    posterior_class_probs,
 )
 from .priors import (
     PriorSpec,
@@ -76,7 +71,6 @@ __all__ = [
     "ConcordanceReport",
     "DataError",
     "Dataset",
-    "DegenerateMarginalError",
     "EmptyOverlapError",
     "FitResult",
     "GridSpec",
@@ -100,7 +94,6 @@ __all__ = [
     "build_random_priors",
     "build_uniform_priors",
     "build_user_priors",
-    "class_joint",
     "coverage",
     "coverage_from_data",
     "fit",
@@ -109,15 +102,12 @@ __all__ = [
     "grid_search",
     "l2_distance",
     "learn_beta_fit",
-    "lf_factor",
     "load_model",
     "log_objective",
     "low_data_sweep",
     "majority_vote",
     "majority_vote_predictions",
-    "marginal",
     "mv_concordance",
-    "posterior_class_probs",
     "predict",
     "prior_quality_study",
     "read_dataset",

@@ -17,9 +17,5 @@ class NumericalError(LabelForgeError, ArithmeticError):
     """Optimization or probability computation produced a non-finite result."""
 
 
-class DegenerateMarginalError(NumericalError):
-    """Row marginal underflowed to zero; posterior is undefined (caller abstains)."""
-
-
 class EmptyOverlapError(LabelForgeError):
     """No index where both a labeling function and the reference vote; accuracy undefined."""

@@ -4,7 +4,9 @@ Each row gets the more probable label under its posterior; exact ties
 (within TIE_EPS, which covers all-abstain rows) abstain. When the label
 prior carries ``force_abstain``, rows where the majority vote of the
 matrix being predicted abstains are forced to abstain too, regardless of
-the model posterior. Rows whose marginal underflows abstain as degenerate
+the model posterior. Posteriors come from the log-domain kernel, so wide
+matrices do not underflow. Rows that are impossible under both labels
+(only parameters at exactly 0 or 1 allow that) abstain as degenerate
 rather than raising, so batch prediction never aborts.
 """
 
@@ -16,13 +18,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .model import (
-    MARGINAL_FLOOR,
-    LabelPrior,
-    ModelParams,
-    as_lf_matrix,
-    label_prior_pairs,
-)
+from .model import LabelPrior, ModelParams, as_lf_matrix, label_prior_pairs, posterior_log_odds
 from .priors import majority_vote, vote_fraction
 
 TIE_EPS = 1e-12
@@ -59,21 +55,6 @@ class Predictions:
         return (self[i] for i in range(len(self)))
 
 
-def _joint_products(
-    votes: np.ndarray, params: ModelParams, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    acc, cov = params.accuracy, params.coverage
-    pos = votes == 1
-    neg = votes == -1
-    off = votes == 0
-    abstain = off * (1.0 - cov)
-    factors_pos = abstain + pos * (acc * cov) + neg * ((1.0 - acc) * cov)
-    factors_neg = abstain + neg * (acc * cov) + pos * ((1.0 - acc) * cov)
-    joint_pos = pairs[:, 0] * np.prod(factors_pos, axis=1)
-    joint_neg = pairs[:, 1] * np.prod(factors_neg, axis=1)
-    return joint_pos, joint_neg
-
-
 def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -> Predictions:
     """Most probable label per row under the model and label prior.
 
@@ -87,11 +68,8 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
     mv = majority_vote(votes)
     pairs = label_prior_pairs(mv, label_prior.p)
 
-    joint_pos, joint_neg = _joint_products(votes, params, pairs)
-    total = joint_pos + joint_neg
-    degenerate = total < MARGINAL_FLOOR
-    safe_total = np.where(degenerate, 1.0, total)
-    score_pos = np.where(degenerate, 0.5, joint_pos / safe_total)
+    odds, degenerate = posterior_log_odds(votes, params.accuracy, params.coverage, pairs)
+    score_pos = np.exp(-np.logaddexp(0.0, -odds))
     score_neg = 1.0 - score_pos
 
     n = votes.shape[0]

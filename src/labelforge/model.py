@@ -9,34 +9,33 @@ joints over both labels. Beta priors over per-LF accuracies (and
 optionally coverages) turn the log objective from plain likelihood into
 a regularized one.
 
-Two computation paths coexist on purpose:
-
-* plain-probability helpers (``lf_factor``, ``class_joint``, ``marginal``,
-  ``posterior_class_probs``) used at inference time, where an impossible
-  row (marginal underflow) must surface as a degenerate signal so the
-  caller can abstain;
-* log-domain batch functions (``log_likelihoods``, ``log_marginals``,
-  ``log_objective``) used by training, where accuracies and coverages are
-  clamped into [clamp_eps, 1 - clamp_eps] before taking logs so the
-  objective stays finite even when parameters sit on the boundary.
+Every probability is computed in the log domain by one kernel. The
+model factorises per LF, so a row's two class log-likelihoods are linear
+in its votes: with d the votes as float64 and s = |d|, they are
+``c + s @ g +- d @ h`` for per-LF vectors h, g and a constant c built from
+the parameters (:func:`log_likelihoods`). The posterior log-odds are then
+``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`), so the
+objective, its gradient and prediction are each one or two mat-vecs over
+votes converted once per matrix (:class:`VoteRows`). Training clamps
+accuracies and coverages into [clamp_eps, 1 - clamp_eps] so the objective
+stays finite; prediction uses the parameters as given, and a row that is
+impossible under both labels (only parameters at exactly 0 or 1 allow
+that) comes back as degenerate, never as NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DegenerateMarginalError, NumericalError
+from .errors import DataError, NumericalError
 
 # Clamp applied to accuracy/coverage before log evaluation; initialization
 # at exactly 1.0 must still yield a finite objective.
 CLAMP_EPS = 1e-6
-
-# Row marginals below this are treated as underflowed to zero on the
-# posterior-normalization path.
-MARGINAL_FLOOR = 1e-300
 
 VALID_VOTES = (-1, 0, 1)
 
@@ -184,77 +183,6 @@ class Dataset:
         return Dataset(self.votes[idx], truth)
 
 
-def _check_label(label: int) -> int:
-    if label not in (-1, 1):
-        raise DataError(f"class label must be -1 or +1, got {label}")
-    return label
-
-
-def lf_factor(vote: int, label: int, accuracy: float, coverage: float) -> float:
-    """Probability of a single vote given the true label.
-
-    Returns 1 - coverage on abstention, accuracy * coverage on agreement,
-    (1 - accuracy) * coverage on disagreement.
-    """
-    _check_label(label)
-    if not (0.0 <= accuracy <= 1.0 and 0.0 <= coverage <= 1.0):
-        raise DataError("accuracy and coverage must lie in [0, 1]")
-    if vote == 0:
-        return 1.0 - coverage
-    if vote == label:
-        return accuracy * coverage
-    if vote == -label:
-        return (1.0 - accuracy) * coverage
-    raise DataError(f"vote must be in {{-1, 0, 1}}, got {vote}")
-
-
-def _row_factors(row: np.ndarray, label: int, params: ModelParams) -> np.ndarray:
-    acc, cov = params.accuracy, params.coverage
-    agree = row == label
-    disagree = row == -label
-    abstain = row == 0
-    return abstain * (1.0 - cov) + agree * (acc * cov) + disagree * ((1.0 - acc) * cov)
-
-
-def class_joint(row, label: int, params: ModelParams, prior_prob: float) -> float:
-    """Joint probability of one row and one class: prior * product of vote factors.
-
-    Beta priors over accuracy/coverage do not enter here; they are added
-    once, globally, in :func:`log_objective`.
-    """
-    _check_label(label)
-    if not (0.0 <= prior_prob <= 1.0):
-        raise DataError(f"class prior probability must lie in [0, 1], got {prior_prob}")
-    row = as_label_vector(row)
-    if row.shape[0] != params.m:
-        raise DataError(f"row length {row.shape[0]} != parameter length {params.m}")
-    return float(prior_prob * np.prod(_row_factors(row, label, params)))
-
-
-def marginal(row, params: ModelParams, prior_pair) -> float:
-    """Row marginal: sum of the two class joints under the given prior pair."""
-    p_pos, p_neg = float(prior_pair[0]), float(prior_pair[1])
-    if p_pos < 0 or p_neg < 0:
-        raise DataError("class prior probabilities must be nonnegative")
-    return class_joint(row, 1, params, p_pos) + class_joint(row, -1, params, p_neg)
-
-
-def posterior_class_probs(row, params: ModelParams, prior_pair) -> tuple[float, float]:
-    """Normalized posterior (P(label=+1), P(label=-1)) for one row.
-
-    Raises DegenerateMarginalError when the marginal underflows below
-    MARGINAL_FLOOR; the caller treats that row as a tie and abstains.
-    """
-    joint_pos = class_joint(row, 1, params, float(prior_pair[0]))
-    joint_neg = class_joint(row, -1, params, float(prior_pair[1]))
-    total = joint_pos + joint_neg
-    if total < MARGINAL_FLOOR:
-        raise DegenerateMarginalError(
-            f"row marginal {total!r} underflowed below {MARGINAL_FLOOR}"
-        )
-    return joint_pos / total, joint_neg / total
-
-
 def label_prior_pairs(mv_votes: np.ndarray, p: float) -> np.ndarray:
     """Per-row (prior_pos, prior_neg) pairs from majority-vote anchors.
 
@@ -268,47 +196,129 @@ def label_prior_pairs(mv_votes: np.ndarray, p: float) -> np.ndarray:
     return pairs
 
 
-def _clamped(params: ModelParams, clamp_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-    return np.clip(params.accuracy, lo, hi), np.clip(params.coverage, lo, hi)
+class VoteRows(NamedTuple):
+    """Rows of a vote matrix converted once for the log-joint kernel.
 
-
-def log_likelihoods(votes: np.ndarray, params: ModelParams, clamp_eps: float = CLAMP_EPS) -> np.ndarray:
-    """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1).
-
-    Accuracy and coverage are clamped into the interior before logs.
+    ``d`` holds the votes as float64, ``s = |d|`` marks the votes cast,
+    ``count`` is the number of votes each LF cast, and ``log_prior`` holds
+    the rows' (n, 2) log class priors (-inf where a prior is 0).
     """
-    if votes.shape[1] != params.m:
-        raise DataError(f"matrix has {votes.shape[1]} columns but params have {params.m}")
-    acc, cov = _clamped(params, clamp_eps)
-    log_abstain = np.log1p(-cov)
-    log_agree = np.log(acc) + np.log(cov)
-    log_disagree = np.log1p(-acc) + np.log(cov)
-    pos = votes == 1
-    neg = votes == -1
-    off = votes == 0
-    base = off * log_abstain
-    ll_pos = (base + pos * log_agree + neg * log_disagree).sum(axis=1)
-    ll_neg = (base + neg * log_agree + pos * log_disagree).sum(axis=1)
-    return np.column_stack([ll_pos, ll_neg])
+
+    d: np.ndarray
+    s: np.ndarray
+    count: np.ndarray
+    log_prior: np.ndarray
+
+    @classmethod
+    def of(cls, votes: np.ndarray, class_priors: np.ndarray) -> "VoteRows":
+        """Convert a checked vote matrix and its (n, 2) class prior pairs."""
+        d = votes.astype(np.float64)
+        s = np.abs(d)
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(class_priors)
+        return cls(d, s, s.sum(axis=0), log_prior)
+
+    @property
+    def n(self) -> int:
+        return self.d.shape[0]
+
+    def take(self, idx: np.ndarray) -> "VoteRows":
+        s = self.s[idx]
+        return VoteRows(self.d[idx], s, s.sum(axis=0), self.log_prior[idx])
 
 
-def log_marginals(
-    votes: np.ndarray,
-    params: ModelParams,
-    class_priors: np.ndarray,
-    clamp_eps: float = CLAMP_EPS,
-) -> np.ndarray:
-    """(n,) log row marginals under per-row class prior pairs."""
-    if class_priors.shape != (votes.shape[0], 2):
-        raise DataError(
-            f"class priors must have shape ({votes.shape[0]}, 2), got {class_priors.shape}"
-        )
-    ll = log_likelihoods(votes, params, clamp_eps)
+def kernel_inputs(
+    votes, params, class_priors, clamp_eps: float
+) -> tuple[VoteRows, np.ndarray, np.ndarray]:
+    """(rows, accuracy, coverage) for the kernel, with accuracy and coverage
+    clamped into [clamp_eps, 1 - clamp_eps] so every log stays finite.
+
+    ``votes`` is either a vote matrix, checked and converted here with its
+    (n, 2) class prior pairs (symmetric when None), or VoteRows that the
+    caller converted once (``class_priors`` is then not used). ``params`` is
+    a ModelParams or an (accuracy, coverage) pair of checked vectors.
+    """
+    if not isinstance(votes, VoteRows):
+        votes = as_lf_matrix(votes)
+        n = votes.shape[0]
+        if class_priors is None:
+            class_priors = np.full((n, 2), 0.5)
+        class_priors = np.asarray(class_priors, dtype=np.float64)
+        if class_priors.shape != (n, 2):
+            raise DataError(f"class priors must have shape ({n}, 2), got {class_priors.shape}")
+        if not (class_priors >= 0).all():
+            raise DataError("class prior probabilities must be >= 0")
+        votes = VoteRows.of(votes, class_priors)
+    acc, cov = (params.accuracy, params.coverage) if isinstance(params, ModelParams) else params
+    if acc.shape[0] != votes.d.shape[1]:
+        raise DataError(f"matrix has {votes.d.shape[1]} columns but params have {acc.shape[0]}")
+    lo, hi = clamp_eps, 1.0 - clamp_eps
+    return votes, np.clip(acc, lo, hi), np.clip(cov, lo, hi)
+
+
+def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
+    """Per-LF vectors (h, g, c) of the log-joint kernel and the (3, m) mask
+    ``zero`` of votes that have probability 0.
+
+    Under label +1, vote v of LF j has log probability ``logf[v + 1, j]``:
+    log((1-a) b), log(1-b) and log(a b) for v = -1, 0, +1, with a the
+    accuracy and b the coverage. Under label -1 the vote is negated. So with
+    d the float votes and s = |d|, the class log-likelihoods are
+    ``c + s @ g + d @ h`` (+1) and ``c + s @ g - d @ h`` (-1). A factor of 0
+    (a parameter at exactly 0 or 1, which a model file can hold) is left out
+    of h, g and c and marked in ``zero``, so no 0 * -inf makes a NaN.
+    """
     with np.errstate(divide="ignore"):
-        log_prior = np.where(class_priors > 0.0, np.log(class_priors), -np.inf)
-    joint = ll + log_prior
-    return np.logaddexp(joint[:, 0], joint[:, 1])
+        log_cov = np.log(coverage)
+        logf = np.array(
+            [np.log1p(-accuracy) + log_cov, np.log1p(-coverage), np.log(accuracy) + log_cov]
+        )
+    zero = logf == -np.inf
+    logf[zero] = 0.0
+    h = 0.5 * (logf[2] - logf[0])
+    g = 0.5 * (logf[2] + logf[0]) - logf[1]
+    return h, g, logf[1].sum(), zero
+
+
+def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """(n, 2) mask of rows casting a vote of probability 0 under label +1
+    (col 0) and -1 (col 1), from the ``zero`` mask of :func:`_kernel`."""
+    cols = np.flatnonzero(zero.any(axis=0))
+    v = votes[:, cols].astype(np.intp)
+    return np.stack([zero[v + 1, cols].any(axis=1), zero[1 - v, cols].any(axis=1)], axis=1)
+
+
+def log_likelihoods(votes: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1),
+    -inf where a row casts a vote of probability 0 under that label."""
+    h, g, c, zero = _kernel(accuracy, coverage)
+    dh = votes.d @ h
+    base = votes.s @ g + c
+    ll = np.stack([base + dh, base - dh], axis=1)
+    if zero.any():
+        ll[_impossible(votes.d, zero)] = -np.inf
+    return ll
+
+
+def posterior_log_odds(
+    votes: np.ndarray, accuracy: np.ndarray, coverage: np.ndarray, class_priors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log P(+1 | row) - log P(-1 | row), and the mask of degenerate
+    rows, which are impossible under both labels (their log-odds are 0).
+
+    Parameters are used as given, so they may sit at exactly 0 or 1; a row
+    impossible under one label only gets log-odds -inf or +inf.
+    """
+    h, _, _, zero = _kernel(accuracy, coverage)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(class_priors)
+    if zero.any():
+        log_w[_impossible(votes, zero)] = -np.inf
+    degenerate = (log_w == -np.inf).all(axis=1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on degenerate rows
+        odds = 2.0 * (votes.astype(np.float64) @ h) + (log_w[:, 0] - log_w[:, 1])
+    odds[degenerate] = 0.0
+    return odds, degenerate
 
 
 def beta_log_density(x: np.ndarray, prior: BetaPrior) -> np.ndarray:
@@ -352,27 +362,30 @@ def log_objective(
             raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
         pairs = label_prior_pairs(anchors, label_prior.p)
     return log_objective_given_pairs(
-        votes, params, pairs, accuracy_prior, include_priors, coverage_prior, clamp_eps
+        VoteRows.of(votes, pairs), params, None, accuracy_prior, include_priors,
+        coverage_prior, clamp_eps,
     )
 
 
 def log_objective_given_pairs(
-    votes: np.ndarray,
-    params: ModelParams,
-    class_priors: np.ndarray,
+    votes,
+    params,
+    class_priors: np.ndarray | None,
     accuracy_prior: BetaPrior | None = None,
     include_priors: bool = True,
     coverage_prior: BetaPrior | None = None,
     clamp_eps: float = CLAMP_EPS,
 ) -> float:
-    """Same as :func:`log_objective` but with class prior pairs precomputed."""
-    total = float(log_marginals(votes, params, class_priors, clamp_eps).sum())
+    """Same as :func:`log_objective` but with class prior pairs precomputed;
+    ``votes``, ``params`` and ``class_priors`` are as in :func:`kernel_inputs`."""
+    rows, acc, cov = kernel_inputs(votes, params, class_priors, clamp_eps)
+    joint = log_likelihoods(rows, acc, cov) + rows.log_prior
+    total = float(np.logaddexp(joint[:, 0], joint[:, 1]).sum())
     if include_priors and accuracy_prior is not None:
-        if accuracy_prior.m != params.m:
+        if accuracy_prior.m != acc.shape[0]:
             raise DataError(
-                f"accuracy prior has {accuracy_prior.m} entries, params have {params.m}"
+                f"accuracy prior has {accuracy_prior.m} entries, params have {acc.shape[0]}"
             )
-        acc, cov = _clamped(params, clamp_eps)
         total += float(beta_log_density(acc, accuracy_prior).sum())
         if coverage_prior is not None:
             total += float(beta_log_density(cov, coverage_prior).sum())

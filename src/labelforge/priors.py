@@ -102,14 +102,17 @@ def beta_from_mean(mean: float, strength: float) -> tuple[float, float]:
 
 
 def reference_accuracies(votes, reference) -> np.ndarray:
-    """Per-column accuracy against a reference vector, 0.5 where no overlap."""
+    """Per-column :func:`accuracy_vs_reference`, 0.5 where there is no overlap."""
     votes = as_lf_matrix(votes)
-    means = np.empty(votes.shape[1], dtype=np.float64)
-    for j in range(votes.shape[1]):
-        try:
-            means[j] = accuracy_vs_reference(votes[:, j], reference)
-        except EmptyOverlapError:
-            means[j] = 0.5
+    ref = as_label_vector(reference)
+    if ref.shape[0] != votes.shape[0]:
+        raise DataError(f"reference length {ref.shape[0]} != row count {votes.shape[0]}")
+    voted = ref != 0
+    cast = votes[voted]
+    overlap = (cast != 0).sum(axis=0)
+    agree = (cast == ref[voted, None]).sum(axis=0)
+    means = np.full(votes.shape[1], 0.5)
+    np.divide(agree, overlap, out=means, where=overlap > 0)
     return means
 
 

@@ -22,8 +22,9 @@ from .model import (
     BetaPrior,
     LabelPrior,
     ModelParams,
-    _clamped,
+    VoteRows,
     as_lf_matrix,
+    kernel_inputs,
     label_prior_pairs,
     log_likelihoods,
     log_objective_given_pairs,
@@ -85,40 +86,26 @@ def coverage_from_data(votes) -> np.ndarray:
     return (votes != 0).sum(axis=0) / votes.shape[0]
 
 
-def _posterior_weights(
-    votes: np.ndarray, params: ModelParams, class_priors: np.ndarray, clamp_eps: float
-) -> np.ndarray:
-    """(n, 2) posterior label weights per row, computed in the log domain."""
-    ll = log_likelihoods(votes, params, clamp_eps)
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(class_priors > 0.0, np.log(class_priors), -np.inf)
-    joint = ll + log_prior
-    log_marg = np.logaddexp(joint[:, 0], joint[:, 1])
-    if not np.isfinite(log_marg).all():
-        raise NumericalError("row marginal vanished while computing gradients")
-    return np.exp(joint - log_marg[:, None])
-
-
 def grad_accuracy(
     votes,
-    params: ModelParams,
+    params,
     accuracy_prior: BetaPrior | None,
-    class_priors: np.ndarray,
+    class_priors: np.ndarray | None,
     prior_weight: float,
     clamp_eps: float = CLAMP_EPS,
 ) -> np.ndarray:
     """Gradient of the batch objective (sum of log marginals over the batch
-    plus prior_weight * accuracy-prior log density) with respect to accuracy."""
-    votes = as_lf_matrix(votes)
-    acc, _ = _clamped(params, clamp_eps)
-    w = _posterior_weights(votes, params, class_priors, clamp_eps)
-    pos = votes == 1
-    neg = votes == -1
-    w_pos = w[:, 0:1]
-    w_neg = w[:, 1:2]
-    agree_mass = (pos * w_pos + neg * w_neg).sum(axis=0)
-    disagree_mass = (pos * w_neg + neg * w_pos).sum(axis=0)
-    grad = agree_mass / acc - disagree_mass / (1.0 - acc)
+    plus prior_weight * accuracy-prior log density) with respect to accuracy.
+
+    With e = tanh(r / 2) for the rows' posterior log-odds r, the posterior
+    mass of LF j's agreeing votes is (count_j + d_j . e) / 2 and that of its
+    disagreeing votes (count_j - d_j . e) / 2. ``votes``, ``params`` and
+    ``class_priors`` are as in :func:`labelforge.model.kernel_inputs`.
+    """
+    rows, acc, cov = kernel_inputs(votes, params, class_priors, clamp_eps)
+    joint = log_likelihoods(rows, acc, cov) + rows.log_prior
+    de = np.tanh(0.5 * (joint[:, 0] - joint[:, 1])) @ rows.d
+    grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
         grad = grad + prior_weight * (
             (accuracy_prior.u - 1.0) / acc - (accuracy_prior.v - 1.0) / (1.0 - acc)
@@ -130,7 +117,7 @@ def grad_accuracy(
 
 def grad_coverage(
     votes,
-    params: ModelParams,
+    params,
     coverage_prior: BetaPrior | None,
     prior_weight: float,
     clamp_eps: float = CLAMP_EPS,
@@ -141,11 +128,8 @@ def grad_coverage(
     both class likelihoods identically, so the data term reduces to vote
     counts: voted / cov - abstained / (1 - cov).
     """
-    votes = as_lf_matrix(votes)
-    _, cov = _clamped(params, clamp_eps)
-    voted = (votes != 0).sum(axis=0)
-    abstained = votes.shape[0] - voted
-    grad = voted / cov - abstained / (1.0 - cov)
+    rows, _, cov = kernel_inputs(votes, params, None, clamp_eps)
+    grad = rows.count / cov - (rows.n - rows.count) / (1.0 - cov)
     if coverage_prior is not None:
         grad = grad + prior_weight * (
             (coverage_prior.u - 1.0) / cov - (coverage_prior.v - 1.0) / (1.0 - cov)
@@ -193,18 +177,17 @@ def fit(
         anchors = majority_vote(votes)
     elif anchors.shape[0] != n:
         raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
-    pairs_train = label_prior_pairs(anchors, label_prior.p)
+    rows = VoteRows.of(votes, label_prior_pairs(anchors, label_prior.p))
 
-    val = None
-    pairs_val = None
+    val_rows = None
     if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
         val = as_lf_matrix(val_votes)
         if val.shape[1] != m:
             raise DataError(f"validation matrix has {val.shape[1]} columns, train has {m}")
-        pairs_val = label_prior_pairs(majority_vote(val), label_prior.p)
+        val_rows = VoteRows.of(val, label_prior_pairs(majority_vote(val), label_prior.p))
 
     acc = np.clip(np.full(m, config.alpha_init, dtype=np.float64), eps, 1.0 - eps)
-    cov_emp = coverage_from_data(votes)
+    cov_emp = rows.count / n
     coverage_prior = None
     if config.learn_beta:
         cov = np.clip(cov_emp, eps, 1.0 - eps)
@@ -226,37 +209,37 @@ def fit(
     stop_after = max(config.patience, 1)
 
     for epoch in range(1, config.max_epochs + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            weight = idx.shape[0] / n
-            step = config.learning_rate / idx.shape[0]
-            g_acc = grad_accuracy(
-                votes[idx], ModelParams(acc, cov), acc_prior, pairs_train[idx], weight, eps
+        if batch_size >= n:
+            # The batch sums over every row, so its order does not matter.
+            batches = (rows,)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
+            order = rng.permutation(n)
+            batches = (
+                rows.take(order[start : start + batch_size]) for start in range(0, n, batch_size)
             )
+        for batch in batches:
+            weight = batch.n / n
+            step = config.learning_rate / batch.n
+            g_acc = grad_accuracy(batch, (acc, cov), acc_prior, None, weight, eps)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if config.learn_beta:
-                g_cov = grad_coverage(
-                    votes[idx], ModelParams(acc, cov), coverage_prior, weight, eps
-                )
+                g_cov = grad_coverage(batch, (acc, cov), coverage_prior, weight, eps)
                 cov = np.clip(cov + step * g_cov, eps, 1.0 - eps)
 
-        params_now = ModelParams(acc, cov)
         try:
             train_loss = -log_objective_given_pairs(
-                votes, params_now, pairs_train, acc_prior, include_priors, coverage_prior, eps
+                rows, (acc, cov), None, acc_prior, include_priors, coverage_prior, eps
             )
-            val_loss = None
-            if val is not None:
+            if val_rows is not None:
                 val_loss = -log_objective_given_pairs(
-                    val, params_now, pairs_val, acc_prior, include_priors, coverage_prior, eps
+                    val_rows, (acc, cov), None, acc_prior, include_priors, coverage_prior, eps
                 )
         except NumericalError as exc:
             raise NumericalError(f"non-finite objective at epoch {epoch}: {exc}") from exc
         train_hist.append(train_loss)
 
-        if val is None:
+        if val_rows is None:
             best_acc, best_cov = acc.copy(), cov.copy()
             best_epoch = epoch
             continue

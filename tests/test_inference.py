@@ -13,6 +13,7 @@ from labelforge import (
     predict,
 )
 from labelforge.infer import REASON_DEGENERATE, REASON_FORCED, REASON_NONE, REASON_TIE
+from labelforge.model import label_prior_pairs
 
 
 class TestPredict:
@@ -87,6 +88,64 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             predict([[1, 0]], ModelParams([0.7], [0.5]), None)
+
+
+class TestWideAndBoundary:
+    def test_wide_matrix_does_not_underflow(self):
+        # m=1200 at coverage 0.5: every row's joint is far below the smallest
+        # float64, so a linear-space product would call all rows degenerate
+        rng = np.random.default_rng(12)
+        n, m = 200, 1200
+        acc = rng.uniform(0.55, 0.9, m)
+        cov = np.full(m, 0.5)
+        truth = rng.choice([-1, 1], size=n)
+        voted = rng.random((n, m)) < cov
+        right = rng.random((n, m)) < acc
+        votes = (voted * np.where(right, truth[:, None], -truth[:, None])).astype(np.int8)
+        params = ModelParams(acc, cov)
+        preds = predict(votes, params, LabelPrior(p=0.7))
+        assert not (preds.abstain_reason == REASON_DEGENERATE).any()
+
+        # log-domain reference: sum of log factors per row and class
+        log_prior = np.log(label_prior_pairs(majority_vote(votes), 0.7))
+        joints = []
+        for label in (1, -1):
+            factors = np.where(
+                votes == 0, 1 - cov, np.where(votes == label, acc * cov, (1 - acc) * cov)
+            )
+            joints.append(np.log(factors).sum(axis=1))
+        gap = joints[0] + log_prior[:, 0] - joints[1] - log_prior[:, 1]
+        assert np.abs(gap).min() > 1.0
+        np.testing.assert_array_equal(preds.labels, np.sign(gap))
+
+    def test_certain_accuracy_with_disagreeing_vote(self):
+        # accuracy exactly 1: a vote against a label rules that label out
+        params = ModelParams([1.0, 0.6], [0.5, 0.5])
+        preds = predict([[1, -1], [-1, 1], [1, 0]], params, LabelPrior())
+        np.testing.assert_array_equal(preds.score_pos, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(preds.labels, [1, -1, 1])
+        assert (preds.abstain_reason == REASON_NONE).all()
+
+    def test_full_coverage_lf_that_abstains_is_degenerate(self):
+        # empirical coverage 1, as fit stores it for an LF that always voted
+        params = ModelParams([0.8, 0.7], [1.0, 0.4])
+        preds = predict([[0, 1], [1, 0], [0, 0]], params, LabelPrior())
+        np.testing.assert_array_equal(
+            preds.abstain_reason, [REASON_DEGENERATE, REASON_NONE, REASON_DEGENERATE]
+        )
+        np.testing.assert_array_equal(preds.score_pos[[0, 2]], [0.5, 0.5])
+        assert not np.isnan(preds.score_pos).any()
+
+    def test_certain_prior_follows_majority_vote(self):
+        # p = 1 gives the class against a row's MV label prior probability 0,
+        # even where the LFs' accuracies alone would pick that class
+        params = ModelParams([0.99, 0.55, 0.55], [0.5, 0.5, 0.5])
+        votes = [[1, -1, -1], [-1, 1, 1], [0, 0, -1], [1, -1, 0]]
+        preds = predict(votes, params, LabelPrior(p=1.0))
+        np.testing.assert_array_equal(preds.labels, [-1, 1, -1, 1])
+        np.testing.assert_array_equal(preds.score_pos[:3], [0.0, 1.0, 0.0])
+        # the MV tie keeps the uninformative prior: the model decides
+        assert 0.5 < preds.score_pos[3] < 1.0
 
 
 class TestCoverage:

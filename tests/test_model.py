@@ -1,89 +1,132 @@
-"""Core generative-model probabilities: per-vote factors, class joints,
-marginals, posteriors, and the log objective."""
+"""Core generative-model probabilities: the log-joint kernel's per-vote
+factors, class joints, marginals and posteriors, checked against the
+linear-space row reference, and the log objective."""
 
 import math
 
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from labelforge import (
     BetaPrior,
     DataError,
     Dataset,
-    DegenerateMarginalError,
     LabelPrior,
     ModelParams,
     build_uniform_priors,
-    class_joint,
-    lf_factor,
     log_objective,
-    marginal,
-    posterior_class_probs,
 )
-from labelforge.model import as_lf_matrix, label_prior_pairs, log_marginals
+from labelforge.model import (
+    CLAMP_EPS,
+    VoteRows,
+    as_lf_matrix,
+    kernel_inputs,
+    label_prior_pairs,
+    log_likelihoods,
+    posterior_log_odds,
+)
+
+
+def kernel_ll(votes, params: ModelParams) -> np.ndarray:
+    """The kernel's (n, 2) log P(row | label), parameters used as given."""
+    votes = as_lf_matrix(votes)
+    rows = VoteRows.of(votes, np.full((votes.shape[0], 2), 0.5))
+    return log_likelihoods(rows, params.accuracy, params.coverage)
+
+
+def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
+    ll = kernel_ll(votes, params)
+    with np.errstate(divide="ignore"):
+        log_pair = np.log(np.asarray(pair, dtype=np.float64))
+    return np.logaddexp(ll[:, 0] + log_pair[0], ll[:, 1] + log_pair[1])
+
+
+def kernel_posterior(row, params: ModelParams, pair) -> tuple[float, float]:
+    votes = as_lf_matrix([row])
+    odds, degenerate = posterior_log_odds(
+        votes, params.accuracy, params.coverage, np.array([pair], dtype=np.float64)
+    )
+    assert not degenerate[0]
+    return float(np.exp(-np.logaddexp(0.0, -odds[0]))), float(np.exp(-np.logaddexp(0.0, odds[0])))
 
 
 class TestLfFactor:
     def test_abstention_branch(self):
-        assert lf_factor(0, 1, 0.9, 0.4) == pytest.approx(0.6)
+        assert ref.factor(0, 1, 0.9, 0.4) == pytest.approx(0.6)
+        assert np.exp(kernel_ll([[0]], ModelParams([0.9], [0.4]))[0]) == pytest.approx([0.6, 0.6])
 
     def test_agreement_branch(self):
-        assert lf_factor(1, 1, 0.9, 0.4) == pytest.approx(0.36)
+        assert ref.factor(1, 1, 0.9, 0.4) == pytest.approx(0.36)
+        assert np.exp(kernel_ll([[1]], ModelParams([0.9], [0.4]))[0, 0]) == pytest.approx(0.36)
 
     def test_disagreement_branch(self):
-        assert lf_factor(-1, 1, 0.9, 0.4) == pytest.approx(0.04)
+        assert ref.factor(-1, 1, 0.9, 0.4) == pytest.approx(0.04)
+        assert np.exp(kernel_ll([[-1]], ModelParams([0.9], [0.4]))[0, 0]) == pytest.approx(0.04)
 
     def test_rejects_zero_label(self):
+        # the kernel's labels are +1 and -1 only: a prior column for a third is refused
         with pytest.raises(DataError):
-            lf_factor(1, 0, 0.9, 0.4)
+            kernel_inputs([[1]], ModelParams([0.9], [0.4]), np.full((1, 3), 1 / 3), CLAMP_EPS)
 
     def test_branches_sum_to_one(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             a, b = rng.uniform(0, 1, 2)
-            total = lf_factor(0, 1, a, b) + lf_factor(1, 1, a, b) + lf_factor(-1, 1, a, b)
-            assert total == pytest.approx(1.0, abs=1e-12)
+            probs = np.exp(kernel_ll([[0], [1], [-1]], ModelParams([a], [b])))
+            assert probs.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+            np.testing.assert_allclose(
+                probs[:, 0], [ref.factor(v, 1, a, b) for v in (0, 1, -1)], rtol=1e-12
+            )
 
 
 class TestClassJoint:
     def test_all_abstain_ignores_accuracy(self):
         params = ModelParams([0.9, 0.1], [0.4, 0.4])
-        assert class_joint([0, 0], 1, params, 0.5) == pytest.approx(0.18)
+        joint = 0.5 * np.exp(kernel_ll([[0, 0]], params)[0, 0])
+        assert joint == pytest.approx(0.18)
+        assert joint == pytest.approx(ref.class_joint([0, 0], 1, [0.9, 0.1], [0.4, 0.4], 0.5))
 
     def test_mixed_row(self):
+        # coverage exactly 1: abstaining is impossible but this row votes everywhere
         params = ModelParams([0.9, 0.8], [1.0, 1.0])
-        assert class_joint([1, -1], 1, params, 0.5) == pytest.approx(0.09)
+        joint = 0.5 * np.exp(kernel_ll([[1, -1]], params)[0, 0])
+        assert joint == pytest.approx(0.09)
+        assert joint == pytest.approx(ref.class_joint([1, -1], 1, [0.9, 0.8], [1.0, 1.0], 0.5))
 
     def test_single_disagreement(self):
         params = ModelParams([0.7], [0.5])
-        assert class_joint([1], -1, params, 1.0) == pytest.approx(0.15)
+        assert np.exp(kernel_ll([[1]], params)[0, 1]) == pytest.approx(0.15)
+        assert ref.class_joint([1], -1, [0.7], [0.5], 1.0) == pytest.approx(0.15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            class_joint([1, 0], 1, ModelParams([0.7], [0.5]), 0.5)
+            kernel_inputs([[1, 0]], ModelParams([0.7], [0.5]), None, CLAMP_EPS)
 
     def test_monotone_in_accuracy(self):
         # agreement row increases with accuracy, disagreement row decreases
-        lo = ModelParams([0.6], [0.5])
-        hi = ModelParams([0.8], [0.5])
-        assert class_joint([1], 1, hi, 0.5) > class_joint([1], 1, lo, 0.5)
-        assert class_joint([-1], 1, hi, 0.5) < class_joint([-1], 1, lo, 0.5)
+        lo = kernel_ll([[1], [-1]], ModelParams([0.6], [0.5]))[:, 0]
+        hi = kernel_ll([[1], [-1]], ModelParams([0.8], [0.5]))[:, 0]
+        assert hi[0] > lo[0]
+        assert hi[1] < lo[1]
 
 
 class TestMarginal:
     def test_all_abstain_drops_label(self):
         params = ModelParams([0.9, 0.2], [0.3, 0.7])
         expected = (1 - 0.3) * (1 - 0.7)
-        assert marginal([0, 0], params, (0.5, 0.5)) == pytest.approx(expected)
+        value = math.exp(kernel_log_marginals([[0, 0]], params, (0.5, 0.5))[0])
+        assert value == pytest.approx(expected)
+        assert ref.marginal([0, 0], [0.9, 0.2], [0.3, 0.7], (0.5, 0.5)) == pytest.approx(expected)
 
     def test_single_vote(self):
         params = ModelParams([0.7], [0.5])
-        assert marginal([1], params, (0.5, 0.5)) == pytest.approx(0.25)
+        assert math.exp(kernel_log_marginals([[1]], params, (0.5, 0.5))[0]) == pytest.approx(0.25)
 
     def test_degenerate_prior_equals_class_joint(self):
         params = ModelParams([0.7, 0.6], [0.5, 0.9])
-        row = [1, -1]
-        assert marginal(row, params, (1.0, 0.0)) == class_joint(row, 1, params, 1.0)
+        row = [[1, -1]]
+        assert kernel_log_marginals(row, params, (1.0, 0.0))[0] == kernel_ll(row, params)[0, 0]
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -93,25 +136,29 @@ class TestMarginal:
             acc = rng.uniform(0.1, 0.9, m)
             cov = rng.uniform(0.1, 0.9, m)
             perm = rng.permutation(m)
-            a = marginal(row, ModelParams(acc, cov), (0.4, 0.6))
-            b = marginal(row[perm], ModelParams(acc[perm], cov[perm]), (0.4, 0.6))
+            a = kernel_log_marginals([row], ModelParams(acc, cov), (0.4, 0.6))[0]
+            b = kernel_log_marginals(
+                [row[perm]], ModelParams(acc[perm], cov[perm]), (0.4, 0.6)
+            )[0]
             assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(math.log(ref.marginal(row, acc, cov, (0.4, 0.6))), rel=1e-12)
 
 
 class TestPosterior:
     def test_no_evidence(self):
         params = ModelParams([0.9], [0.4])
-        assert posterior_class_probs([0], params, (0.5, 0.5)) == (0.5, 0.5)
+        assert kernel_posterior([0], params, (0.5, 0.5)) == (0.5, 0.5)
 
     def test_single_vote(self):
         params = ModelParams([0.7], [0.5])
-        p_pos, p_neg = posterior_class_probs([1], params, (0.5, 0.5))
+        p_pos, p_neg = kernel_posterior([1], params, (0.5, 0.5))
         assert p_pos == pytest.approx(0.7)
         assert p_neg == pytest.approx(0.3)
+        assert (p_pos, p_neg) == pytest.approx(ref.posterior([1], [0.7], [0.5], (0.5, 0.5)))
 
     def test_degenerate_prior(self):
         params = ModelParams([0.7], [0.5])
-        assert posterior_class_probs([1], params, (1.0, 0.0)) == (1.0, 0.0)
+        assert kernel_posterior([1], params, (1.0, 0.0)) == (1.0, 0.0)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(42)
@@ -120,20 +167,26 @@ class TestPosterior:
             row = rng.integers(-1, 2, m)
             params = ModelParams(rng.uniform(0.05, 0.95, m), rng.uniform(0.05, 0.95, m))
             pair = rng.uniform(0.05, 0.5, 2)
-            p_pos, p_neg = posterior_class_probs(row, params, pair)
+            p_pos, p_neg = kernel_posterior(row, params, pair)
             assert 0.0 <= p_pos <= 1.0 and 0.0 <= p_neg <= 1.0
             assert p_pos + p_neg == pytest.approx(1.0, abs=1e-12)
+            expected = ref.posterior(row, params.accuracy, params.coverage, pair)
+            assert (p_pos, p_neg) == pytest.approx(expected, rel=1e-10)
 
     def test_impossible_row_is_degenerate(self):
         # full-coverage column cannot abstain: zero probability under both labels
-        params = ModelParams([0.7], [1.0])
-        with pytest.raises(DegenerateMarginalError):
-            posterior_class_probs([0], params, (0.5, 0.5))
+        votes = as_lf_matrix([[0]])
+        odds, degenerate = posterior_log_odds(
+            votes, np.array([0.7]), np.array([1.0]), np.full((1, 2), 0.5)
+        )
+        assert degenerate[0]
+        assert odds[0] == 0.0
+        assert ref.marginal([0], [0.7], [1.0], (0.5, 0.5)) == 0.0
 
     def test_scaling_priors_leaves_posterior_unchanged(self):
         params = ModelParams([0.7, 0.6], [0.5, 0.8])
-        a = posterior_class_probs([1, -1], params, (0.5, 0.5))
-        b = posterior_class_probs([1, -1], params, (0.25, 0.25))
+        a = kernel_posterior([1, -1], params, (0.5, 0.5))
+        b = kernel_posterior([1, -1], params, (0.25, 0.25))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -180,11 +233,11 @@ class TestLogObjective:
         rng = np.random.default_rng(9)
         votes = rng.integers(-1, 2, size=(20, 3))
         params = ModelParams(rng.uniform(0.2, 0.8, 3), rng.uniform(0.2, 0.8, 3))
-        pairs = np.tile([0.6, 0.4], (20, 1))
-        logm = log_marginals(votes, params, pairs)
+        logm = kernel_log_marginals(votes, params, (0.6, 0.4))
         for i in range(20):
             assert logm[i] == pytest.approx(
-                math.log(marginal(votes[i], params, (0.6, 0.4))), rel=1e-9
+                math.log(ref.marginal(votes[i], params.accuracy, params.coverage, (0.6, 0.4))),
+                rel=1e-9,
             )
 
 

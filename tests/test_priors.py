@@ -161,6 +161,25 @@ class TestBuilders:
         assert means[0] == 0.5
         assert means[1] == 1.0
 
+    def test_reference_accuracies_equal_per_column_accuracy(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+            votes = rng.integers(-1, 2, size=(n, m))
+            votes[:, rng.random(m) < 0.2] = 0
+            reference = rng.integers(-1, 2, size=n)
+            expected = []
+            for j in range(m):
+                try:
+                    expected.append(accuracy_vs_reference(votes[:, j], reference))
+                except EmptyOverlapError:
+                    expected.append(0.5)
+            np.testing.assert_array_equal(reference_accuracies(votes, reference), expected)
+
+    def test_reference_accuracies_length_mismatch(self):
+        with pytest.raises(DataError):
+            reference_accuracies(np.array([[1], [0]]), np.array([1]))
+
     def test_strength_must_be_positive(self):
         with pytest.raises(DataError):
             beta_from_mean(0.5, 0.0)
