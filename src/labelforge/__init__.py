@@ -32,7 +32,7 @@ from .priors import (
     majority_vote,
     reference_accuracies,
 )
-from .train import FitResult, TrainConfig, coverage_from_data, fit, learn_beta_fit
+from .train import FitResult, TrainConfig, coverage_from_data, fit
 from .infer import Prediction, Predictions, coverage, majority_vote_predictions, predict
 from .metrics import (
     ConcordanceReport,
@@ -101,7 +101,6 @@ __all__ = [
     "generate_synthetic",
     "grid_search",
     "l2_distance",
-    "learn_beta_fit",
     "load_model",
     "log_objective",
     "low_data_sweep",

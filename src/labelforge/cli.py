@@ -34,6 +34,7 @@ from .experiments import (
     build_mode_priors,
     generate_synthetic,
     grid_search,
+    holdout,
     low_data_sweep,
     prior_quality_study,
     split,
@@ -43,8 +44,6 @@ from .infer import majority_vote_predictions, predict
 from .metrics import format_percent, report_lines, score
 from .priors import build_user_priors
 from .train import TrainConfig, fit
-
-import numpy as np
 
 MODE_CHOICES = ("mle", "map-mv", "map-emp", "map-rand", "map-user")
 
@@ -102,24 +101,11 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
-def _holdout(dataset, val_frac: float, seed: int):
-    """Split off a validation share of a dataset for training-time early stopping."""
-    if not (0.0 <= val_frac < 1.0):
-        raise DataError(f"--val-frac must lie in [0, 1), got {val_frac}")
-    n_val = int(np.floor(dataset.n * val_frac + 0.5))
-    if n_val == 0:
-        return dataset, None
-    if n_val >= dataset.n:
-        raise DataError("validation fraction leaves no training rows")
-    perm = np.random.default_rng(seed).permutation(dataset.n)
-    return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
-
-
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
     digest = _announce(args, seed)
     dataset = read_dataset(args.data, args.truth_col)
-    train, val = _holdout(dataset, args.val_frac, seed)
+    train, val = holdout(dataset, args.val_frac, seed)
     if args.mode == "map-user":
         if args.prior_u is None or args.prior_v is None:
             print("error: --mode map-user requires --prior-u and --prior-v", file=sys.stderr)
@@ -287,10 +273,9 @@ def _cmd_stability(args) -> int:
     seed = _resolve_seed(args)
     _announce(args, seed)
     dataset = read_dataset(args.data, args.truth_col)
-    train, val, test = split(dataset, SplitSpec(seed=seed))
+    train, _, test = split(dataset, SplitSpec(seed=seed))
     rows = stability_sweep(
         train,
-        val,
         test,
         _parse_ints(args.epoch_grid),
         modes=tuple(args.modes.split(",")),

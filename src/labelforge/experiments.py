@@ -60,7 +60,7 @@ class GridSpec:
     strengths: tuple = (10.0, 100.0)
     learning_rates: tuple = (0.001, 0.01)
     alpha_inits: tuple = (0.8, 0.9, 1.0)
-    ps: tuple = tuple(round(i / 10, 1) for i in range(11))
+    ps: tuple = tuple(round(i / 10, 1) for i in range(5, 11))
     force_abstain: tuple = (True, False)
 
     def __post_init__(self):
@@ -100,6 +100,12 @@ def _half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _shuffled_parts(dataset: Dataset, seed: int, *sizes: int) -> list[Dataset]:
+    """One seeded shuffle of the rows, cut into consecutive parts of the given sizes."""
+    perm = np.random.default_rng(seed).permutation(dataset.n)
+    return [dataset.subset(part) for part in np.split(perm, np.cumsum(sizes[:-1]))]
+
+
 def split(dataset: Dataset, spec: SplitSpec | None = None) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded shuffle, then contiguous train/val/test partition."""
     spec = spec or SplitSpec()
@@ -112,12 +118,23 @@ def split(dataset: Dataset, spec: SplitSpec | None = None) -> tuple[Dataset, Dat
     n_train = n_pre - n_val
     if n_train < 1 or n_test < 1:
         raise DataError(f"degenerate split sizes ({n_train}, {n_val}, {n_test}) for n={n}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    return (
-        dataset.subset(perm[:n_train]),
-        dataset.subset(perm[n_train:n_pre]),
-        dataset.subset(perm[n_pre:]),
-    )
+    train, val, test = _shuffled_parts(dataset, spec.seed, n_train, n_val, n_test)
+    return train, val, test
+
+
+def holdout(dataset: Dataset, val_frac: float, seed: int) -> tuple[Dataset, Dataset | None]:
+    """Seeded (train, validation) partition for training-time early stopping,
+    with round(n * val_frac) validation rows; no shuffle and no validation
+    set when that rounds to 0."""
+    if not (0.0 <= val_frac < 1.0):
+        raise DataError(f"validation fraction must lie in [0, 1), got {val_frac}")
+    n_val = _half_up(dataset.n * val_frac)
+    if n_val == 0:
+        return dataset, None
+    if n_val >= dataset.n:
+        raise DataError("validation fraction leaves no training rows")
+    val, train = _shuffled_parts(dataset, seed, n_val, dataset.n - n_val)
+    return train, val
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -241,7 +258,7 @@ def grid_search(
                 val.votes,
                 val,
                 mode,
-                settings.get("strength", 0.0) or 1.0,
+                settings.get("strength"),
                 settings.get("p", 0.5),
                 settings.get("force_abstain", False),
                 cfg,
@@ -388,7 +405,6 @@ def collect_aggregates(rows: list[dict]) -> dict[tuple, float | None]:
 
 def stability_sweep(
     train: Dataset,
-    val: Dataset,
     test: Dataset,
     epoch_grid,
     modes=("map-mv", "mle"),
@@ -402,7 +418,6 @@ def stability_sweep(
     parameters are used). Budget 0 scores the initialized model."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
-    del val  # reserved: budgets are fixed, so no validation-based stopping
     base = config or TrainConfig()
     rows: list[dict] = []
     for budget in epoch_grid:

@@ -18,7 +18,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .model import LabelPrior, ModelParams, as_lf_matrix, label_prior_pairs, posterior_log_odds
+from .model import (
+    LabelPrior,
+    ModelParams,
+    VoteRows,
+    as_lf_matrix,
+    label_prior_pairs,
+    posterior_log_odds,
+)
 from .priors import majority_vote, vote_fraction
 
 TIE_EPS = 1e-12
@@ -66,9 +73,9 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
         raise DataError(f"matrix has {votes.shape[1]} columns but params have {params.m}")
     label_prior = label_prior or LabelPrior()
     mv = majority_vote(votes)
-    pairs = label_prior_pairs(mv, label_prior.p)
+    rows = VoteRows.of(votes, label_prior_pairs(mv, label_prior.p))
 
-    odds, degenerate = posterior_log_odds(votes, params.accuracy, params.coverage, pairs)
+    odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
     score_pos = np.exp(-np.logaddexp(0.0, -odds))
     score_neg = 1.0 - score_pos
 

@@ -95,7 +95,23 @@ def score(predictions: Predictions, truth) -> MetricsReport:
     fn = int(((pred_s == -1) & (true_s == 1)).sum())
     tn = int(((pred_s == -1) & (true_s == -1)).sum())
 
-    accuracy = (tp + tn) / n_scored if n_scored > 0 else None
+    auc = auc_roc(predictions.score_pos[scored], true_s) if n_scored > 0 else None
+    cov = float((labels != 0).sum() / labels.shape[0])
+    return MetricsReport(
+        **metrics_from_confusion(tn, fp, fn, tp),
+        auc_roc=auc,
+        coverage=cov,
+        confusion=(tn, fp, fn, tp),
+        n_scored=n_scored,
+    )
+
+
+def metrics_from_confusion(tn: int, fp: int, fn: int, tp: int) -> dict[str, float | None]:
+    """F1/accuracy/precision/recall from raw confusion counts (no AUC)."""
+    if min(tn, fp, fn, tp) < 0:
+        raise DataError(f"confusion counts must be >= 0, got {(tn, fp, fn, tp)}")
+    n = tn + fp + fn + tp
+    accuracy = (tp + tn) / n if n > 0 else None
     precision = tp / (tp + fp) if tp + fp > 0 else None
     recall = tp / (tp + fn) if tp + fn > 0 else None
     if precision is None and recall is None:
@@ -107,37 +123,7 @@ def score(predictions: Predictions, truth) -> MetricsReport:
         p = precision or 0.0
         r = recall or 0.0
         f1 = 2.0 * p * r / (p + r)
-    auc = auc_roc(predictions.score_pos[scored], true_s) if n_scored > 0 else None
-    cov = float((labels != 0).sum() / labels.shape[0])
-    return MetricsReport(
-        f1=f1,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        auc_roc=auc,
-        coverage=cov,
-        confusion=(tn, fp, fn, tp),
-        n_scored=n_scored,
-    )
-
-
-def metrics_from_confusion(tn: int, fp: int, fn: int, tp: int) -> dict[str, float | None]:
-    """F1/accuracy/precision/recall from raw confusion counts (no AUC)."""
-    fake_labels = np.concatenate(
-        [np.full(tn, -1), np.full(fp, 1), np.full(fn, -1), np.full(tp, 1)]
-    ).astype(np.int64)
-    fake_truth = np.concatenate(
-        [np.full(tn, -1), np.full(fp, -1), np.full(fn, 1), np.full(tp, 1)]
-    ).astype(np.int64)
-    preds = Predictions(
-        labels=fake_labels,
-        score_pos=np.zeros(fake_labels.shape[0]),
-        abstain_reason=np.full(fake_labels.shape[0], "none", dtype="<U10"),
-    )
-    report = score(preds, fake_truth)
-    out = report.as_dict()
-    del out["auc_roc"], out["coverage"]
-    return out
+    return {"f1": f1, "accuracy": accuracy, "precision": precision, "recall": recall}
 
 
 def l2_distance(first, second) -> float:

@@ -16,17 +16,19 @@ in its votes: with d the votes as float64 and s = |d|, they are
 the parameters (:func:`log_likelihoods`). The posterior log-odds are then
 ``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`), so the
 objective, its gradient and prediction are each one or two mat-vecs over
-votes converted once per matrix (:class:`VoteRows`). Training clamps
-accuracies and coverages into [clamp_eps, 1 - clamp_eps] so the objective
-stays finite; prediction uses the parameters as given, and a row that is
-impossible under both labels (only parameters at exactly 0 or 1 allow
-that) comes back as degenerate, never as NaN.
+votes converted once per matrix. :meth:`VoteRows.of` is the one place a
+vote matrix and its class priors are checked; every kernel function takes
+the converted rows and plain per-LF vectors. The objective and its
+gradients clamp accuracies and coverages into [CLAMP_EPS, 1 - CLAMP_EPS]
+so every log stays finite; prediction uses the parameters as given, and a
+row that is impossible under both labels (only parameters at exactly 0 or
+1 allow that) comes back as degenerate, never as NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -108,10 +110,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    """Per-LF beta-distribution pseudo-count parameters (u, v), all positive."""
+    """Per-LF beta-distribution pseudo-count parameters (u, v), all positive.
+
+    ``log_norm`` holds each LF's log beta function log B(u, v), computed once
+    when the prior is built.
+    """
 
     u: np.ndarray
     v: np.ndarray
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -122,6 +129,8 @@ class BetaPrior:
             raise DataError("beta prior parameters must be finite and > 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        log_norm = [math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) for a, b in zip(u, v)]
+        object.__setattr__(self, "log_norm", np.array(log_norm, dtype=np.float64))
 
     @property
     def m(self) -> int:
@@ -129,6 +138,14 @@ class BetaPrior:
 
     def mean(self) -> np.ndarray:
         return self.u / (self.u + self.v)
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise log beta density, x assumed strictly inside (0, 1)."""
+        return (self.u - 1.0) * np.log(x) + (self.v - 1.0) * np.log1p(-x) - self.log_norm
+
+    def log_density_grad(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise derivative of :meth:`log_density` with respect to x."""
+        return (self.u - 1.0) / x - (self.v - 1.0) / (1.0 - x)
 
 
 @dataclass(frozen=True)
@@ -210,8 +227,18 @@ class VoteRows(NamedTuple):
     log_prior: np.ndarray
 
     @classmethod
-    def of(cls, votes: np.ndarray, class_priors: np.ndarray) -> "VoteRows":
-        """Convert a checked vote matrix and its (n, 2) class prior pairs."""
+    def of(cls, votes, class_priors=None) -> "VoteRows":
+        """Check a vote matrix and its (n, 2) class prior pairs (symmetric
+        when None), and convert them for the kernel."""
+        votes = as_lf_matrix(votes)
+        n = votes.shape[0]
+        if class_priors is None:
+            class_priors = np.full((n, 2), 0.5)
+        class_priors = np.asarray(class_priors, dtype=np.float64)
+        if class_priors.shape != (n, 2):
+            raise DataError(f"class priors must have shape ({n}, 2), got {class_priors.shape}")
+        if not (class_priors >= 0).all():
+            raise DataError("class prior probabilities must be numbers >= 0")
         d = votes.astype(np.float64)
         s = np.abs(d)
         with np.errstate(divide="ignore"):
@@ -227,33 +254,14 @@ class VoteRows(NamedTuple):
         return VoteRows(self.d[idx], s, s.sum(axis=0), self.log_prior[idx])
 
 
-def kernel_inputs(
-    votes, params, class_priors, clamp_eps: float
-) -> tuple[VoteRows, np.ndarray, np.ndarray]:
-    """(rows, accuracy, coverage) for the kernel, with accuracy and coverage
-    clamped into [clamp_eps, 1 - clamp_eps] so every log stays finite.
-
-    ``votes`` is either a vote matrix, checked and converted here with its
-    (n, 2) class prior pairs (symmetric when None), or VoteRows that the
-    caller converted once (``class_priors`` is then not used). ``params`` is
-    a ModelParams or an (accuracy, coverage) pair of checked vectors.
-    """
-    if not isinstance(votes, VoteRows):
-        votes = as_lf_matrix(votes)
-        n = votes.shape[0]
-        if class_priors is None:
-            class_priors = np.full((n, 2), 0.5)
-        class_priors = np.asarray(class_priors, dtype=np.float64)
-        if class_priors.shape != (n, 2):
-            raise DataError(f"class priors must have shape ({n}, 2), got {class_priors.shape}")
-        if not (class_priors >= 0).all():
-            raise DataError("class prior probabilities must be >= 0")
-        votes = VoteRows.of(votes, class_priors)
-    acc, cov = (params.accuracy, params.coverage) if isinstance(params, ModelParams) else params
-    if acc.shape[0] != votes.d.shape[1]:
-        raise DataError(f"matrix has {votes.d.shape[1]} columns but params have {acc.shape[0]}")
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-    return votes, np.clip(acc, lo, hi), np.clip(cov, lo, hi)
+def _clamped(rows: VoteRows, *params) -> list[np.ndarray]:
+    """Per-LF parameter vectors clamped into [CLAMP_EPS, 1 - CLAMP_EPS] so
+    every log stays finite, after checking each has one entry per column."""
+    m = rows.d.shape[1]
+    for vec in params:
+        if len(vec) != m:
+            raise DataError(f"matrix has {m} columns but params have {len(vec)}")
+    return [np.clip(vec, CLAMP_EPS, 1.0 - CLAMP_EPS) for vec in params]
 
 
 def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
@@ -288,20 +296,20 @@ def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return np.stack([zero[v + 1, cols].any(axis=1), zero[1 - v, cols].any(axis=1)], axis=1)
 
 
-def log_likelihoods(votes: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+def log_likelihoods(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1),
     -inf where a row casts a vote of probability 0 under that label."""
     h, g, c, zero = _kernel(accuracy, coverage)
-    dh = votes.d @ h
-    base = votes.s @ g + c
+    dh = rows.d @ h
+    base = rows.s @ g + c
     ll = np.stack([base + dh, base - dh], axis=1)
     if zero.any():
-        ll[_impossible(votes.d, zero)] = -np.inf
+        ll[_impossible(rows.d, zero)] = -np.inf
     return ll
 
 
 def posterior_log_odds(
-    votes: np.ndarray, accuracy: np.ndarray, coverage: np.ndarray, class_priors: np.ndarray
+    rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log P(+1 | row) - log P(-1 | row), and the mask of degenerate
     rows, which are impossible under both labels (their log-odds are 0).
@@ -310,85 +318,37 @@ def posterior_log_odds(
     impossible under one label only gets log-odds -inf or +inf.
     """
     h, _, _, zero = _kernel(accuracy, coverage)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(class_priors)
+    log_w = rows.log_prior.copy()
     if zero.any():
-        log_w[_impossible(votes, zero)] = -np.inf
+        log_w[_impossible(rows.d, zero)] = -np.inf
     degenerate = (log_w == -np.inf).all(axis=1)
     with np.errstate(invalid="ignore"):  # -inf - -inf on degenerate rows
-        odds = 2.0 * (votes.astype(np.float64) @ h) + (log_w[:, 0] - log_w[:, 1])
+        odds = 2.0 * (rows.d @ h) + (log_w[:, 0] - log_w[:, 1])
     odds[degenerate] = 0.0
     return odds, degenerate
 
 
-def beta_log_density(x: np.ndarray, prior: BetaPrior) -> np.ndarray:
-    """Elementwise log beta density, x assumed strictly inside (0, 1)."""
-    u, v = prior.u, prior.v
-    log_norm = np.array(
-        [math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) for a, b in zip(u, v)]
-    )
-    return (u - 1.0) * np.log(x) + (v - 1.0) * np.log1p(-x) - log_norm
-
-
 def log_objective(
-    votes,
-    params: ModelParams,
+    rows: VoteRows,
+    accuracy: np.ndarray,
+    coverage: np.ndarray,
     accuracy_prior: BetaPrior | None = None,
-    label_prior: LabelPrior | None = None,
-    include_priors: bool = True,
     coverage_prior: BetaPrior | None = None,
-    clamp_eps: float = CLAMP_EPS,
 ) -> float:
-    """Total log objective: sum of log row marginals plus (optionally) the
-    beta log densities of the accuracy prior, added exactly once.
+    """Total log objective: the sum of the rows' log marginals under their
+    class priors, plus the beta log densities of the accuracy prior and of
+    the coverage prior (learned-coverage variant) where given.
 
-    With ``include_priors=False`` this is the plain likelihood objective.
-    The Bernoulli label prior always enters through the per-row class
-    priors, which come from ``label_prior`` (symmetric 0.5/0.5 when None).
-    ``coverage_prior`` adds a symmetric term for the learned-coverage
-    variant.
+    With no beta prior this is the plain likelihood objective.
     """
-    votes = as_lf_matrix(votes)
-    n = votes.shape[0]
-    if label_prior is None:
-        pairs = np.full((n, 2), 0.5, dtype=np.float64)
-    else:
-        anchors = label_prior.mv_votes
-        if anchors is None:
-            from .priors import majority_vote
-
-            anchors = majority_vote(votes)
-        elif anchors.shape[0] != n:
-            raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
-        pairs = label_prior_pairs(anchors, label_prior.p)
-    return log_objective_given_pairs(
-        VoteRows.of(votes, pairs), params, None, accuracy_prior, include_priors,
-        coverage_prior, clamp_eps,
-    )
-
-
-def log_objective_given_pairs(
-    votes,
-    params,
-    class_priors: np.ndarray | None,
-    accuracy_prior: BetaPrior | None = None,
-    include_priors: bool = True,
-    coverage_prior: BetaPrior | None = None,
-    clamp_eps: float = CLAMP_EPS,
-) -> float:
-    """Same as :func:`log_objective` but with class prior pairs precomputed;
-    ``votes``, ``params`` and ``class_priors`` are as in :func:`kernel_inputs`."""
-    rows, acc, cov = kernel_inputs(votes, params, class_priors, clamp_eps)
+    acc, cov = _clamped(rows, accuracy, coverage)
     joint = log_likelihoods(rows, acc, cov) + rows.log_prior
     total = float(np.logaddexp(joint[:, 0], joint[:, 1]).sum())
-    if include_priors and accuracy_prior is not None:
-        if accuracy_prior.m != acc.shape[0]:
-            raise DataError(
-                f"accuracy prior has {accuracy_prior.m} entries, params have {acc.shape[0]}"
-            )
-        total += float(beta_log_density(acc, accuracy_prior).sum())
-        if coverage_prior is not None:
-            total += float(beta_log_density(cov, coverage_prior).sum())
+    for prior, x in ((accuracy_prior, acc), (coverage_prior, cov)):
+        if prior is not None:
+            if prior.m != x.shape[0]:
+                raise DataError(f"beta prior has {prior.m} entries, params have {x.shape[0]}")
+            total += float(prior.log_density(x).sum())
     if not np.isfinite(total):
         raise NumericalError(f"log objective is non-finite ({total})")
     return total

@@ -85,19 +85,17 @@ def accuracy_vs_reference(lf_column, reference) -> float:
     return float((col[both] == ref[both]).sum() / count)
 
 
-def beta_from_mean(mean: float, strength: float) -> tuple[float, float]:
-    """Beta parameters (u, v) with the given mean and pseudo-count mass.
+def beta_from_mean(mean, strength: float):
+    """Beta parameters (u, v) with the given mean and pseudo-count mass,
+    elementwise when ``mean`` is an array.
 
-    Means at exactly 0 or 1 are first shrunk to 1/(s+2) or 1 - 1/(s+2) so
-    the density stays finite on the open interval.
+    Means at or below 0 or at or above 1 are first shrunk to 1/(s+2) or
+    1 - 1/(s+2) so the density stays finite on the open interval.
     """
     if not strength > 0:
         raise DataError(f"strength must be > 0, got {strength}")
     lo = 1.0 / (strength + 2.0)
-    if mean <= 0.0:
-        mean = lo
-    elif mean >= 1.0:
-        mean = 1.0 - lo
+    mean = np.where(mean <= 0.0, lo, np.where(mean >= 1.0, 1.0 - lo, mean))
     return strength * mean, strength * (1.0 - mean)
 
 
@@ -124,12 +122,8 @@ def _spec_from_means(
     force_abstain: bool,
     source: str,
 ) -> PriorSpec:
-    u = np.empty_like(means)
-    v = np.empty_like(means)
-    for j, mu in enumerate(means):
-        u[j], v[j] = beta_from_mean(float(mu), strength)
     return PriorSpec(
-        accuracy_prior=BetaPrior(u, v),
+        accuracy_prior=BetaPrior(*beta_from_mean(means, strength)),
         label_prior=LabelPrior(p=p, mv_votes=mv_votes, force_abstain=force_abstain),
         strength=float(strength),
         source=source,

@@ -6,13 +6,17 @@ under a beta prior whose means are the empirical coverages. Updates use
 the mean per-row gradient of each minibatch (so the learning rate is
 independent of dataset size), with the prior gradient weighted by
 |batch| / n so an epoch of summed minibatch gradients matches the
-full-objective gradient. Everything is seeded and single-threaded:
-identical inputs produce identical results, including loss histories.
+full-objective gradient. The train and validation matrices are checked
+and converted to :class:`~labelforge.model.VoteRows` once, and the
+gradients take those rows with plain parameter and prior vectors; like the
+objective, they clamp the parameters into [CLAMP_EPS, 1 - CLAMP_EPS].
+Everything is seeded and single-threaded: identical inputs produce
+identical results, including loss histories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +27,11 @@ from .model import (
     LabelPrior,
     ModelParams,
     VoteRows,
+    _clamped,
+    _kernel,
     as_lf_matrix,
-    kernel_inputs,
     label_prior_pairs,
-    log_likelihoods,
-    log_objective_given_pairs,
+    log_objective,
 )
 from .priors import PriorSpec, beta_from_mean, majority_vote
 
@@ -43,7 +47,6 @@ class TrainConfig:
     alpha_init: float = 1.0
     seed: int = 0
     learn_beta: bool = False
-    clamp_eps: float = CLAMP_EPS
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -58,8 +61,6 @@ class TrainConfig:
             raise DataError(f"alpha_init must lie in [0, 1], got {self.alpha_init}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.clamp_eps < 0.5):
-            raise DataError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
 
 
 @dataclass
@@ -87,40 +88,36 @@ def coverage_from_data(votes) -> np.ndarray:
 
 
 def grad_accuracy(
-    votes,
-    params,
+    rows: VoteRows,
+    accuracy: np.ndarray,
+    coverage: np.ndarray,
     accuracy_prior: BetaPrior | None,
-    class_priors: np.ndarray | None,
     prior_weight: float,
-    clamp_eps: float = CLAMP_EPS,
 ) -> np.ndarray:
     """Gradient of the batch objective (sum of log marginals over the batch
     plus prior_weight * accuracy-prior log density) with respect to accuracy.
 
     With e = tanh(r / 2) for the rows' posterior log-odds r, the posterior
     mass of LF j's agreeing votes is (count_j + d_j . e) / 2 and that of its
-    disagreeing votes (count_j - d_j . e) / 2. ``votes``, ``params`` and
-    ``class_priors`` are as in :func:`labelforge.model.kernel_inputs`.
+    disagreeing votes (count_j - d_j . e) / 2.
     """
-    rows, acc, cov = kernel_inputs(votes, params, class_priors, clamp_eps)
-    joint = log_likelihoods(rows, acc, cov) + rows.log_prior
-    de = np.tanh(0.5 * (joint[:, 0] - joint[:, 1])) @ rows.d
+    acc, cov = _clamped(rows, accuracy, coverage)
+    h = _kernel(acc, cov)[0]
+    half_odds = rows.d @ h + 0.5 * (rows.log_prior[:, 0] - rows.log_prior[:, 1])
+    de = np.tanh(half_odds) @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
-        grad = grad + prior_weight * (
-            (accuracy_prior.u - 1.0) / acc - (accuracy_prior.v - 1.0) / (1.0 - acc)
-        )
+        grad = grad + prior_weight * accuracy_prior.log_density_grad(acc)
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite accuracy gradient (parameter at a boundary?)")
     return grad
 
 
 def grad_coverage(
-    votes,
-    params,
+    rows: VoteRows,
+    coverage: np.ndarray,
     coverage_prior: BetaPrior | None,
     prior_weight: float,
-    clamp_eps: float = CLAMP_EPS,
 ) -> np.ndarray:
     """Gradient of the batch objective with respect to coverage.
 
@@ -128,23 +125,13 @@ def grad_coverage(
     both class likelihoods identically, so the data term reduces to vote
     counts: voted / cov - abstained / (1 - cov).
     """
-    rows, _, cov = kernel_inputs(votes, params, None, clamp_eps)
+    (cov,) = _clamped(rows, coverage)
     grad = rows.count / cov - (rows.n - rows.count) / (1.0 - cov)
     if coverage_prior is not None:
-        grad = grad + prior_weight * (
-            (coverage_prior.u - 1.0) / cov - (coverage_prior.v - 1.0) / (1.0 - cov)
-        )
+        grad = grad + prior_weight * coverage_prior.log_density_grad(cov)
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite coverage gradient (parameter at a boundary?)")
     return grad
-
-
-def _coverage_prior_from_empirical(cov_emp: np.ndarray, strength: float) -> BetaPrior:
-    u = np.empty_like(cov_emp)
-    v = np.empty_like(cov_emp)
-    for j, mu in enumerate(cov_emp):
-        u[j], v[j] = beta_from_mean(float(mu), strength)
-    return BetaPrior(u, v)
 
 
 def fit(
@@ -164,11 +151,10 @@ def fit(
     config = config or TrainConfig()
     votes = as_lf_matrix(train_votes)
     n, m = votes.shape
-    eps = config.clamp_eps
+    eps = CLAMP_EPS
 
-    include_priors = prior_spec is not None
-    acc_prior = prior_spec.accuracy_prior if include_priors else None
-    label_prior = prior_spec.label_prior if include_priors else LabelPrior()
+    acc_prior = None if prior_spec is None else prior_spec.accuracy_prior
+    label_prior = LabelPrior() if prior_spec is None else prior_spec.label_prior
     if acc_prior is not None and acc_prior.m != m:
         raise DataError(f"accuracy prior has {acc_prior.m} entries, matrix has {m} columns")
 
@@ -191,10 +177,10 @@ def fit(
     coverage_prior = None
     if config.learn_beta:
         cov = np.clip(cov_emp, eps, 1.0 - eps)
-        if include_priors:
+        if prior_spec is not None:
             if prior_spec.strength is None:
                 raise DataError("learned-coverage prior requires a scalar prior strength")
-            coverage_prior = _coverage_prior_from_empirical(cov_emp, prior_spec.strength)
+            coverage_prior = BetaPrior(*beta_from_mean(cov_emp, prior_spec.strength))
     else:
         cov = cov_emp.copy()
 
@@ -221,20 +207,16 @@ def fit(
         for batch in batches:
             weight = batch.n / n
             step = config.learning_rate / batch.n
-            g_acc = grad_accuracy(batch, (acc, cov), acc_prior, None, weight, eps)
+            g_acc = grad_accuracy(batch, acc, cov, acc_prior, weight)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if config.learn_beta:
-                g_cov = grad_coverage(batch, (acc, cov), coverage_prior, weight, eps)
+                g_cov = grad_coverage(batch, cov, coverage_prior, weight)
                 cov = np.clip(cov + step * g_cov, eps, 1.0 - eps)
 
         try:
-            train_loss = -log_objective_given_pairs(
-                rows, (acc, cov), None, acc_prior, include_priors, coverage_prior, eps
-            )
+            train_loss = -log_objective(rows, acc, cov, acc_prior, coverage_prior)
             if val_rows is not None:
-                val_loss = -log_objective_given_pairs(
-                    val_rows, (acc, cov), None, acc_prior, include_priors, coverage_prior, eps
-                )
+                val_loss = -log_objective(val_rows, acc, cov, acc_prior, coverage_prior)
         except NumericalError as exc:
             raise NumericalError(f"non-finite objective at epoch {epoch}: {exc}") from exc
         train_hist.append(train_loss)
@@ -263,12 +245,3 @@ def fit(
         best_epoch=best_epoch,
     )
 
-
-def learn_beta_fit(
-    train_votes,
-    val_votes=None,
-    prior_spec: PriorSpec | None = None,
-    config: TrainConfig | None = None,
-) -> FitResult:
-    """:func:`fit` with coverage learned under empirical-coverage beta priors."""
-    return fit(train_votes, val_votes, prior_spec, replace(config or TrainConfig(), learn_beta=True))

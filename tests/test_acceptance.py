@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from labelforge import (
+    BetaPrior,
     LabelPrior,
     ModelParams,
     SplitSpec,
     SyntheticSpec,
     TrainConfig,
+    beta_from_mean,
     build_mv_priors,
     build_uniform_priors,
     build_user_priors,
@@ -38,8 +40,8 @@ from labelforge.cli import cli_main
 from labelforge.dataio import model_file_from_fit
 from labelforge.experiments import collect_aggregates
 from labelforge.metrics import metrics_from_confusion
-from labelforge.model import label_prior_pairs, log_objective_given_pairs
-from labelforge.train import _coverage_prior_from_empirical, grad_accuracy, grad_coverage
+from labelforge.model import VoteRows, label_prior_pairs, log_objective
+from labelforge.train import grad_accuracy, grad_coverage
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -70,22 +72,18 @@ def test_criterion_01_gradient_oracle():
         strength = float(rng.choice([10.0, 100.0]))
         prior = build_mv_priors(votes, strength, p=float(rng.choice([0.5, 0.7, 0.9])))
         pairs = label_prior_pairs(prior.label_prior.mv_votes, prior.label_prior.p)
-        cov_prior = _coverage_prior_from_empirical(coverage_from_data(votes), strength)
+        rows = VoteRows.of(votes, pairs)
+        cov_prior = BetaPrior(*beta_from_mean(coverage_from_data(votes), strength))
 
         def obj_acc(a):
-            return log_objective_given_pairs(
-                votes, ModelParams(a, cov), pairs, prior.accuracy_prior, True, cov_prior
-            )
+            return log_objective(rows, a, cov, prior.accuracy_prior, cov_prior)
 
         def obj_cov(c):
-            return log_objective_given_pairs(
-                votes, ModelParams(acc, c), pairs, prior.accuracy_prior, True, cov_prior
-            )
+            return log_objective(rows, acc, c, prior.accuracy_prior, cov_prior)
 
-        params = ModelParams(acc, cov)
-        g_acc = grad_accuracy(votes, params, prior.accuracy_prior, pairs, 1.0)
+        g_acc = grad_accuracy(rows, acc, cov, prior.accuracy_prior, 1.0)
         fd_acc = central_difference(obj_acc, acc)
-        g_cov = grad_coverage(votes, params, cov_prior, 1.0)
+        g_cov = grad_coverage(rows, cov, cov_prior, 1.0)
         fd_cov = central_difference(obj_cov, cov)
         for g, fd in ((g_acc, fd_acc), (g_cov, fd_cov)):
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)
@@ -114,13 +112,13 @@ def test_criterion_02_mle_map_reduction():
         uniform = build_uniform_priors(m)
         map_res = fit(votes, val, uniform, cfg)
         mle_res = fit(votes, val, None, cfg)
-        pairs = np.full((n, 2), 0.5)
-        obj_map = log_objective_given_pairs(
-            votes, map_res.params, pairs, uniform.accuracy_prior, True
-        )
-        obj_mle = log_objective_given_pairs(votes, mle_res.params, pairs, None, False)
-        g_map = grad_accuracy(votes, map_res.params, uniform.accuracy_prior, pairs, 1.0)
-        g_mle = grad_accuracy(votes, mle_res.params, None, pairs, 1.0)
+        rows = VoteRows.of(votes, np.full((n, 2), 0.5))
+        map_acc, map_cov = map_res.params.accuracy, map_res.params.coverage
+        mle_acc, mle_cov = mle_res.params.accuracy, mle_res.params.coverage
+        obj_map = log_objective(rows, map_acc, map_cov, uniform.accuracy_prior)
+        obj_mle = log_objective(rows, mle_acc, mle_cov)
+        g_map = grad_accuracy(rows, map_acc, map_cov, uniform.accuracy_prior, 1.0)
+        g_mle = grad_accuracy(rows, mle_acc, mle_cov, None, 1.0)
         p_map = predict(votes, map_res.params, uniform.label_prior)
         p_mle = predict(votes, mle_res.params, LabelPrior())
         same = (

@@ -25,8 +25,10 @@ from labelforge import (
     stability_sweep,
 )
 from labelforge.experiments import (
+    _grid_cells,
     build_mode_priors,
     collect_aggregates,
+    holdout,
     low_data_indices,
 )
 from labelforge.model import CLAMP_EPS
@@ -67,6 +69,18 @@ class TestSplit:
     def test_smallest_legal_split(self):
         train, val, test = split(toy_dataset(3), SplitSpec())
         assert (train.n, val.n, test.n) == (1, 1, 1)
+
+    def test_validation_share_follows_seeded_permutation(self):
+        ds = toy_dataset(40)
+        perm = np.random.default_rng(5).permutation(40)
+        train, val = holdout(ds, 0.25, 5)
+        np.testing.assert_array_equal(val.votes, ds.votes[perm[:10]])
+        np.testing.assert_array_equal(train.votes, ds.votes[perm[10:]])
+        train, val = holdout(ds, 0.01, 5)  # rounds to no validation rows
+        assert train is ds and val is None
+        for frac in (-0.1, 1.0, 0.99):  # 0.99 leaves no training rows
+            with pytest.raises(DataError):
+                holdout(ds, frac, 5)
 
     def test_too_small(self):
         with pytest.raises(DataError):
@@ -144,6 +158,20 @@ class TestGridSearch:
         result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
         assert sorted(c.settings["p"] for c in result.cells) == [0.5, 0.8]
 
+    def test_zero_strength_cell_records_error(self):
+        ds = toy_dataset(120)
+        train, val, _ = split(ds, SplitSpec(seed=2))
+        grid = GridSpec(strengths=(0.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
+                        ps=(0.5,), force_abstain=(False,))
+        result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
+        zero, ten = result.cells
+        assert zero.report is None and "strength" in zero.error
+        assert ten.error is None and result.best is ten
+
+    def test_default_map_grid_size(self):
+        assert min(GridSpec().ps) == 0.5
+        assert len(_grid_cells(GridSpec(), "map-mv")) == 144
+
     def test_erroring_cell_scores_zero_wins(self, monkeypatch):
         ds = toy_dataset(120)
         train, val, _ = split(ds, SplitSpec(seed=2))
@@ -208,9 +236,9 @@ class TestLowDataSweep:
 class TestStabilitySweep:
     def test_budget_zero_scores_initialized_model(self):
         ds = toy_dataset(150)
-        train, val, test = split(ds, SplitSpec(seed=1))
+        train, _, test = split(ds, SplitSpec(seed=1))
         cfg = TrainConfig(learning_rate=0.05, alpha_init=0.8, seed=2)
-        rows = stability_sweep(train, val, test, [0], modes=("mle",), config=cfg)
+        rows = stability_sweep(train, test, [0], modes=("mle",), config=cfg)
         f1 = [r["value"] for r in rows if r["metric"] == "f1"][0]
         init_params = ModelParams(
             np.clip(np.full(train.m, 0.8), CLAMP_EPS, 1 - CLAMP_EPS),
@@ -221,10 +249,10 @@ class TestStabilitySweep:
 
     def test_identical_seeds_identical_curves(self):
         ds = toy_dataset(150)
-        train, val, test = split(ds, SplitSpec(seed=1))
+        train, _, test = split(ds, SplitSpec(seed=1))
         cfg = TrainConfig(learning_rate=0.1, seed=5, alpha_init=0.9)
-        a = stability_sweep(train, val, test, [0, 3, 6], config=cfg)
-        b = stability_sweep(train, val, test, [0, 3, 6], config=cfg)
+        a = stability_sweep(train, test, [0, 3, 6], config=cfg)
+        b = stability_sweep(train, test, [0, 3, 6], config=cfg)
         assert a == b
 
     def test_strong_priors_stabilize_late_training(self):
@@ -234,9 +262,9 @@ class TestStabilitySweep:
             SyntheticSpec(m=5, n=140, accuracy=(0.9, 0.85, 0.8, 0.3, 0.25),
                           coverage=(0.6, 0.5, 0.6, 0.2, 0.15), seed=21)
         )
-        train, val, test = split(ds, SplitSpec(seed=3))
+        train, _, test = split(ds, SplitSpec(seed=3))
         rows = stability_sweep(
-            train, val, test, [30, 60, 120, 250, 500], modes=("map-mv", "mle"),
+            train, test, [30, 60, 120, 250, 500], modes=("map-mv", "mle"),
             config=TrainConfig(learning_rate=0.8, alpha_init=0.9, seed=9),
             strength=1e4,
         )

@@ -17,7 +17,7 @@ from labelforge.model import (
     VoteRows,
     label_prior_pairs,
     log_likelihoods,
-    log_objective_given_pairs,
+    log_objective,
     posterior_log_odds,
 )
 from labelforge.priors import majority_vote
@@ -79,7 +79,7 @@ def test_kernel_equals_row_reference(case):
 @PROPERTY
 @given(cases())
 def test_objective_equals_row_reference(case):
-    value = log_objective_given_pairs(case.votes, case.params, case.pairs, case.prior, True)
+    value = log_objective(case.rows(), case.acc, case.cov, case.prior)
     expected = ref.objective(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(value, expected, rtol=RTOL)
 
@@ -87,7 +87,7 @@ def test_objective_equals_row_reference(case):
 @PROPERTY
 @given(cases())
 def test_gradient_equals_row_reference(case):
-    grad = grad_accuracy(case.votes, case.params, case.prior, case.pairs, 1.0)
+    grad = grad_accuracy(case.rows(), case.acc, case.cov, case.prior, 1.0)
     expected = ref.grad_accuracy(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(grad, expected, rtol=RTOL, atol=GRAD_ATOL)
 
@@ -99,10 +99,8 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
     ll = log_likelihoods(case.rows(), case.acc, case.cov)
     np.testing.assert_array_equal(log_likelihoods(flipped, case.acc, case.cov), ll[:, ::-1])
 
-    odds, degenerate = posterior_log_odds(case.votes, case.acc, case.cov, case.pairs)
-    odds_flip, degenerate_flip = posterior_log_odds(
-        -case.votes, case.acc, case.cov, case.pairs[:, ::-1]
-    )
+    odds, degenerate = posterior_log_odds(case.rows(), case.acc, case.cov)
+    odds_flip, degenerate_flip = posterior_log_odds(flipped, case.acc, case.cov)
     np.testing.assert_array_equal(odds_flip, -odds)
     np.testing.assert_array_equal(degenerate_flip, degenerate)
 
@@ -121,12 +119,12 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
 def test_permuting_columns_permutes_gradient(case, random):
     m = case.votes.shape[1]
     perm = np.array(random.sample(range(m), m))
-    grad = grad_accuracy(case.votes, case.params, case.prior, case.pairs, 1.0)
+    grad = grad_accuracy(case.rows(), case.acc, case.cov, case.prior, 1.0)
     permuted = grad_accuracy(
-        case.votes[:, perm],
-        ModelParams(case.acc[perm], case.cov[perm]),
+        VoteRows.of(case.votes[:, perm], case.pairs),
+        case.acc[perm],
+        case.cov[perm],
         BetaPrior(case.prior.u[perm], case.prior.v[perm]),
-        case.pairs,
         1.0,
     )
     np.testing.assert_allclose(permuted, grad[perm], rtol=RTOL, atol=GRAD_ATOL)
@@ -141,6 +139,6 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
     total = np.zeros(case.votes.shape[1])
     for start in range(0, n, batch_size):
         batch = rows.take(order[start : start + batch_size])
-        total += grad_accuracy(batch, (case.acc, case.cov), case.prior, None, batch.n / n)
-    full = grad_accuracy(rows, (case.acc, case.cov), case.prior, None, 1.0)
+        total += grad_accuracy(batch, case.acc, case.cov, case.prior, batch.n / n)
+    full = grad_accuracy(rows, case.acc, case.cov, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from labelforge import (
+    DataError,
     auc_roc,
     format_percent,
     l2_distance,
@@ -40,6 +41,13 @@ class TestScore:
         assert format_percent(out["accuracy"]) == "93.22"
         assert format_percent(out["precision"]) == "99.21"
         assert format_percent(out["recall"]) == "86.81"
+
+    def test_confusion_counts_checked(self):
+        assert metrics_from_confusion(0, 0, 0, 0) == dict.fromkeys(
+            ("f1", "accuracy", "precision", "recall")
+        )
+        with pytest.raises(DataError):
+            metrics_from_confusion(1, -1, 0, 0)
 
     def test_all_abstain(self):
         truth = np.array([1, -1])

@@ -18,21 +18,24 @@ from labelforge import (
     log_objective,
 )
 from labelforge.model import (
-    CLAMP_EPS,
     VoteRows,
     as_lf_matrix,
-    kernel_inputs,
     label_prior_pairs,
     log_likelihoods,
     posterior_log_odds,
 )
+from labelforge.priors import majority_vote
 
 
 def kernel_ll(votes, params: ModelParams) -> np.ndarray:
     """The kernel's (n, 2) log P(row | label), parameters used as given."""
-    votes = as_lf_matrix(votes)
-    rows = VoteRows.of(votes, np.full((votes.shape[0], 2), 0.5))
-    return log_likelihoods(rows, params.accuracy, params.coverage)
+    return log_likelihoods(VoteRows.of(votes), params.accuracy, params.coverage)
+
+
+def objective(votes, params: ModelParams, accuracy_prior=None, pairs=None) -> float:
+    return log_objective(
+        VoteRows.of(votes, pairs), params.accuracy, params.coverage, accuracy_prior
+    )
 
 
 def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
@@ -43,10 +46,8 @@ def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
 
 
 def kernel_posterior(row, params: ModelParams, pair) -> tuple[float, float]:
-    votes = as_lf_matrix([row])
-    odds, degenerate = posterior_log_odds(
-        votes, params.accuracy, params.coverage, np.array([pair], dtype=np.float64)
-    )
+    rows = VoteRows.of([row], [pair])
+    odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
     assert not degenerate[0]
     return float(np.exp(-np.logaddexp(0.0, -odds[0]))), float(np.exp(-np.logaddexp(0.0, odds[0])))
 
@@ -67,7 +68,7 @@ class TestLfFactor:
     def test_rejects_zero_label(self):
         # the kernel's labels are +1 and -1 only: a prior column for a third is refused
         with pytest.raises(DataError):
-            kernel_inputs([[1]], ModelParams([0.9], [0.4]), np.full((1, 3), 1 / 3), CLAMP_EPS)
+            VoteRows.of([[1]], np.full((1, 3), 1 / 3))
 
     def test_branches_sum_to_one(self):
         rng = np.random.default_rng(42)
@@ -101,7 +102,7 @@ class TestClassJoint:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            kernel_inputs([[1, 0]], ModelParams([0.7], [0.5]), None, CLAMP_EPS)
+            log_objective(VoteRows.of([[1, 0]]), np.array([0.7]), np.array([0.5]))
 
     def test_monotone_in_accuracy(self):
         # agreement row increases with accuracy, disagreement row decreases
@@ -175,9 +176,8 @@ class TestPosterior:
 
     def test_impossible_row_is_degenerate(self):
         # full-coverage column cannot abstain: zero probability under both labels
-        votes = as_lf_matrix([[0]])
         odds, degenerate = posterior_log_odds(
-            votes, np.array([0.7]), np.array([1.0]), np.full((1, 2), 0.5)
+            VoteRows.of([[0]]), np.array([0.7]), np.array([1.0])
         )
         assert degenerate[0]
         assert odds[0] == 0.0
@@ -193,7 +193,7 @@ class TestPosterior:
 class TestLogObjective:
     def test_single_abstain_cell(self):
         params = ModelParams([0.5], [0.4])
-        value = log_objective([[0]], params, include_priors=False)
+        value = objective([[0]], params)
         assert value == pytest.approx(math.log(0.6), abs=1e-6)
 
     def test_uniform_prior_is_exactly_mle(self):
@@ -201,13 +201,13 @@ class TestLogObjective:
         votes = rng.integers(-1, 2, size=(12, 4))
         params = ModelParams(rng.uniform(0.2, 0.8, 4), rng.uniform(0.2, 0.8, 4))
         uniform = build_uniform_priors(4).accuracy_prior
-        with_prior = log_objective(votes, params, uniform, None, include_priors=True)
-        without = log_objective(votes, params, None, None, include_priors=False)
+        with_prior = objective(votes, params, uniform)
+        without = objective(votes, params)
         assert with_prior == without
 
     def test_two_conflicting_rows(self):
         params = ModelParams([0.7], [1.0])
-        value = log_objective([[1], [-1]], params, include_priors=False)
+        value = objective([[1], [-1]], params)
         assert value == pytest.approx(2 * math.log(0.5), abs=1e-5)
 
     def test_label_prior_pairs_construction(self):
@@ -219,15 +219,15 @@ class TestLogObjective:
     def test_informative_label_prior_enters_marginals(self):
         votes = as_lf_matrix([[1], [0]])
         params = ModelParams([0.7], [0.5])
-        skew = log_objective(votes, params, None, LabelPrior(p=0.9), include_priors=False)
-        flat = log_objective(votes, params, None, None, include_priors=False)
+        skew = objective(votes, params, pairs=label_prior_pairs(majority_vote(votes), 0.9))
+        flat = objective(votes, params)
         # first row's majority vote is +1 and the LF agrees, so p=0.9 helps
         assert skew > flat
 
     def test_boundary_params_stay_finite(self):
         votes = as_lf_matrix([[1, 0], [-1, 1]])
         params = ModelParams([1.0, 0.0], [1.0, 0.0])
-        assert np.isfinite(log_objective(votes, params, include_priors=False))
+        assert np.isfinite(objective(votes, params))
 
     def test_log_marginals_match_scalar_marginal(self):
         rng = np.random.default_rng(9)
@@ -274,6 +274,19 @@ class TestValidation:
         assert Dataset(votes).votes is votes
         assert as_lf_matrix([[1.0, -1.0]]).dtype == np.int8
         assert Dataset([[1, 0]], [1]).truth.dtype == np.int8
+
+    @pytest.mark.parametrize(
+        "votes, pairs",
+        [
+            ([[1, 2]], None),  # a non-vote entry
+            ([[1], [0]], [[0.5, 0.5]]),  # one prior pair for two rows
+            ([[1], [0]], [[1.5, -0.5], [0.5, 0.5]]),  # a negative prior
+            ([[1], [0]], [[np.nan, 0.5], [0.5, 0.5]]),
+        ],
+    )
+    def test_vote_rows_check_votes_and_priors(self, votes, pairs):
+        with pytest.raises(DataError):
+            VoteRows.of(votes, pairs)
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(DataError):

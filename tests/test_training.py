@@ -4,22 +4,24 @@ differences, determinism, ascent, and prior-strength behavior."""
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from labelforge import (
-    ModelParams,
+    BetaPrior,
     TrainConfig,
+    beta_from_mean,
     build_mv_priors,
     build_uniform_priors,
     build_user_priors,
     coverage_from_data,
     fit,
     generate_synthetic,
-    learn_beta_fit,
     predict,
     SyntheticSpec,
 )
-from labelforge.model import label_prior_pairs, log_objective_given_pairs
+from labelforge.model import CLAMP_EPS, VoteRows, label_prior_pairs, log_objective
 from labelforge.priors import majority_vote
-from labelforge.train import grad_accuracy, grad_coverage, _coverage_prior_from_empirical
+from labelforge.train import grad_accuracy, grad_coverage
 
 
 def finite_difference(objective, x0, step=1e-5):
@@ -52,16 +54,12 @@ class TestGradients:
             acc = rng.uniform(0.15, 0.85, m)
             cov = rng.uniform(0.15, 0.85, m)
             prior = build_mv_priors(votes, float(rng.choice([10.0, 100.0])), p=0.7)
-            pairs = label_prior_pairs(majority_vote(votes), 0.7)
+            rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), 0.7))
 
             def objective(a):
-                return log_objective_given_pairs(
-                    votes, ModelParams(a, cov), pairs, prior.accuracy_prior, True
-                )
+                return log_objective(rows, a, cov, prior.accuracy_prior)
 
-            analytic = grad_accuracy(
-                votes, ModelParams(acc, cov), prior.accuracy_prior, pairs, 1.0
-            )
+            analytic = grad_accuracy(rows, acc, cov, prior.accuracy_prior, 1.0)
             numeric = finite_difference(objective, acc)
             np.testing.assert_allclose(
                 analytic, numeric, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(numeric).max())
@@ -76,38 +74,30 @@ class TestGradients:
             acc = rng.uniform(0.2, 0.8, m)
             cov = rng.uniform(0.2, 0.8, m)
             prior = build_mv_priors(votes, 10.0)
-            cov_prior = _coverage_prior_from_empirical(coverage_from_data(votes), 10.0)
-            pairs = label_prior_pairs(majority_vote(votes), 0.5)
+            cov_prior = BetaPrior(*beta_from_mean(coverage_from_data(votes), 10.0))
+            rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), 0.5))
 
             def objective(c):
-                return log_objective_given_pairs(
-                    votes, ModelParams(acc, c), pairs, prior.accuracy_prior, True, cov_prior
-                )
+                return log_objective(rows, acc, c, prior.accuracy_prior, cov_prior)
 
-            analytic = grad_coverage(votes, ModelParams(acc, cov), cov_prior, 1.0)
+            analytic = grad_coverage(rows, cov, cov_prior, 1.0)
             numeric = finite_difference(objective, cov)
             np.testing.assert_allclose(
                 analytic, numeric, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(numeric).max())
             )
 
     def test_all_abstain_row_zero_gradient(self):
-        votes = np.array([[0, 0]])
-        params = ModelParams([0.7, 0.6], [0.5, 0.5])
+        rows = VoteRows.of([[0, 0]], [[0.5, 0.5]])
         uniform = build_uniform_priors(2).accuracy_prior
-        pairs = np.array([[0.5, 0.5]])
-        grad = grad_accuracy(votes, params, uniform, pairs, 1.0)
+        grad = grad_accuracy(rows, np.array([0.7, 0.6]), np.array([0.5, 0.5]), uniform, 1.0)
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_strong_prior_dominates_sign(self):
-        votes = np.array([[1, 1], [-1, -1], [1, -1]])
-        prior = build_user_priors([0.7e6, 0.7e6], [0.3e6, 0.3e6])
-        pairs = np.full((3, 2), 0.5)
-        low = grad_accuracy(
-            votes, ModelParams([0.5, 0.5], [0.9, 0.9]), prior.accuracy_prior, pairs, 1.0
-        )
-        high = grad_accuracy(
-            votes, ModelParams([0.9, 0.9], [0.9, 0.9]), prior.accuracy_prior, pairs, 1.0
-        )
+        rows = VoteRows.of([[1, 1], [-1, -1], [1, -1]])
+        prior = build_user_priors([0.7e6, 0.7e6], [0.3e6, 0.3e6]).accuracy_prior
+        cov = np.array([0.9, 0.9])
+        low = grad_accuracy(rows, np.array([0.5, 0.5]), cov, prior, 1.0)
+        high = grad_accuracy(rows, np.array([0.9, 0.9]), cov, prior, 1.0)
         assert (low > 0).all()
         assert (high < 0).all()
 
@@ -203,13 +193,18 @@ class TestLearnBeta:
         empirical = coverage_from_data(data.votes)
         assert np.abs(result.params.coverage - empirical).max() < 0.01
 
-    def test_wrapper_matches_flag(self):
+    def test_flag_steps_under_empirical_coverage_prior(self):
+        # one full-batch epoch moves coverage by one gradient step under the
+        # beta prior whose means are the empirical coverages
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
         prior = build_mv_priors(data.votes, 10.0)
-        cfg = TrainConfig(learning_rate=0.05, max_epochs=5, seed=3)
-        a = learn_beta_fit(data.votes, None, prior, cfg)
-        b = fit(data.votes, None, prior, TrainConfig(learning_rate=0.05, max_epochs=5, seed=3, learn_beta=True))
-        np.testing.assert_array_equal(a.params.coverage, b.params.coverage)
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=1, seed=3)
+        result = fit(data.votes, None, prior, replace(cfg, learn_beta=True))
+        empirical = coverage_from_data(data.votes)
+        cov_prior = BetaPrior(*beta_from_mean(empirical, 10.0))
+        step = grad_coverage(VoteRows.of(data.votes), empirical, cov_prior, 1.0)
+        expected = np.clip(empirical + 0.05 / 100 * step, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        np.testing.assert_array_equal(result.params.coverage, expected)
 
     def test_fixed_coverage_path_untouched(self):
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
