@@ -7,7 +7,10 @@ matrix being predicted abstains are forced to abstain too, regardless of
 the model posterior. Posteriors come from the log-domain kernel, so wide
 matrices do not underflow. Rows that are impossible under both labels
 (only parameters at exactly 0 or 1 allow that) abstain as degenerate
-rather than raising, so batch prediction never aborts.
+rather than raising, so batch prediction never aborts. A row's prediction
+depends only on its votes, so matrices of up to 38 LFs are labelled once
+per distinct vote pattern (majority vote, posterior, tie, forced and
+degenerate masks included) and the results are copied back to the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .model import (
     ModelParams,
     VoteRows,
     as_lf_matrix,
-    label_prior_pairs,
     posterior_log_odds,
 )
 from .priors import majority_vote, vote_fraction
@@ -72,16 +74,16 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
     if votes.shape[1] != params.m:
         raise DataError(f"matrix has {votes.shape[1]} columns but params have {params.m}")
     label_prior = label_prior or LabelPrior()
-    mv = majority_vote(votes)
-    rows = VoteRows.of(votes, label_prior_pairs(mv, label_prior.p))
+    # Rows with the same votes get the same prediction: label each distinct
+    # pattern once, then copy its prediction to its rows.
+    rows, mv, inverse = VoteRows.grouped(votes, label_prior.p)
 
     odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
     score_pos = np.exp(-np.logaddexp(0.0, -odds))
     score_neg = 1.0 - score_pos
 
-    n = votes.shape[0]
-    labels = np.zeros(n, dtype=np.int8)
-    reasons = np.full(n, REASON_NONE, dtype="<U10")
+    labels = np.zeros(rows.n, dtype=np.int8)
+    reasons = np.full(rows.n, REASON_NONE, dtype="<U10")
 
     diff = score_pos - score_neg
     labels[diff > TIE_EPS] = 1
@@ -95,6 +97,8 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
         labels[forced] = 0
         reasons[forced] = REASON_FORCED
 
+    if inverse is not None:
+        labels, score_pos, reasons = labels[inverse], score_pos[inverse], reasons[inverse]
     return Predictions(labels=labels, score_pos=score_pos, abstain_reason=reasons)
 
 

@@ -4,7 +4,9 @@ Rows where the prediction abstains are excluded from the confusion matrix
 and every derived metric; +1 is the positive class. Metrics whose
 denominator vanishes are reported as None, never silently as zero.
 AUC-ROC uses the rank statistic over positive-class scores of the scored
-rows, with ties contributing one half.
+rows, with ties contributing one half; scores within a relative TIE_EPS of
+their sorted neighbour count as tied, so the AUC does not move with the
+rounding of mathematically equal posteriors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .infer import Predictions
+from .infer import TIE_EPS, Predictions
 from .model import as_label_vector
 
 METRIC_NAMES = ("f1", "accuracy", "precision", "recall", "auc_roc", "coverage")
@@ -64,17 +66,18 @@ def auc_roc(scores, truth) -> float | None:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    ranks[order] = np.arange(1, scores.shape[0] + 1)
-    # average ranks within tied groups so ties contribute 1/2
-    sorted_scores = scores[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [scores.shape[0]]))
-    for a, b in zip(starts, ends):
-        if b - a > 1:
-            ranks[order[a:b]] = 0.5 * (a + 1 + b)
-    rank_sum_pos = float(ranks[truth == 1].sum())
+    ranked = scores[order]
+    # Consecutive sorted scores within TIE_EPS (relative) are ties, so scores
+    # that differ only by rounding share their group's average rank. Written
+    # as "not within" so that a NaN starts a group of its own.
+    tol = TIE_EPS * np.maximum(np.abs(ranked[1:]), np.abs(ranked[:-1]))
+    new_group = np.concatenate(([True], ~(np.diff(ranked) <= tol)))
+    group = np.cumsum(new_group) - 1
+    size = np.bincount(group)
+    # ranks start + 1 .. start + size average to start + (size + 1) / 2
+    mean_rank = np.flatnonzero(new_group) + 0.5 * (size + 1)
+    pos_in_group = np.bincount(group, weights=truth[order] == 1)
+    rank_sum_pos = float(pos_in_group @ mean_rank)
     u_stat = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)
 

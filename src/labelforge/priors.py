@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyOverlapError
-from .model import BetaPrior, LabelPrior, as_label_vector, as_lf_matrix
+from .model import BetaPrior, LabelPrior, as_label_vector, as_lf_matrix, row_majority
 
 PRIOR_SOURCES = ("mv", "empirical", "random", "uniform", "user")
 
@@ -46,10 +46,7 @@ class PriorSpec:
 
 def majority_vote(votes) -> np.ndarray:
     """Per-row unweighted majority vote; ties and all-abstain rows yield 0."""
-    votes = as_lf_matrix(votes)
-    pos = (votes == 1).sum(axis=1)
-    neg = (votes == -1).sum(axis=1)
-    return np.sign(pos - neg).astype(np.int8)
+    return row_majority(as_lf_matrix(votes))
 
 
 def vote_fraction(votes) -> np.ndarray:

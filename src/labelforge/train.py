@@ -10,6 +10,11 @@ full-objective gradient. The train and validation matrices are checked
 and converted to :class:`~labelforge.model.VoteRows` once, and the
 gradients take those rows with plain parameter and prior vectors; like the
 objective, they clamp the parameters into [CLAMP_EPS, 1 - CLAMP_EPS].
+Sums over rows are weighted, and the step size and prior weight use the
+weight total (the number of rows a batch stands for), so a full batch and
+the validation rows are fitted over their distinct vote patterns
+(:meth:`~labelforge.model.VoteRows.grouped`, up to 38 LFs), while
+minibatches keep one unit-weight row per input row in the seeded order.
 Everything is seeded and single-threaded: identical inputs produce
 identical results, including loss histories.
 """
@@ -97,14 +102,14 @@ def grad_accuracy(
     """Gradient of the batch objective (sum of log marginals over the batch
     plus prior_weight * accuracy-prior log density) with respect to accuracy.
 
-    With e = tanh(r / 2) for the rows' posterior log-odds r, the posterior
-    mass of LF j's agreeing votes is (count_j + d_j . e) / 2 and that of its
-    disagreeing votes (count_j - d_j . e) / 2.
+    With e = w * tanh(r / 2) for the rows' weights w and posterior log-odds
+    r, the posterior mass of LF j's agreeing votes is (count_j + d_j . e) / 2
+    and that of its disagreeing votes (count_j - d_j . e) / 2.
     """
     acc, cov = _clamped(rows, accuracy, coverage)
     h = _kernel(acc, cov)[0]
     half_odds = rows.d @ h + 0.5 * (rows.log_prior[:, 0] - rows.log_prior[:, 1])
-    de = np.tanh(half_odds) @ rows.d
+    de = (rows.w * np.tanh(half_odds)) @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
         grad = grad + prior_weight * accuracy_prior.log_density_grad(acc)
@@ -126,7 +131,7 @@ def grad_coverage(
     counts: voted / cov - abstained / (1 - cov).
     """
     (cov,) = _clamped(rows, coverage)
-    grad = rows.count / cov - (rows.n - rows.count) / (1.0 - cov)
+    grad = rows.count / cov - (rows.total - rows.count) / (1.0 - cov)
     if coverage_prior is not None:
         grad = grad + prior_weight * coverage_prior.log_density_grad(cov)
     if not np.isfinite(grad).all():
@@ -159,18 +164,24 @@ def fit(
         raise DataError(f"accuracy prior has {acc_prior.m} entries, matrix has {m} columns")
 
     anchors = label_prior.mv_votes
-    if anchors is None:
-        anchors = majority_vote(votes)
-    elif anchors.shape[0] != n:
+    if anchors is not None and anchors.shape[0] != n:
         raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
-    rows = VoteRows.of(votes, label_prior_pairs(anchors, label_prior.p))
+    full_batch = config.batch_size is None or config.batch_size >= n
+    if full_batch:
+        # A full batch sums over every row in any order, so one row per
+        # distinct (pattern, anchor) pair, weighted by its count, gives the
+        # same sums.
+        rows = VoteRows.grouped(votes, label_prior.p, anchors)[0]
+    else:
+        anchors = majority_vote(votes) if anchors is None else anchors
+        rows = VoteRows.of(votes, label_prior_pairs(anchors, label_prior.p))
 
     val_rows = None
     if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
         val = as_lf_matrix(val_votes)
         if val.shape[1] != m:
             raise DataError(f"validation matrix has {val.shape[1]} columns, train has {m}")
-        val_rows = VoteRows.of(val, label_prior_pairs(majority_vote(val), label_prior.p))
+        val_rows = VoteRows.grouped(val, label_prior.p)[0]
 
     acc = np.clip(np.full(m, config.alpha_init, dtype=np.float64), eps, 1.0 - eps)
     cov_emp = rows.count / n
@@ -184,7 +195,6 @@ def fit(
     else:
         cov = cov_emp.copy()
 
-    batch_size = config.batch_size or n
     train_hist: list[float] = []
     val_hist: list[float] = []
     best_val = np.inf
@@ -195,18 +205,16 @@ def fit(
     stop_after = max(config.patience, 1)
 
     for epoch in range(1, config.max_epochs + 1):
-        if batch_size >= n:
-            # The batch sums over every row, so its order does not matter.
+        if full_batch:
             batches = (rows,)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
             order = rng.permutation(n)
-            batches = (
-                rows.take(order[start : start + batch_size]) for start in range(0, n, batch_size)
-            )
+            size = config.batch_size
+            batches = (rows.take(order[start : start + size]) for start in range(0, n, size))
         for batch in batches:
-            weight = batch.n / n
-            step = config.learning_rate / batch.n
+            weight = batch.total / n
+            step = config.learning_rate / batch.total
             g_acc = grad_accuracy(batch, acc, cov, acc_prior, weight)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if config.learn_beta:

@@ -5,14 +5,20 @@ are checked against the linear-space row reference in ``kernel_reference``;
 then the symmetries of the model: negating every vote and swapping each
 prior pair swaps the posterior, permuting LF columns permutes the gradient,
 and one epoch of minibatch gradients sums to the full-batch gradient.
+Last, the vote-pattern path (distinct rows weighted by their counts) is
+checked against the row path: the objective, both gradients, whole fits
+and predictions.
 """
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from labelforge import BetaPrior, LabelPrior, ModelParams, predict
+from labelforge import BetaPrior, LabelPrior, ModelParams, TrainConfig, fit, model, predict
 from labelforge.model import (
     VoteRows,
     label_prior_pairs,
@@ -20,8 +26,8 @@ from labelforge.model import (
     log_objective,
     posterior_log_odds,
 )
-from labelforge.priors import majority_vote
-from labelforge.train import grad_accuracy
+from labelforge.priors import beta_from_mean, build_mv_priors, majority_vote
+from labelforge.train import coverage_from_data, grad_accuracy, grad_coverage
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -31,9 +37,13 @@ GRAD_ATOL = 1e-9
 
 
 class Case:
-    """A random matrix with parameters, an accuracy prior and MV-anchored pairs."""
+    """A random matrix with parameters, an accuracy prior and prior pairs
+    anchored to the majority vote, or to caller-supplied ``anchors`` drawn
+    independently of the votes."""
 
-    def __init__(self, seed: int, n: int, m: int, p: float, boundary: bool = False):
+    def __init__(
+        self, seed: int, n: int, m: int, p: float, boundary: bool = False, own_anchors=False
+    ):
         rng = np.random.default_rng(seed)
         self.votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
         self.acc = rng.uniform(0.05, 0.95, m)
@@ -43,7 +53,10 @@ class Case:
             self.acc[rng.random(m) < 0.3] = rng.choice([0.0, 1.0])
             self.cov[rng.random(m) < 0.3] = rng.choice([0.0, 1.0])
         self.prior = BetaPrior(rng.uniform(0.5, 20.0, m), rng.uniform(0.5, 20.0, m))
-        self.pairs = label_prior_pairs(majority_vote(self.votes), p)
+        self.p = p
+        self.anchors = rng.integers(-1, 2, n).astype(np.int8) if own_anchors else None
+        mv = majority_vote(self.votes) if self.anchors is None else self.anchors
+        self.pairs = label_prior_pairs(mv, p)
 
     @property
     def params(self) -> ModelParams:
@@ -52,16 +65,32 @@ class Case:
     def rows(self) -> VoteRows:
         return VoteRows.of(self.votes, self.pairs)
 
+    def patterns(self) -> VoteRows:
+        return VoteRows.grouped(self.votes, self.p, self.anchors)[0]
 
-def cases(boundary=st.just(False)):
+
+def cases(
+    boundary=st.just(False), n=st.integers(1, 30), m=st.integers(1, 6), own_anchors=st.just(False)
+):
     return st.builds(
         Case,
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 30),
-        m=st.integers(1, 6),
+        n=n,
+        m=m,
         p=st.floats(0.5, 0.99),
         boundary=boundary,
+        own_anchors=own_anchors,
     )
+
+
+# Few LFs and up to 80 rows, so that most rows share their pattern.
+pattern_cases = cases(n=st.integers(1, 80), m=st.integers(1, 4), own_anchors=st.booleans())
+
+
+def row_path():
+    """Context in which every matrix is too wide to group, so the kernel's
+    callers run over the rows themselves."""
+    return mock.patch.object(model, "MAX_PATTERN_LFS", 0)
 
 
 @PROPERTY
@@ -142,3 +171,124 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
         total += grad_accuracy(batch, case.acc, case.cov, case.prior, batch.n / n)
     full = grad_accuracy(rows, case.acc, case.cov, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)
+
+
+@PROPERTY
+@given(pattern_cases)
+def test_patterns_rebuild_the_rows(case):
+    rows, anchors, inverse = VoteRows.grouped(case.votes, case.p, case.anchors)
+    np.testing.assert_array_equal(rows.d[inverse], case.votes)
+    expected = majority_vote(case.votes) if case.anchors is None else case.anchors
+    np.testing.assert_array_equal(anchors[inverse], expected)
+    np.testing.assert_array_equal(rows.log_prior[inverse], np.log(case.pairs))
+    np.testing.assert_array_equal(rows.w, np.bincount(inverse))
+    assert rows.total == case.votes.shape[0]
+    np.testing.assert_array_equal(rows.count, np.abs(case.votes).sum(axis=0))
+    distinct = {(tuple(row), a) for row, a in zip(rows.d.tolist(), anchors.tolist())}
+    assert len(distinct) == rows.n
+
+
+@PROPERTY
+@given(pattern_cases)
+def test_pattern_objective_and_gradients_equal_row_path(case):
+    rows, patterns = case.rows(), case.patterns()
+    cov_prior = BetaPrior(*beta_from_mean(case.cov, 10.0))
+    for prior, weight in ((None, 1.0), (case.prior, 0.3)):
+        np.testing.assert_allclose(
+            log_objective(patterns, case.acc, case.cov, prior, cov_prior),
+            log_objective(rows, case.acc, case.cov, prior, cov_prior),
+            rtol=RTOL,
+        )
+        np.testing.assert_allclose(
+            grad_accuracy(patterns, case.acc, case.cov, prior, weight),
+            grad_accuracy(rows, case.acc, case.cov, prior, weight),
+            rtol=RTOL,
+            atol=GRAD_ATOL,
+        )
+    np.testing.assert_allclose(
+        grad_coverage(patterns, case.cov, cov_prior, 0.3),
+        grad_coverage(rows, case.cov, cov_prior, 0.3),
+        rtol=RTOL,
+    )
+
+
+@PROPERTY
+@given(
+    pattern_cases,
+    st.sampled_from([None, 7, 1000]),
+    st.booleans(),
+    st.booleans(),
+    st.floats(0.001, 0.2),
+)
+def test_pattern_fit_equals_row_path(case, batch_size, learn_beta, with_val, lr):
+    prior = build_mv_priors(case.votes, 10.0, case.p)
+    if case.anchors is not None:
+        prior = replace(prior, label_prior=LabelPrior(case.p, mv_votes=case.anchors))
+    val = case.votes[::-1][: max(1, case.votes.shape[0] // 3)] if with_val else None
+    config = TrainConfig(
+        learning_rate=lr, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7,
+        learn_beta=learn_beta,
+    )
+    grouped = fit(case.votes, val, prior, config)
+    with row_path():
+        rows = fit(case.votes, val, prior, config)
+    for field in ("accuracy", "coverage"):
+        np.testing.assert_allclose(
+            getattr(grouped.params, field), getattr(rows.params, field), rtol=RTOL
+        )
+    np.testing.assert_allclose(grouped.train_loss_history, rows.train_loss_history, rtol=RTOL)
+    np.testing.assert_allclose(grouped.val_loss_history, rows.val_loss_history, rtol=RTOL)
+    assert grouped.best_epoch == rows.best_epoch
+
+
+@PROPERTY
+@given(cases(st.booleans(), n=st.integers(1, 80), m=st.integers(1, 4)), st.booleans())
+def test_pattern_predict_equals_row_path(case, force_abstain):
+    # an all-abstain row and, with equal parameters, a split row are ties
+    votes = np.vstack([case.votes, np.zeros(case.votes.shape[1], np.int8)])
+    acc, cov = case.acc.copy(), case.cov.copy()
+    if votes.shape[1] >= 2:
+        acc[1], cov[1] = acc[0], cov[0]
+        votes = np.vstack([votes, [[1, -1] + [0] * (votes.shape[1] - 2)]])
+    params = ModelParams(acc, cov)
+    label_prior = LabelPrior(case.p, force_abstain=force_abstain)
+    grouped = predict(votes, params, label_prior)
+    with row_path():
+        rows = predict(votes, params, label_prior)
+    np.testing.assert_array_equal(grouped.labels, rows.labels)
+    np.testing.assert_array_equal(grouped.abstain_reason, rows.abstain_reason)
+    np.testing.assert_allclose(grouped.score_pos, rows.score_pos, rtol=1e-12)
+    # the all-abstain row abstains, whichever the reason
+    assert rows.abstain_reason[case.votes.shape[0]] in ("tie", "forced", "degenerate")
+
+
+def test_widest_grouped_matrix_next_to_row_path():
+    # 38 votes and an anchor key below 3^39 < 2^63; 39 would overflow int64
+    rng = np.random.default_rng(38)
+    for m in (38, 39):
+        votes = rng.integers(-1, 2, size=(40, m)).astype(np.int8)
+        # the largest and smallest keys, each anchored both ways, and duplicates
+        votes[:4] = [[1] * m, [1] * m, [-1] * m, [-1] * m]
+        votes[20:] = votes[:20]
+        anchors = rng.integers(-1, 2, 40).astype(np.int8)
+        anchors[:4] = [1, -1, 1, -1]
+        anchors[20:] = anchors[:20]
+        rows, _, inverse = VoteRows.grouped(votes, 0.8, anchors)
+        if m == 38:
+            assert rows.n == 20
+            np.testing.assert_array_equal(rows.d[inverse], votes)
+            np.testing.assert_array_equal(rows.w, 2.0)
+        else:
+            assert inverse is None and rows.n == 40
+            np.testing.assert_array_equal(rows.w, 1.0)
+        plain = VoteRows.of(votes, label_prior_pairs(anchors, 0.8))
+        acc, cov = rng.uniform(0.55, 0.95, m), coverage_from_data(votes)
+        np.testing.assert_allclose(
+            log_objective(rows, acc, cov), log_objective(plain, acc, cov), rtol=RTOL
+        )
+        np.testing.assert_allclose(
+            grad_accuracy(rows, acc, cov, None, 1.0),
+            grad_accuracy(plain, acc, cov, None, 1.0),
+            rtol=RTOL,
+            atol=GRAD_ATOL,
+        )

@@ -138,6 +138,23 @@ class TestAuc:
     def test_single_class_undefined(self):
         assert auc_roc([0.4, 0.6], [1, 1]) is None
 
+    def test_rounding_differences_are_ties(self):
+        # posteriors that are equal but for rounding: a few ulps apart
+        base = np.array([0.3, 0.3, 0.7, 0.7, 0.7, 0.1])
+        truth = np.array([1, -1, -1, 1, 1, -1])
+        jittered = base.copy()
+        for i, ulps in ((1, 3), (2, -2), (4, 5)):
+            jittered[i] = base[i] + ulps * np.spacing(base[i])
+        assert not np.array_equal(jittered, base)
+        assert auc_roc(jittered, truth) == auc_roc(base, truth)
+        assert auc_roc(base, truth) == pytest.approx(6.5 / 9)
+
+    def test_distinct_scores_are_not_ties(self):
+        truth = np.array([1, -1])
+        assert auc_roc([0.5, 0.5], truth) == 0.5
+        assert auc_roc([0.5 + 1e-9, 0.5], truth) == 1.0
+        assert auc_roc([0.5 - 1e-9, 0.5], truth) == 0.0
+
 
 class TestL2Distance:
     def test_identical(self):

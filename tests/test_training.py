@@ -126,6 +126,29 @@ class TestFit:
         losses = result.train_loss_history
         assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
 
+    def test_duplicated_rows_fit_the_same_params(self):
+        # The step is the learning rate over the row count, so doubling every
+        # row doubles the gradient and halves the step. A step or prior weight
+        # taken from the number of distinct patterns, which duplication leaves
+        # alone, would move the fit.
+        data = generate_synthetic(SyntheticSpec(m=4, n=300, accuracy=0.75, coverage=0.5, seed=3))
+        votes = data.votes
+        doubled = np.vstack([votes, votes])
+        # learned coverages under no prior at all: a coverage prior would
+        # weigh less against twice the data
+        for prior, learn_beta in ((build_uniform_priors(4, p=0.8), False), (None, True)):
+            cfg = TrainConfig(
+                learning_rate=0.05, max_epochs=15, alpha_init=0.6, learn_beta=learn_beta
+            )
+            once = fit(votes, None, prior, cfg)
+            twice = fit(doubled, None, prior, cfg)
+            np.testing.assert_allclose(twice.params.accuracy, once.params.accuracy, rtol=1e-12)
+            np.testing.assert_allclose(twice.params.coverage, once.params.coverage, rtol=1e-12)
+            np.testing.assert_allclose(
+                twice.train_loss_history, 2 * np.array(once.train_loss_history), rtol=1e-12
+            )
+            assert once.params.accuracy.min() < 0.99  # the fit is not pinned at the clamp
+
     def test_mle_equals_uniform_map_bitwise(self):
         rng = np.random.default_rng(13)
         for trial in range(3):
