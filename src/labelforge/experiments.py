@@ -3,7 +3,10 @@ sweeps, prior-quality comparison, and the synthetic-data generator that
 serves as the model's sampling oracle.
 
 Every protocol is a pure function of (data, spec, seeds); reruns produce
-identical tables. Sweep results are returned as flat rows with keys
+identical tables. Grid search builds the priors once per strength and fits
+all its cells in one stacked training pass (:func:`~labelforge.train.fit_cells`),
+since every cell shares the seeded minibatch order; each cell's result
+equals a stand-alone fit up to rounding. Sweep results are returned as flat rows with keys
 (experiment, mode, size, replicate, metric, value) so they can be written
 straight to the results-table format.
 """
@@ -28,7 +31,7 @@ from .priors import (
     build_random_priors,
     reference_accuracies,
 )
-from .train import FitResult, TrainConfig, fit
+from .train import FitResult, TrainConfig, fit, fit_cells
 
 MODES = ("mle", "map-mv", "map-emp", "map-rand")
 
@@ -239,33 +242,64 @@ def grid_search(
     """Fit one model per grid cell and pick the cell winning the most
     validation metrics; ties break on fewer epochs to best, then cell index.
 
-    A cell whose fit fails is recorded with its error and scores zero wins.
+    The priors are built once per strength, and every cell is fitted in one
+    stacked :func:`~labelforge.train.fit_cells` pass; each cell equals a
+    stand-alone :func:`~labelforge.train.fit` up to rounding. A cell whose
+    priors, config or fit fail is recorded with its error, scores zero wins
+    and ranks after every cell that succeeded.
     """
     if val.truth is None:
         raise DataError("grid search requires ground truth on the validation split")
     grid = grid or GridSpec()
     base = config or TrainConfig()
+    # p and force_abstain only set the label prior, so the priors built for
+    # one strength (or the error building them) serve all its cells
+    built: dict = {}
     cells: list[GridCellResult] = []
+    stacked: list[tuple[GridCellResult, PriorSpec | None, TrainConfig]] = []
     for index, settings in enumerate(_grid_cells(grid, mode)):
-        cfg = replace(
-            base,
-            learning_rate=settings["learning_rate"],
-            alpha_init=settings["alpha_init"],
-        )
+        cell = GridCellResult(index, settings, None, 0)
+        cells.append(cell)
+        strength = settings.get("strength")
+        if strength not in built:
+            try:
+                built[strength] = build_mode_priors(
+                    mode, train.votes, train.truth, strength, 0.5, False, base.seed
+                )
+            except LabelForgeError as exc:
+                built[strength] = exc
         try:
-            result, report = _fit_and_score(
-                train,
-                val.votes,
-                val,
-                mode,
-                settings.get("strength"),
-                settings.get("p", 0.5),
-                settings.get("force_abstain", False),
-                cfg,
+            cfg = replace(
+                base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
             )
-            cells.append(GridCellResult(index, settings, report, result.best_epoch))
+            prior = built[strength]
+            if isinstance(prior, LabelForgeError):
+                raise prior
+            if prior is not None:
+                label_prior = replace(
+                    prior.label_prior, p=settings["p"], force_abstain=settings["force_abstain"]
+                )
+                prior = replace(prior, label_prior=label_prior)
         except LabelForgeError as exc:
-            cells.append(GridCellResult(index, settings, None, 0, error=str(exc)))
+            cell.error = str(exc)
+            continue
+        stacked.append((cell, prior, cfg))
+
+    if stacked:
+        fitted, priors, configs = zip(*stacked)
+        try:
+            results = fit_cells(train.votes, val.votes, priors, configs)
+        except LabelForgeError as exc:
+            results = [exc] * len(stacked)
+        for cell, prior, result in zip(fitted, priors, results):
+            try:
+                if isinstance(result, LabelForgeError):
+                    raise result
+                label_prior = prior.label_prior if prior is not None else LabelPrior()
+                cell.report = score(predict(val.votes, result.params, label_prior), val.truth)
+                cell.best_epoch = result.best_epoch
+            except LabelForgeError as exc:
+                cell.error = str(exc)
 
     for metric in WIN_METRICS:
         values = [
@@ -280,7 +314,7 @@ def grid_search(
             if cell.report is not None and getattr(cell.report, metric) == top:
                 cell.wins += 1
 
-    best = min(cells, key=lambda c: (-c.wins, c.best_epoch, c.index))
+    best = min(cells, key=lambda c: (c.error is not None, -c.wins, c.best_epoch, c.index))
     return GridSearchResult(best=best, cells=cells)
 
 

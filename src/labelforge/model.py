@@ -16,7 +16,9 @@ in its votes: with d the votes as float64 and s = |d|, they are
 the parameters (:func:`log_likelihoods`). The posterior log-odds are then
 ``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`), so the
 objective, its gradient and prediction are each one or two mat-vecs over
-votes converted once per matrix. :meth:`VoteRows.of` is the one place a
+votes converted once per matrix. Stacked (K, m) parameters, one row per
+cell of a grid, turn the mat-vecs into mat-mats with one column per cell
+(:func:`log_objectives`). :meth:`VoteRows.of` is the one place a
 vote matrix and its class priors are checked; every kernel function takes
 the converted rows and plain per-LF vectors.
 
@@ -124,7 +126,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BetaPrior:
-    """Per-LF beta-distribution pseudo-count parameters (u, v), all positive.
+    """Per-LF beta-distribution pseudo-count parameters (u, v), all positive:
+    m-vectors, or (K, m) arrays with one row per cell of a stacked fit.
 
     ``log_norm`` holds each LF's log beta function log B(u, v), computed once
     when the prior is built.
@@ -137,18 +140,18 @@ class BetaPrior:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.float64)
-        if u.ndim != 1 or u.shape != v.shape:
+        if u.ndim not in (1, 2) or u.shape != v.shape:
             raise DataError(f"u/v must be equal-length vectors, got {u.shape} and {v.shape}")
         if (u <= 0).any() or (v <= 0).any() or not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise DataError("beta prior parameters must be finite and > 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        log_norm = [math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) for a, b in zip(u, v)]
-        object.__setattr__(self, "log_norm", np.array(log_norm, dtype=np.float64))
+        lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+        object.__setattr__(self, "log_norm", lgamma(u) + lgamma(v) - lgamma(u + v))
 
     @property
     def m(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
     def mean(self) -> np.ndarray:
         return self.u / (self.u + self.v)
@@ -358,7 +361,8 @@ def _clamped(rows: VoteRows, *params) -> list[np.ndarray]:
 
 def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
     """Per-LF vectors (h, g, c) of the log-joint kernel and the (3, m) mask
-    ``zero`` of votes that have probability 0.
+    ``zero`` of votes that have probability 0. For (K, m) parameters, one row
+    per cell, h and g are (K, m), c is a K-vector and ``zero`` is (3, K, m).
 
     Under label +1, vote v of LF j has log probability ``logf[v + 1, j]``:
     log((1-a) b), log(1-b) and log(a b) for v = -1, 0, +1, with a the
@@ -377,7 +381,7 @@ def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
     logf[zero] = 0.0
     h = 0.5 * (logf[2] - logf[0])
     g = 0.5 * (logf[2] + logf[0]) - logf[1]
-    return h, g, logf[1].sum(), zero
+    return h, g, logf[1].sum(axis=-1), zero
 
 
 def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -390,11 +394,18 @@ def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
 
 def log_likelihoods(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1),
-    -inf where a row casts a vote of probability 0 under that label."""
+    -inf where a row casts a vote of probability 0 under that label.
+
+    Stacked (K, m) parameters, which must lie strictly inside (0, 1), give
+    an (n, 2, K) array, one column per cell.
+    """
     h, g, c, zero = _kernel(accuracy, coverage)
-    dh = rows.d @ h
-    base = rows.s @ g + c
-    ll = np.stack([base + dh, base - dh], axis=1)
+    dh = rows.d @ h.T
+    base = rows.s @ g.T
+    base += c
+    ll = np.empty((base.shape[0], 2) + base.shape[1:])
+    np.add(base, dh, out=ll[:, 0])
+    np.subtract(base, dh, out=ll[:, 1])
     if zero.any():
         ll[_impossible(rows.d, zero)] = -np.inf
     return ll
@@ -420,6 +431,33 @@ def posterior_log_odds(
     return odds, degenerate
 
 
+def log_objectives(
+    rows: VoteRows,
+    log_prior: np.ndarray,
+    accuracy: np.ndarray,
+    coverage: np.ndarray,
+    accuracy_prior: BetaPrior | None = None,
+    coverage_prior: BetaPrior | None = None,
+) -> np.ndarray:
+    """Log objective of K cells at once: the weighted sum of the rows' log
+    marginals under each cell's class priors, plus the cells' beta log
+    densities where given.
+
+    ``accuracy`` and ``coverage`` are (K, m), one row per cell, inside the
+    clamp; ``log_prior`` is the rows' (n, 2, K) log class priors. Returns a
+    K-vector, non-finite for a cell whose objective is; nothing is checked,
+    so a cell that fails leaves the others alone. With m-vectors and (n, 2)
+    log priors it returns the one objective as a 0-d array.
+    """
+    joint = log_likelihoods(rows, accuracy, coverage)
+    joint += log_prior
+    total = rows.w @ np.logaddexp(joint[:, 0], joint[:, 1])
+    for prior, x in ((accuracy_prior, accuracy), (coverage_prior, coverage)):
+        if prior is not None:
+            total = total + prior.log_density(x).sum(axis=-1)
+    return total
+
+
 def log_objective(
     rows: VoteRows,
     accuracy: np.ndarray,
@@ -434,13 +472,12 @@ def log_objective(
     With no beta prior this is the plain likelihood objective.
     """
     acc, cov = _clamped(rows, accuracy, coverage)
-    joint = log_likelihoods(rows, acc, cov) + rows.log_prior
-    total = float(rows.w @ np.logaddexp(joint[:, 0], joint[:, 1]))
     for prior, x in ((accuracy_prior, acc), (coverage_prior, cov)):
-        if prior is not None:
-            if prior.m != x.shape[0]:
-                raise DataError(f"beta prior has {prior.m} entries, params have {x.shape[0]}")
-            total += float(prior.log_density(x).sum())
+        if prior is not None and prior.m != x.shape[0]:
+            raise DataError(f"beta prior has {prior.m} entries, params have {x.shape[0]}")
+    total = float(
+        log_objectives(rows, rows.log_prior, acc, cov, accuracy_prior, coverage_prior)
+    )
     if not np.isfinite(total):
         raise NumericalError(f"log objective is non-finite ({total})")
     return total

@@ -65,3 +65,10 @@ def grad_accuracy(votes, acc, cov, pairs, prior=None, weight: float = 1.0) -> np
     if prior is not None:
         grad += weight * ((prior.u - 1.0) / acc - (prior.v - 1.0) / (1.0 - acc))
     return grad
+
+
+def prior_odds(rows) -> np.ndarray:
+    """Half the prior log-odds of each row, (log P(+1) - log P(-1)) / 2, read
+    from its class priors: the form in which ``train.grad_accuracy`` takes a
+    cell's label prior."""
+    return 0.5 * (rows.log_prior[:, 0] - rows.log_prior[:, 1])

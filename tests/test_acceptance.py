@@ -43,6 +43,8 @@ from labelforge.metrics import metrics_from_confusion
 from labelforge.model import VoteRows, label_prior_pairs, log_objective
 from labelforge.train import grad_accuracy, grad_coverage
 
+import kernel_reference as ref
+
 
 def verdict(number: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
@@ -81,7 +83,7 @@ def test_criterion_01_gradient_oracle():
         def obj_cov(c):
             return log_objective(rows, acc, c, prior.accuracy_prior, cov_prior)
 
-        g_acc = grad_accuracy(rows, acc, cov, prior.accuracy_prior, 1.0)
+        g_acc = grad_accuracy(rows, ref.prior_odds(rows), acc, cov, prior.accuracy_prior, 1.0)
         fd_acc = central_difference(obj_acc, acc)
         g_cov = grad_coverage(rows, cov, cov_prior, 1.0)
         fd_cov = central_difference(obj_cov, cov)
@@ -117,8 +119,9 @@ def test_criterion_02_mle_map_reduction():
         mle_acc, mle_cov = mle_res.params.accuracy, mle_res.params.coverage
         obj_map = log_objective(rows, map_acc, map_cov, uniform.accuracy_prior)
         obj_mle = log_objective(rows, mle_acc, mle_cov)
-        g_map = grad_accuracy(rows, map_acc, map_cov, uniform.accuracy_prior, 1.0)
-        g_mle = grad_accuracy(rows, mle_acc, mle_cov, None, 1.0)
+        odds = ref.prior_odds(rows)
+        g_map = grad_accuracy(rows, odds, map_acc, map_cov, uniform.accuracy_prior, 1.0)
+        g_mle = grad_accuracy(rows, odds, mle_acc, mle_cov, None, 1.0)
         p_map = predict(votes, map_res.params, uniform.label_prior)
         p_mle = predict(votes, mle_res.params, LabelPrior())
         same = (

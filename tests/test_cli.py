@@ -149,6 +149,14 @@ class TestExitCodes:
             assert run("gridsearch", "--data", data, "--grid", grid) == 2
             assert key in capsys.readouterr().err
 
+    def test_non_finite_learning_rate_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=120)
+        model = tmp_path / "m.txt"
+        for lr in ("inf", "nan"):
+            assert run("train", "--data", data, "--lr", lr, "--out", model) == 2
+            assert "learning_rate" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_bad_prediction_row_is_data_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         preds = tmp_path / "p.csv"

@@ -168,6 +168,20 @@ class TestGridSearch:
         assert zero.report is None and "strength" in zero.error
         assert ten.error is None and result.best is ten
 
+    def test_failed_cell_never_best(self):
+        # an all-abstain validation matrix scores no metric, so no cell wins
+        # one; the failed cell's best_epoch of 0 must not rank it first
+        ds = toy_dataset(120)
+        train, _, _ = split(ds, SplitSpec(seed=2))
+        val = Dataset(np.zeros((10, 4), dtype=np.int8), np.ones(10, dtype=np.int8))
+        grid = GridSpec(strengths=(0.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
+                        ps=(0.5,), force_abstain=(True,))
+        result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
+        zero, ten = result.cells
+        assert zero.error is not None and ten.error is None
+        assert zero.wins == ten.wins == 0
+        assert result.best is ten
+
     def test_default_map_grid_size(self):
         assert min(GridSpec().ps) == 0.5
         assert len(_grid_cells(GridSpec(), "map-mv")) == 144
@@ -175,14 +189,16 @@ class TestGridSearch:
     def test_erroring_cell_scores_zero_wins(self, monkeypatch):
         ds = toy_dataset(120)
         train, val, _ = split(ds, SplitSpec(seed=2))
-        real_fit = labelforge.experiments.fit
+        real_fit_cells = labelforge.experiments.fit_cells
 
-        def flaky_fit(votes, val_votes, prior, config):
-            if config.alpha_init == 0.05:
-                raise NumericalError("synthetic failure")
-            return real_fit(votes, val_votes, prior, config)
+        def flaky_fit_cells(votes, val_votes, priors, configs):
+            results = real_fit_cells(votes, val_votes, priors, configs)
+            return [
+                NumericalError("synthetic failure") if config.alpha_init == 0.05 else result
+                for result, config in zip(results, configs)
+            ]
 
-        monkeypatch.setattr(labelforge.experiments, "fit", flaky_fit)
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", flaky_fit_cells)
         grid = GridSpec(strengths=(10.0,), learning_rates=(0.05,), alpha_inits=(0.9, 0.05),
                         ps=(0.5,), force_abstain=(False,))
         result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))

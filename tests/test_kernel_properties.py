@@ -116,7 +116,8 @@ def test_objective_equals_row_reference(case):
 @PROPERTY
 @given(cases())
 def test_gradient_equals_row_reference(case):
-    grad = grad_accuracy(case.rows(), case.acc, case.cov, case.prior, 1.0)
+    rows = case.rows()
+    grad = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
     expected = ref.grad_accuracy(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(grad, expected, rtol=RTOL, atol=GRAD_ATOL)
 
@@ -148,9 +149,11 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
 def test_permuting_columns_permutes_gradient(case, random):
     m = case.votes.shape[1]
     perm = np.array(random.sample(range(m), m))
-    grad = grad_accuracy(case.rows(), case.acc, case.cov, case.prior, 1.0)
+    rows = case.rows()
+    grad = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
     permuted = grad_accuracy(
         VoteRows.of(case.votes[:, perm], case.pairs),
+        ref.prior_odds(rows),
         case.acc[perm],
         case.cov[perm],
         BetaPrior(case.prior.u[perm], case.prior.v[perm]),
@@ -168,8 +171,9 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
     total = np.zeros(case.votes.shape[1])
     for start in range(0, n, batch_size):
         batch = rows.take(order[start : start + batch_size])
-        total += grad_accuracy(batch, case.acc, case.cov, case.prior, batch.n / n)
-    full = grad_accuracy(rows, case.acc, case.cov, case.prior, 1.0)
+        odds = ref.prior_odds(batch)
+        total += grad_accuracy(batch, odds, case.acc, case.cov, case.prior, batch.n / n)
+    full = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)
 
 
@@ -200,8 +204,8 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
             rtol=RTOL,
         )
         np.testing.assert_allclose(
-            grad_accuracy(patterns, case.acc, case.cov, prior, weight),
-            grad_accuracy(rows, case.acc, case.cov, prior, weight),
+            grad_accuracy(patterns, ref.prior_odds(patterns), case.acc, case.cov, prior, weight),
+            grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, prior, weight),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -287,8 +291,8 @@ def test_widest_grouped_matrix_next_to_row_path():
             log_objective(rows, acc, cov), log_objective(plain, acc, cov), rtol=RTOL
         )
         np.testing.assert_allclose(
-            grad_accuracy(rows, acc, cov, None, 1.0),
-            grad_accuracy(plain, acc, cov, None, 1.0),
+            grad_accuracy(rows, ref.prior_odds(rows), acc, cov, None, 1.0),
+            grad_accuracy(plain, ref.prior_odds(plain), acc, cov, None, 1.0),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )

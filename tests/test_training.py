@@ -6,8 +6,14 @@ import pytest
 
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from labelforge import (
     BetaPrior,
+    DataError,
+    LabelPrior,
+    NumericalError,
     TrainConfig,
     beta_from_mean,
     build_mv_priors,
@@ -21,7 +27,10 @@ from labelforge import (
 )
 from labelforge.model import CLAMP_EPS, VoteRows, label_prior_pairs, log_objective
 from labelforge.priors import majority_vote
-from labelforge.train import grad_accuracy, grad_coverage
+import labelforge.train
+from labelforge.train import fit_cells, grad_accuracy, grad_coverage
+
+import kernel_reference as ref
 
 
 def finite_difference(objective, x0, step=1e-5):
@@ -59,7 +68,9 @@ class TestGradients:
             def objective(a):
                 return log_objective(rows, a, cov, prior.accuracy_prior)
 
-            analytic = grad_accuracy(rows, acc, cov, prior.accuracy_prior, 1.0)
+            analytic = grad_accuracy(
+                rows, ref.prior_odds(rows), acc, cov, prior.accuracy_prior, 1.0
+            )
             numeric = finite_difference(objective, acc)
             np.testing.assert_allclose(
                 analytic, numeric, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(numeric).max())
@@ -89,15 +100,17 @@ class TestGradients:
     def test_all_abstain_row_zero_gradient(self):
         rows = VoteRows.of([[0, 0]], [[0.5, 0.5]])
         uniform = build_uniform_priors(2).accuracy_prior
-        grad = grad_accuracy(rows, np.array([0.7, 0.6]), np.array([0.5, 0.5]), uniform, 1.0)
+        acc, cov = np.array([0.7, 0.6]), np.array([0.5, 0.5])
+        grad = grad_accuracy(rows, ref.prior_odds(rows), acc, cov, uniform, 1.0)
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_strong_prior_dominates_sign(self):
         rows = VoteRows.of([[1, 1], [-1, -1], [1, -1]])
         prior = build_user_priors([0.7e6, 0.7e6], [0.3e6, 0.3e6]).accuracy_prior
         cov = np.array([0.9, 0.9])
-        low = grad_accuracy(rows, np.array([0.5, 0.5]), cov, prior, 1.0)
-        high = grad_accuracy(rows, np.array([0.9, 0.9]), cov, prior, 1.0)
+        odds = ref.prior_odds(rows)
+        low = grad_accuracy(rows, odds, np.array([0.5, 0.5]), cov, prior, 1.0)
+        high = grad_accuracy(rows, odds, np.array([0.9, 0.9]), cov, prior, 1.0)
         assert (low > 0).all()
         assert (high < 0).all()
 
@@ -197,6 +210,40 @@ class TestFit:
         np.testing.assert_array_equal(a.params.accuracy, b.params.accuracy)
 
 
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    @pytest.mark.parametrize("p", [0.8, 1.0])
+    def test_one_epoch_follows_the_gradient_oracle(self, batch_size, p):
+        # the label prior reaches the step and both losses as each row's
+        # class prior pair, as in the gradient and objective oracles
+        data = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.6, seed=4))
+        votes, val = data.votes[:45], data.votes[45:]
+        prior = build_mv_priors(votes, 10.0, p)
+        cfg = TrainConfig(learning_rate=0.2, max_epochs=1, batch_size=batch_size, alpha_init=0.7,
+                          seed=3)
+        result = fit(votes, val, prior, cfg)
+
+        rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), p))
+        acc, cov = np.full(3, 0.7), coverage_from_data(votes)
+        if batch_size is None:
+            batches = [rows]
+        else:
+            order = np.random.default_rng(np.random.SeedSequence([3, 1])).permutation(45)
+            batches = [rows.take(order[i : i + batch_size]) for i in range(0, 45, batch_size)]
+        for batch in batches:
+            grad = grad_accuracy(
+                batch, ref.prior_odds(batch), acc, cov, prior.accuracy_prior, batch.n / 45
+            )
+            acc = np.clip(acc + 0.2 / batch.n * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        np.testing.assert_allclose(result.params.accuracy, acc, rtol=1e-12)
+        val_rows = VoteRows.of(val, label_prior_pairs(majority_vote(val), p))
+        for history, scored in (
+            (result.train_loss_history, rows),
+            (result.val_loss_history, val_rows),
+        ):
+            expected = -log_objective(scored, acc, cov, prior.accuracy_prior)
+            np.testing.assert_allclose(history, [expected], rtol=1e-12)
+
+
 class TestLearnBeta:
     def test_learned_coverage_near_empirical(self):
         data = generate_synthetic(
@@ -246,3 +293,138 @@ class TestPredictAfterFit:
         preds = predict(data.votes, result.params, prior.label_prior)
         agree = (preds.labels[preds.labels != 0] == data.truth[preds.labels != 0]).mean()
         assert agree > 0.8
+
+
+# One grid cell: learning rate, alpha_init, accuracy-prior strength (None for
+# the plain likelihood) and label-prior p.
+CELLS = st.lists(
+    st.tuples(
+        st.floats(0.001, 0.5),
+        st.sampled_from([0.55, 0.8, 1.0]),
+        st.sampled_from([None, 2.0, 10.0, 1e4]),
+        st.sampled_from([0.5, 0.7, 0.95, 1.0]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def cell_prior(votes, strength, p):
+    return None if strength is None else build_mv_priors(votes, strength, p)
+
+
+def assert_fits_equal(got, want):
+    assert (got.best_epoch, got.stopped_epoch) == (want.best_epoch, want.stopped_epoch)
+    for field in ("accuracy", "coverage"):
+        np.testing.assert_allclose(
+            getattr(got.params, field), getattr(want.params, field), rtol=1e-10
+        )
+    np.testing.assert_allclose(got.train_loss_history, want.train_loss_history, rtol=1e-10)
+    np.testing.assert_allclose(got.val_loss_history, want.val_loss_history, rtol=1e-10)
+
+
+class TestFitCells:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+        st.integers(1, 5),
+        st.sampled_from([None, 1, 7, 64]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 3),
+        CELLS,
+    )
+    def test_stacked_cells_equal_separate_fits(
+        self, seed, n, m, batch_size, learn_beta, with_val, patience, cells
+    ):
+        rng = np.random.default_rng(seed)
+        votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
+        val = rng.integers(-1, 2, size=(max(1, n // 3), m)) if with_val else None
+        priors = [cell_prior(votes, strength, p) for _, _, strength, p in cells]
+        configs = [
+            TrainConfig(
+                learning_rate=lr, max_epochs=6, batch_size=batch_size, patience=patience,
+                alpha_init=alpha, seed=seed % 1000, learn_beta=learn_beta,
+            )
+            for lr, alpha, _, _ in cells
+        ]
+        stacked = fit_cells(votes, val, priors, configs)
+        assert len(stacked) == len(cells)
+        for got, prior, config in zip(stacked, priors, configs):
+            want = fit(votes, val, prior, config)
+            assert_fits_equal(got, want)
+            label_prior = LabelPrior() if prior is None else prior.label_prior
+            np.testing.assert_array_equal(
+                predict(votes, got.params, label_prior).labels,
+                predict(votes, want.params, label_prior).labels,
+            )
+
+    def test_cells_stop_at_their_own_epochs(self):
+        data = generate_synthetic(SyntheticSpec(m=4, n=400, accuracy=0.8, coverage=0.5, seed=5))
+        train, val = data.votes[:300], data.votes[300:]
+        priors = [build_mv_priors(train, 10.0, 0.7), None, build_mv_priors(train, 10.0, 1.0)]
+        configs = [
+            TrainConfig(learning_rate=lr, max_epochs=40, patience=2, alpha_init=0.9, seed=2)
+            for lr in (0.5, 0.02, 0.2)
+        ]
+        stacked = fit_cells(train, val, priors, configs)
+        wants = [fit(train, val, prior, config) for prior, config in zip(priors, configs)]
+        assert len({want.stopped_epoch for want in wants}) > 1
+        for got, want in zip(stacked, wants):
+            assert_fits_equal(got, want)
+
+    def test_failing_cell_leaves_the_others_alone(self):
+        data = generate_synthetic(SyntheticSpec(m=3, n=200, accuracy=0.8, coverage=0.5, seed=6))
+        train, val = data.votes[:150], data.votes[150:]
+        # at alpha_init 1.0 pseudo-counts this large overflow the prior gradient
+        huge = build_user_priors([1e305] * 3, [1e305] * 3)
+        priors = [build_mv_priors(train, 10.0, 0.7), huge, None]
+        for batch_size in (None, 16):
+            config = TrainConfig(learning_rate=0.05, max_epochs=5, batch_size=batch_size)
+            with np.errstate(all="ignore"):
+                stacked = fit_cells(train, val, priors, [config] * 3)
+                with pytest.raises(NumericalError, match="non-finite"):
+                    fit(train, val, huge, config)
+            assert isinstance(stacked[1], NumericalError)
+            for cell in (0, 2):
+                assert_fits_equal(stacked[cell], fit(train, val, priors[cell], config))
+
+    def test_cells_beyond_the_cap_run_in_further_loops(self, monkeypatch):
+        data = generate_synthetic(SyntheticSpec(m=3, n=120, accuracy=0.8, coverage=0.5, seed=8))
+        train, val = data.votes[:100], data.votes[100:]
+        priors = [build_mv_priors(train, s, p) for s in (2.0, 50.0) for p in (0.5, 0.9)] + [None]
+        configs = [TrainConfig(learning_rate=lr, max_epochs=4, batch_size=16, seed=1)
+                   for lr in (0.01, 0.05, 0.1, 0.2, 0.3)]
+        whole = fit_cells(train, val, priors, configs)
+        sizes = []
+
+        def counted(train_votes, val_votes, priors, configs):
+            sizes.append(len(configs))
+            return fit_cells(train_votes, val_votes, priors, configs)
+
+        monkeypatch.setattr(labelforge.train, "MAX_STACKED_ENTRIES", 2 * 100)
+        monkeypatch.setattr(labelforge.train, "fit_cells", counted)
+        blocks = fit_cells(train, val, priors, configs)
+        assert sizes == [2, 2, 1]
+        assert len(blocks) == len(whole) == 5
+        for got, want in zip(blocks, whole):
+            assert_fits_equal(got, want)
+
+    def test_cells_must_share_the_loop_settings(self):
+        votes = np.array([[1, 0], [0, -1], [1, -1], [-1, -1]])
+        base = TrainConfig(max_epochs=3)
+        for other in (
+            replace(base, max_epochs=4),
+            replace(base, batch_size=2),
+            replace(base, patience=1),
+            replace(base, seed=1),
+            replace(base, learn_beta=True),
+        ):
+            with pytest.raises(DataError, match="share"):
+                fit_cells(votes, None, [None, None], [base, other])
+        anchored = build_user_priors([2, 2], [1, 1], mv_votes=[1, 1, 1, 1])
+        with pytest.raises(DataError, match="anchors"):
+            fit_cells(votes, None, [None, anchored], [base, base])
+        with pytest.raises(DataError):
+            fit_cells(votes, None, [None], [base, base])
