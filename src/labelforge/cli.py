@@ -5,45 +5,68 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every run prints a reproducibility line with the package version, the
 resolved seed, and a digest of the resolved options. The LABELFORGE_SEED
 environment variable supplies the default seed; any --seed flag overrides.
+
+Threads: a command runs numpy's BLAS on one thread. At the sizes a command
+handles, OpenBLAS's second thread spins between calls, costing CPU time and
+saving no wall time. OpenBLAS reads its thread count once, when numpy loads
+it, so importing this module sets OPENBLAS_NUM_THREADS=1 for the duration
+of its layer imports and then removes it again, leaving ``os.environ`` as it
+was. It does so only when numpy is not loaded yet and none of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set: a count the
+user chose wins, and a process that loaded numpy first keeps its setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
-from . import __version__
-from .dataio import (
-    load_model,
-    model_file_from_fit,
-    read_dataset,
-    read_grid,
-    read_predictions,
-    save_model,
-    write_dataset,
-    write_predictions,
-    write_results_table,
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_one_blas_thread = "numpy" not in sys.modules and not any(
+    name in os.environ for name in BLAS_THREAD_VARS
 )
-from .errors import DataError, LabelForgeError, NumericalError
-from .experiments import (
-    GridSpec,
-    SplitSpec,
-    SyntheticSpec,
-    build_mode_priors,
-    generate_synthetic,
-    grid_search,
-    holdout,
-    low_data_sweep,
-    prior_quality_study,
-    split,
-    stability_sweep,
-)
-from .infer import majority_vote_predictions, predict
-from .metrics import format_percent, report_lines, score
-from .priors import build_user_priors
-from .train import TrainConfig, fit
+if _one_blas_thread:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from . import __version__
+    from .dataio import (
+        load_model,
+        model_file_from_fit,
+        read_dataset,
+        read_grid,
+        read_predictions,
+        save_model,
+        write_dataset,
+        write_predictions,
+        write_results_table,
+    )
+    from .errors import DataError, LabelForgeError, NumericalError
+    from .experiments import (
+        GridSpec,
+        SplitSpec,
+        SyntheticSpec,
+        build_mode_priors,
+        generate_synthetic,
+        grid_search,
+        holdout,
+        low_data_sweep,
+        prior_quality_study,
+        split,
+        stability_sweep,
+    )
+    from .infer import majority_vote_predictions, predict
+    from .metrics import format_percent, report_lines, score
+    from .priors import build_user_priors
+    from .train import TrainConfig, fit
+finally:
+    if _one_blas_thread:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+# hashlib loads OpenSSL; loaded before numpy, it raised a gridsearch
+# command's peak RSS by about 0.1 MB
+import hashlib  # noqa: E402
 
 MODE_CHOICES = ("mle", "map-mv", "map-emp", "map-rand", "map-user")
 

@@ -21,9 +21,9 @@ from itertools import product
 import numpy as np
 
 from .errors import DataError, LabelForgeError
-from .infer import predict
+from .infer import predict, predict_grouped
 from .metrics import MetricsReport, l2_distance, score
-from .model import Dataset, LabelPrior
+from .model import Dataset, LabelPrior, VoteRows
 from .priors import (
     PriorSpec,
     build_empirical_priors,
@@ -84,12 +84,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        acc = np.broadcast_to(np.asarray(self.accuracy, dtype=np.float64), (self.m,)).copy()
-        cov = np.broadcast_to(np.asarray(self.coverage, dtype=np.float64), (self.m,)).copy()
-        for name, vec in (("accuracy", acc), ("coverage", cov)):
+        vectors = []
+        for name in ("accuracy", "coverage"):
+            vec = np.asarray(getattr(self, name), dtype=np.float64)
+            if vec.ndim > 1 or vec.size not in (1, self.m):
+                raise DataError(
+                    f"synthetic {name} has {vec.size} entries, expected 1 or m={self.m}"
+                )
+            vec = np.broadcast_to(vec, (self.m,)).copy()
             if (vec < 0).any() or (vec > 1).any():
                 raise DataError(f"synthetic {name} entries must lie in [0, 1]")
-        return acc, cov
+            vectors.append(vec)
+        return vectors[0], vectors[1]
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -244,7 +250,9 @@ def grid_search(
 
     The priors are built once per strength, and every cell is fitted in one
     stacked :func:`~labelforge.train.fit_cells` pass; each cell equals a
-    stand-alone :func:`~labelforge.train.fit` up to rounding. A cell whose
+    stand-alone :func:`~labelforge.train.fit` up to rounding. The validation
+    split is grouped into vote patterns once, and each cell labels the
+    patterns (:func:`~labelforge.infer.predict_grouped`). A cell whose
     priors, config or fit fail is recorded with its error, scores zero wins
     and ranks after every cell that succeeded.
     """
@@ -291,12 +299,14 @@ def grid_search(
             results = fit_cells(train.votes, val.votes, priors, configs)
         except LabelForgeError as exc:
             results = [exc] * len(stacked)
+        val_grouped = VoteRows.grouped(val.votes, 0.5)
         for cell, prior, result in zip(fitted, priors, results):
             try:
                 if isinstance(result, LabelForgeError):
                     raise result
                 label_prior = prior.label_prior if prior is not None else LabelPrior()
-                cell.report = score(predict(val.votes, result.params, label_prior), val.truth)
+                preds = predict_grouped(val_grouped, result.params, label_prior)
+                cell.report = score(preds, val.truth)
                 cell.best_epoch = result.best_epoch
             except LabelForgeError as exc:
                 cell.error = str(exc)

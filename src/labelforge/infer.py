@@ -26,6 +26,7 @@ from .model import (
     ModelParams,
     VoteRows,
     as_lf_matrix,
+    label_prior_pairs,
     posterior_log_odds,
 )
 from .priors import majority_vote, vote_fraction
@@ -70,13 +71,25 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
     Majority-vote anchors for the prior pairs (and for forced abstention)
     are always recomputed from the matrix being predicted.
     """
-    votes = as_lf_matrix(votes)
-    if votes.shape[1] != params.m:
-        raise DataError(f"matrix has {votes.shape[1]} columns but params have {params.m}")
     label_prior = label_prior or LabelPrior()
+    return predict_grouped(VoteRows.grouped(votes, label_prior.p), params, label_prior)
+
+
+def predict_grouped(
+    grouped: tuple[VoteRows, np.ndarray, np.ndarray | None],
+    params: ModelParams,
+    label_prior: LabelPrior,
+) -> Predictions:
+    """:func:`predict` over a matrix already grouped by
+    :meth:`VoteRows.grouped`, with its own anchors and any ``p``: the class
+    priors are rebuilt from ``label_prior.p``, so one grouping serves every
+    model that labels the same matrix."""
+    patterns, mv, inverse = grouped
+    if patterns.d.shape[1] != params.m:
+        raise DataError(f"matrix has {patterns.d.shape[1]} columns but params have {params.m}")
     # Rows with the same votes get the same prediction: label each distinct
     # pattern once, then copy its prediction to its rows.
-    rows, mv, inverse = VoteRows.grouped(votes, label_prior.p)
+    rows = patterns.with_class_priors(label_prior_pairs(mv, label_prior.p))
 
     odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
     score_pos = np.exp(-np.logaddexp(0.0, -odds))

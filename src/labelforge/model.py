@@ -147,7 +147,17 @@ class BetaPrior:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
-        object.__setattr__(self, "log_norm", lgamma(u) + lgamma(v) - lgamma(u + v))
+        log_gamma = []
+        for name, x in (("u", u), ("v", v), ("u + v", u + v)):
+            try:
+                log_gamma.append(lgamma(x))
+            except OverflowError:  # log Gamma(x) passes the float range near 2.5e305
+                raise DataError(
+                    f"beta prior {name} is too large for its log beta function: "
+                    f"got {x.max():g}, the limit is about 2.5e305"
+                ) from None
+        lgamma_u, lgamma_v, lgamma_uv = log_gamma
+        object.__setattr__(self, "log_norm", lgamma_u + lgamma_v - lgamma_uv)
 
     @property
     def m(self) -> int:
@@ -253,6 +263,11 @@ def row_majority(votes: np.ndarray) -> np.ndarray:
     return np.sign(votes.sum(axis=1)).astype(np.int8)
 
 
+def _log_class_priors(class_priors: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # a prior of 0 gives -inf
+        return np.log(class_priors)
+
+
 @dataclass(frozen=True, eq=False)
 class VoteRows:
     """Rows of a vote matrix converted once for the log-joint kernel.
@@ -324,9 +339,11 @@ class VoteRows:
 
     @classmethod
     def _converted(cls, votes: np.ndarray, class_priors: np.ndarray, w: np.ndarray) -> "VoteRows":
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(class_priors)
-        return cls(votes.astype(np.float64), w, log_prior)
+        return cls(votes.astype(np.float64), w, _log_class_priors(class_priors))
+
+    def with_class_priors(self, class_priors: np.ndarray) -> "VoteRows":
+        """The same rows and weights under other (n, 2) class prior pairs."""
+        return VoteRows(self.d, self.w, _log_class_priors(class_priors))
 
     @property
     def n(self) -> int:

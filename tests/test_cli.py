@@ -164,6 +164,25 @@ class TestExitCodes:
         assert run("evaluate", "--pred", preds, "--truth", data) == 2
         assert "row 0, column 'score_pos'" in capsys.readouterr().err
 
+    def test_synth_list_length_mismatch_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        for alpha, beta, named in (("0.7,0.8", "0.5", "accuracy has 2 entries"),
+                                   ("0.7", "0.5,0.5,0.5,0.5", "coverage has 4 entries")):
+            assert run("synth", "--m", "3", "--n", "10", "--alpha", alpha, "--beta", beta,
+                       "--out", out) == 2
+            err = capsys.readouterr().err
+            assert named in err and "m=3" in err
+        assert not out.exists()
+
+    def test_huge_beta_pseudo_count_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=120)
+        ones = ",".join(["1"] * 4)
+        for prior_u, prior_v, named in (("1e308,1,1,1", ones, "beta prior u "),
+                                        ("2e305,1,1,1", "2e305,1,1,1", "beta prior u + v ")):
+            assert run("train", "--data", data, "--mode", "map-user", "--prior-u", prior_u,
+                       "--prior-v", prior_v, "--out", tmp_path / "m.txt") == 2
+            assert named in capsys.readouterr().err
+
     def test_evaluate_source_conflict_is_usage_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         assert run("evaluate", "--data", data) == 1

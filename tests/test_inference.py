@@ -12,8 +12,14 @@ from labelforge import (
     majority_vote_predictions,
     predict,
 )
-from labelforge.infer import REASON_DEGENERATE, REASON_FORCED, REASON_NONE, REASON_TIE
-from labelforge.model import label_prior_pairs
+from labelforge.infer import (
+    REASON_DEGENERATE,
+    REASON_FORCED,
+    REASON_NONE,
+    REASON_TIE,
+    predict_grouped,
+)
+from labelforge.model import MAX_PATTERN_LFS, VoteRows, label_prior_pairs
 
 
 class TestPredict:
@@ -88,6 +94,21 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             predict([[1, 0]], ModelParams([0.7], [0.5]), None)
+
+    @pytest.mark.parametrize("m", [6, MAX_PATTERN_LFS + 2])
+    def test_one_grouping_serves_every_label_prior(self, m):
+        # grid search groups its validation matrix once and labels it per cell
+        rng = np.random.default_rng(m)
+        votes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(300, m))
+        params = ModelParams(rng.uniform(0.55, 0.95, m), rng.uniform(0.2, 0.9, m))
+        grouped = VoteRows.grouped(votes, 0.5)
+        for p in (0.5, 0.8, 1.0):
+            for force in (False, True):
+                prior = LabelPrior(p=p, force_abstain=force)
+                want, got = predict(votes, params, prior), predict_grouped(grouped, params, prior)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                np.testing.assert_array_equal(got.score_pos, want.score_pos)
+                np.testing.assert_array_equal(got.abstain_reason, want.abstain_reason)
 
 
 class TestWideAndBoundary:
