@@ -4,10 +4,17 @@ grid-search JSON files and the versioned plain-text model file.
 The dataset format is a comma-separated header naming the LF columns plus
 an optional ground-truth column (named "y" unless overridden), with every
 body cell one of -1, 0, 1 (truth restricted to -1/1). Votes are read into
-int8 arrays. The CSV readers split a file with whole-array numpy operations
-and never make a Python object per cell; a malformed file raises DataError
-naming the first bad row (and column). The model file is a human-diffable
-key-value record whose floats are written with repr, so a
+int8 arrays. The CSV readers work on the file's bytes with whole-array
+numpy operations and never make a Python object per cell. One pass over
+the bytes, a chunk at a time, locates every cell's closing separator and
+reads each cell as a vote from the three bytes before it, so the working
+memory is a few times the file's size and holds no per-byte offsets or
+full-grid temporaries. Text cells are read as fixed-width words and
+grouped by their bytes: each distinct score text is cast to float once,
+and the predictions writer formats each distinct (label, score, reason)
+tail once, to which each row adds only its index. A malformed file raises
+DataError naming the first bad row (and column). The model file is a
+human-diffable key-value record whose floats are written with repr, so a
 write -> read -> write round trip is byte-identical.
 """
 
@@ -52,34 +59,135 @@ PREDICTIONS_HEADER = "index,label,score_pos,abstain_reason"
 _NL, _COMMA, _SPACE, _TAB, _PLUS, _MINUS, _ZERO, _ONE = b"\n, \t+-01"
 _LEADING_BLANK_LINES = re.compile(rb"(?:[ \t]*\n)*")
 
-# Text of the votes -1, 0, 1 (row v + 1); a 0 byte is padding, dropped on write.
-_VOTE_BYTES = np.array([[_MINUS, _ONE], [0, _ZERO], [0, _ONE]], dtype=np.uint8)
-_LABEL_TEXT = np.array(["-1", "0", "1"])
+_LABEL_TEXT = ("-1", "0", "1")
 
-_REASON_WIDTH = 10  # Predictions.abstain_reason has dtype <U10
-_REASONS = np.array(
-    [REASON_NONE, REASON_TIE, REASON_FORCED, REASON_DEGENERATE], dtype=f"<U{_REASON_WIDTH}"
+_REASONS = np.array(  # dtype of Predictions.abstain_reason
+    [REASON_NONE, REASON_TIE, REASON_FORCED, REASON_DEGENERATE], dtype="<U10"
 )
-# Longest score cell read; repr of a float64 is at most 24 characters.
-_SCORE_WIDTH = 32
+# Longest score and reason cells read, in bytes (multiples of 8); repr of a
+# float64 is at most 24 characters, the longest reason 10.
+_SCORE_WIDTH, _REASON_WIDTH = 32, 16
+
+_TAIL = _SCORE_WIDTH  # zero bytes after the body, so a window of that width from any cell fits
+_CHUNK = 1 << 16  # bytes of text searched at a time for cell offsets
+# _WORD_MASKS[k] keeps the first k bytes of a uint64 word and zeroes the rest.
+_WORD_MASKS = np.frombuffer(
+    b"".join(b"\xff" * k + b"\0" * (8 - k) for k in range(9)), dtype=np.uint64
+)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _separator(byte: np.ndarray) -> np.ndarray:
-    return (byte == _COMMA) | (byte == _NL)
+    sep = byte == _COMMA
+    sep |= byte == _NL
+    return sep
+
+
+def _kept(raw: np.ndarray) -> np.ndarray:
+    """Mask of the bytes of ``raw`` that are not spaces or tabs; one right
+    after a sign is kept, so "- 1" stays a bad cell."""
+    kept = raw != _SPACE
+    kept &= raw != _TAB
+    kept[1:] |= raw[:-1] == _PLUS
+    kept[1:] |= raw[:-1] == _MINUS
+    return kept
+
+
+def _live(body: np.ndarray) -> np.ndarray:
+    """Mask of the bytes of ``body`` that are not the line end of a blank line."""
+    newline = body == _NL
+    live = np.empty(body.size, dtype=bool)
+    live[:1] = True
+    np.logical_and(newline[1:], newline[:-1], out=live[1:])
+    np.logical_not(live[1:], out=live[1:])
+    return live
+
+
+def _body(data: bytes, end: int) -> np.ndarray:
+    """The bytes of ``data`` from the header's line end at ``end`` on, without
+    the spaces and tabs around cells and without blank lines. ``data`` ends
+    in ``_TAIL`` zero bytes, and so does the result; when nothing is dropped
+    it is a view of ``data``, not a copy. The space and tab mask is built
+    only when the body holds one."""
+    raw = np.frombuffer(data, dtype=np.uint8)[end:]
+    body = raw[: raw.size - _TAIL]
+    spaced = data.find(b" ", end) >= 0 or data.find(b"\t", end) >= 0
+    if spaced:
+        body = body[_kept(body)]
+    live = _live(body)
+    if not spaced and live.all():
+        return raw
+    body = body[live]
+    text = np.zeros(body.size + _TAIL, dtype=np.uint8)
+    text[: body.size] = body
+    return text
+
+
+def _read_votes(last, before, first, value, bad) -> None:
+    """Read cells as votes from the three bytes before each one's closing
+    separator: ``bad`` marks the cells that are not an optional sign followed
+    by the digit 0 or 1, and ``value`` gets the vote of every other cell."""
+    digit = value.view(np.uint8)
+    np.subtract(last, _ZERO, out=digit)
+    np.greater(digit, 1, out=bad)
+    minus = before == _MINUS
+    value *= 1 - 2 * minus.view(np.int8)
+    opens = before == _PLUS
+    opens |= minus
+    opens &= _separator(first)  # a sign opens the cell
+    opens |= _separator(before)  # or the digit does
+    bad |= ~opens
+
+
+def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of equal integer columns: (first, inverse), where
+    ``first[g]`` is a row of group g and ``inverse[i]`` the group of row i.
+
+    Groups are found by sorting a 64-bit hash of each row's columns; rows
+    whose columns differ from their group's first row after all (a hash
+    collision) get a group each, so only equal rows ever share one.
+    """
+    key = np.zeros(columns[0].size, dtype=np.uint64)
+    for col in columns:
+        key ^= col.astype(np.uint64, copy=False)
+        key *= _MIX
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    del key
+    first = order[starts]
+    group = np.cumsum(starts)
+    group -= 1
+    del starts
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = group
+    del order, group
+    differs = np.zeros(inverse.size, dtype=bool)
+    for col in columns:
+        differs |= col[first][inverse] != col
+    odd = np.flatnonzero(differs)
+    inverse[odd] = first.size + np.arange(odd.size)
+    return np.concatenate([first, odd]), inverse
 
 
 class _Table:
     """A CSV file as a header plus a grid of body cells, split without making
-    a Python object per cell.
+    a Python object per cell or an offset per byte.
 
-    The body is one byte array, ``text``, with blank lines dropped and the
-    spaces and tabs around cells removed (one after a sign is kept, so "- 1"
-    stays a bad cell). Line ends may be LF, CRLF or CR. ``text`` starts with
-    three line ends: two added so that every cell can look three bytes back,
-    then the header's own. Each cell is closed by the comma or line end after
-    it. Rows count the non-blank lines after the header. The grid holds the
-    rows before the first one whose field count differs from the header's;
-    ``ragged_fields`` is that row's count (None if every row matches).
+    The body is one byte array, ``text``: the file's bytes from the header's
+    line end on, with blank lines dropped and the spaces and tabs around
+    cells removed (one after a sign is kept, so "- 1" stays a bad cell), then
+    ``_TAIL`` zero bytes. Line ends may be LF, CRLF or CR. Each cell is
+    closed by the comma or line end after it. One pass over ``text``, a
+    chunk at a time, finds those separators and reads every cell as a vote
+    from the three bytes before its separator. The cell offsets that text
+    columns need are found again on first use and kept as int32 (int64 past
+    2 GiB). Rows count the non-blank lines after the header. The grid holds
+    the rows before the first one whose field count differs from the
+    header's; ``ragged_fields`` is that row's count (None if every row
+    matches).
     """
 
     def __init__(self, path):
@@ -98,73 +206,117 @@ class _Table:
         except UnicodeDecodeError:
             raise DataError(f"{path}: header is not UTF-8 text") from None
         self.header = [name.strip() for name in header.split(",")]
+        self._data, self._end = data + bytes(_TAIL), end
+        del data
+        self.text = _body(self._data, end)
 
-        self._data, self._end = data, end
-        raw = np.frombuffer(data, dtype=np.uint8)[end:]
-        self._kept = (raw != _SPACE) & (raw != _TAB)
-        self._kept[1:] |= (raw[:-1] == _PLUS) | (raw[:-1] == _MINUS)
-        text = raw[self._kept]
-        newline = text == _NL
-        self._live = np.ones(text.size, dtype=bool)
-        self._live[1:] = ~(newline[1:] & newline[:-1])
-        del newline
-        self.text = np.concatenate([np.full(2, _NL, dtype=np.uint8), text[self._live]])
-        del text
+        # text[0] is the header's line end, which closes no cell
+        self.cells = sum(int(np.count_nonzero(self.text == sep)) for sep in b",\n") - 1
+        self._value = np.empty(self.cells, dtype=np.int8)
+        self._bad = np.empty(self.cells, dtype=bool)
+        ends_line = np.empty(self.cells, dtype=bool)
+        for found, at in self._separators():
+            cut = slice(found, found + at.size)
+            ends_line[cut] = self.text[at] == _NL
+            # Only the first cell can look back past text[0], a line end. It
+            # then reads tail zeros (no sign, no separator), and its verdict
+            # already follows from text[0] and its own bytes.
+            _read_votes(*(self.text[at - k] for k in (1, 2, 3)), self._value[cut], self._bad[cut])
 
-        # offset in text[3:] of each cell's closing separator
-        self._closers = np.flatnonzero(_separator(self.text[3:]))
-        line_ends = np.flatnonzero(self.text[3:][self._closers] == _NL)
-        fields = np.diff(line_ends, prepend=-1)
-        self.lines = fields.size
-        ragged = np.flatnonzero(fields != len(self.header))
-        self.rows = int(ragged[0]) if ragged.size else self.lines
-        self.ragged_fields = int(fields[self.rows]) if ragged.size else None
+        self.lines = int(np.count_nonzero(ends_line))
+        width = len(self.header)
+        # A row is whole when its last cell, and only that one, ends a line;
+        # every row before the first that is not starts at a multiple of width.
+        whole = ends_line[: self.cells // width * width].reshape(-1, width)
+        broken = np.flatnonzero(~whole[:, -1] | whole[:, :-1].any(axis=1))
+        self.rows = int(broken[0]) if broken.size else whole.shape[0]
+        rest = ends_line[self.rows * width :]
+        self.ragged_fields = int(np.argmax(rest)) + 1 if rest.size else None
+
+    def _separators(self):
+        """Offsets into ``text`` of the cells' closing separators, one chunk
+        of text at a time, each with the number of cells before it."""
+        found = 0
+        for lo in range(1, self.text.size, _CHUNK):
+            at = np.flatnonzero(_separator(self.text[lo : lo + _CHUNK])) + lo
+            yield found, at
+            found += at.size
 
     def _grid(self, flat: np.ndarray) -> np.ndarray:
         """Per-cell values in file order, cut to the grid's rows."""
         width = len(self.header)
         return flat[: self.rows * width].reshape(self.rows, width)
 
-    def _back(self, k: int) -> np.ndarray:
-        """The byte ``k`` places before each cell's closing separator."""
-        return self._grid(self.text[3 - k :][self._closers])
-
-    @cached_property
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(start, stop) offsets of every cell into ``text``."""
-        stop = self._closers[: self.rows * len(self.header)] + 3
-        start = np.concatenate(([3], stop + 1))[:-1]
-        return self._grid(start), self._grid(stop)
-
     def votes(self, col=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """Cells of ``col`` as int8 votes, and the mask of cells that are not
         a vote: an optional sign followed by the digit 0 or 1."""
-        last, before, two_before = (self._back(k)[:, col] for k in (1, 2, 3))
-        signed = (before == _PLUS) | (before == _MINUS)
-        digit = (last == _ZERO) | (last == _ONE)
-        bad = ~(digit & (_separator(before) | (signed & _separator(two_before))))
-        values = (last == _ONE).view(np.int8)
-        return np.where(before == _MINUS, -values, values), bad
+        return self._grid(self._value)[:, col], self._grid(self._bad)[:, col]
 
-    def strings(self, col: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of column ``col`` as byte strings of dtype S<width>, and the
-        mask of cells those strings do not hold exactly (too long, or ending
-        in NUL bytes)."""
-        start, stop = (bound[:, col] for bound in self._bounds)
+    @cached_property
+    def _closers(self) -> np.ndarray:
+        """Offsets into ``text`` of the header's line end, then of each cell's
+        closing separator."""
+        small = self.text.size <= np.iinfo(np.int32).max
+        closers = np.empty(1 + self.cells, dtype=np.int32 if small else np.int64)
+        closers[0] = 0
+        for found, at in self._separators():
+            closers[1 + found : 1 + found + at.size] = at
+        return closers
+
+    def _bounds(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """(start, stop) offsets into ``text`` of the cells of column ``col``."""
+        width, closers = len(self.header), self._closers
+        end = self.rows * width
+        return closers[col : end : width] + 1, closers[col + 1 : end + 1 : width]
+
+    def row_numbers(self, col: int) -> np.ndarray:
+        """Mask of the rows whose cell in ``col`` is not the row's own number
+        in decimal digits without leading zeros. Rows below 10, 100, ... are
+        checked a digit position at a time against the digits of the row
+        number."""
+        start, stop = self._bounds(col)
+        bad = np.empty(self.rows, dtype=bool)
+        lo, digits = 0, 1
+        while lo < self.rows:
+            hi = min(10**digits, self.rows)
+            bad[lo:hi] = stop[lo:hi] - start[lo:hi] != digits
+            number = np.arange(lo, hi)
+            for place in range(digits - 1, -1, -1):
+                number, digit = np.divmod(number, 10)
+                bad[lo:hi] |= self.text[start[lo:hi] + place] != digit + _ZERO
+            lo, digits = hi, digits + 1
+        return bad
+
+    def _words(self, col: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cells of column ``col`` as rows of ``width // 8`` uint64 words that
+        hold each cell's first ``width`` bytes, zero after its end, and the
+        cells' lengths in bytes."""
+        start, stop = self._bounds(col)
         length = stop - start
-        windows = sliding_window_view(np.append(self.text, np.zeros(width, np.uint8)), width)
-        chars = windows[start]
-        chars[np.arange(width) >= length[:, None]] = 0
-        strings = chars.view(f"S{width}").reshape(-1)
-        return strings, np.char.str_len(strings) != length
+        words = sliding_window_view(self.text, width)[start].view(np.uint64)
+        for k in range(words.shape[1]):
+            words[:, k] &= _WORD_MASKS[np.clip(length - 8 * k, 0, 8)]
+        return words, length
+
+    def texts(self, col: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells of column ``col`` grouped by their bytes: (texts, inverse,
+        bad). ``texts`` holds each distinct cell as a byte string of dtype
+        S<width> (width a multiple of 8), ``texts[inverse]`` gives every row's
+        cell, and ``bad`` marks the rows whose cell that string does not hold
+        exactly (longer than width, or ending in NUL bytes)."""
+        words, length = self._words(col, width)
+        first, inverse = _group(*words.T, length)
+        texts = words[first].view(f"S{width}").reshape(-1)
+        bad = np.char.str_len(texts) != length[first]
+        return texts, inverse, bad[inverse]
 
     def check(self, bad: np.ndarray, columns: list[int], expected: list[str]) -> None:
         """Raise DataError for the first bad cell in row order, or else for the
-        first ragged row. ``bad`` has one column per entry of ``columns``, in
-        the order the cells of a row are checked; ``expected`` says what each
-        should hold."""
+        first ragged row. ``bad`` has one column per column of the grid; within
+        a row the cells are checked in the order of ``columns``, and
+        ``expected`` says what each should hold."""
         if bad.any():
-            row, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            row, j = divmod(int(np.argmax(bad[:, columns])), len(columns))
             col = columns[j]
             raise DataError(
                 f"{self.path}: row {row}, column {self.header[col]!r}: "
@@ -177,31 +329,28 @@ class _Table:
             )
 
     def _cell_text(self, row: int, col: int) -> str:
-        start, stop = (int(bound[row, col]) for bound in self._bounds)
+        start, stop = (int(bound[row]) for bound in self._bounds(col))
         if start == stop:
             return ""
-        # file offset of each byte of text after the two added line ends
-        offset = np.flatnonzero(self._kept)[np.flatnonzero(self._live)] + self._end
-        return self._data[offset[start - 2] : offset[stop - 3] + 1].decode("utf-8", "replace")
+        # offset into the file's bytes of each byte of text
+        raw = np.frombuffer(self._data, dtype=np.uint8)[self._end : len(self._data) - _TAIL]
+        kept = np.flatnonzero(_kept(raw))
+        offset = kept[np.flatnonzero(_live(raw[kept]))] + self._end
+        return self._data[offset[start] : offset[stop - 1] + 1].decode("utf-8", "replace")
 
 
 def _parse_floats(strings: np.ndarray) -> np.ndarray:
-    """float64 of each byte string; NaN from the first one that does not
-    parse onwards (found by bisection, so each probe is one array cast)."""
-    try:
-        return strings.astype(np.float64)
-    except ValueError:
-        pass
-    good, bad = 0, strings.size  # strings[:good] parse; the first failure is in [good, bad)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            strings[good:mid].astype(np.float64)
-            good = mid
-        except ValueError:
-            bad = mid
+    """float64 of each byte string, NaN for those that do not parse (found
+    by bisection, so each probe is one array cast)."""
     out = np.full(strings.size, np.nan)
-    out[:good] = strings[:good].astype(np.float64)
+    spans = [(0, strings.size)]
+    while spans:
+        lo, hi = spans.pop()
+        try:
+            out[lo:hi] = strings[lo:hi].astype(np.float64)
+        except ValueError:
+            if hi - lo > 1:
+                spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
     return out
 
 
@@ -217,15 +366,13 @@ def read_dataset(path, truth_col: str = "y") -> Dataset:
     if table.lines == 0:
         raise DataError(f"{path}: no data rows")
     values, bad = table.votes()
-    order = lf_idx
     expected = ["one of -1, 0, 1"] * len(lf_idx)
-    if truth_idx is not None:
-        bad[:, truth_idx] |= values[:, truth_idx] == 0
-        order = lf_idx + [truth_idx]
-        expected.append("-1 or 1")
-    table.check(bad[:, order], order, expected)
-    truth = None if truth_idx is None else values[:, truth_idx]
-    return Dataset(values[:, lf_idx], truth)
+    if truth_idx is None:
+        table.check(bad, lf_idx, expected)
+        return Dataset(values)
+    bad[:, truth_idx] |= values[:, truth_idx] == 0
+    table.check(bad, lf_idx + [truth_idx], expected + ["-1 or 1"])
+    return Dataset(values[:, lf_idx], values[:, truth_idx].copy())
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -235,55 +382,85 @@ def write_dataset(path, dataset: Dataset) -> None:
     if dataset.truth is not None:
         header.append("y")
         table = np.column_stack([table, dataset.truth])
+    # Each vote as its sign, digit and separator; the 0 byte of an absent
+    # sign is dropped.
     cells = np.empty(table.shape + (3,), dtype=np.uint8)
-    cells[:, :, :2] = _VOTE_BYTES[table + 1]
+    cells[:, :, 0] = table < 0
+    cells[:, :, 0] *= _MINUS
+    cells[:, :, 1] = table != 0
+    cells[:, :, 1] += _ZERO
     cells[:, :, 2] = _COMMA
     cells[:, -1, 2] = _NL
-    body = cells.reshape(-1)
-    Path(path).write_bytes(",".join(header).encode() + b"\n" + body[body != 0].tobytes())
+    with open(path, "wb") as out:
+        out.write(",".join(header).encode() + b"\n")
+        out.write(cells.tobytes().translate(None, b"\0"))
 
 
 def write_predictions(path, predictions: Predictions) -> None:
-    # Scores repeat wherever vote patterns do, so each distinct value is
-    # formatted with repr once; values are told apart by their bits, which
-    # keeps -0.0 and 0.0 apart.
+    """Write one ``index,label,score_pos,abstain_reason`` line per row, the
+    score as the repr of its float. Rows repeat whatever their vote patterns
+    do, so each distinct (label, score, reason) tail is formatted once,
+    scores told apart by their bits (which keeps -0.0 and 0.0 apart), and
+    each row adds only its index."""
+    n = len(predictions)
     scores = np.asarray(predictions.score_pos, dtype=np.float64)
-    bits, where = np.unique(scores.view(np.int64), return_inverse=True)
-    score_text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    rows = zip(
-        map(str, range(len(predictions))),
-        _LABEL_TEXT[predictions.labels + 1].tolist(),
-        score_text[where].tolist(),
-        predictions.abstain_reason.tolist(),
-    )
-    Path(path).write_text("\n".join([PREDICTIONS_HEADER, *map(",".join, rows)]) + "\n")
+    labels = np.asarray(predictions.labels)
+    reasons = np.asarray(predictions.abstain_reason, dtype=np.str_)
+    chars = reasons.dtype.itemsize // 4 + 1 & ~1  # an even count fills whole uint64 words
+    reasons = np.ascontiguousarray(reasons, dtype=f"<U{chars}")
+    reason_words = reasons.view(np.uint64).reshape(n, chars // 2)
+    first, inverse = _group(scores.view(np.uint64), labels, *reason_words.T)
+    tails = [
+        f",{_LABEL_TEXT[label + 1]},{score!r},{reason}\n".encode()
+        for label, score, reason in zip(
+            labels[first].tolist(), scores[first].tolist(), reasons[first].tolist()
+        )
+    ]
+    # One row per line: its index right-aligned in the first digits bytes,
+    # then its tail; the 0 bytes that pad both are dropped.
+    digits = len(str(max(n - 1, 0)))
+    tail_width = max(map(len, tails), default=0)
+    lines = np.zeros((n, digits + tail_width), dtype=np.uint8)
+    number = np.arange(n)
+    for power in range(digits):  # the 10**power column, units first
+        number, digit = np.divmod(number, 10)
+        column = lines[:, digits - 1 - power]
+        column[:] = digit + _ZERO
+        if power:
+            column[: 10**power] = 0  # rows below 10**power have no such digit
+    table = b"".join(tail.ljust(tail_width, b"\0") for tail in tails)
+    lines[:, digits:] = np.frombuffer(table, dtype=np.uint8).reshape(len(tails), tail_width)[inverse]
+    with open(path, "wb") as out:
+        out.write(PREDICTIONS_HEADER.encode() + b"\n")
+        out.write(lines.tobytes().translate(None, b"\0"))
 
 
 def read_predictions(path) -> Predictions:
     """Parse a predictions file. Each row must carry its own row number as
     index, a label in {-1, 0, 1}, a score in [0, 1] and a known abstain
-    reason."""
+    reason. Each distinct score text is cast to float once."""
     table = _Table(path)
     if ",".join(table.header) != PREDICTIONS_HEADER:
         raise DataError(f"{path}: unexpected predictions header {','.join(table.header)!r}")
-    index, index_bad = table.strings(0, len(str(max(table.rows - 1, 0))))
-    index_bad |= index != np.arange(table.rows).astype(index.dtype)
+    index_bad = table.row_numbers(0)
     labels, label_bad = table.votes(1)
-    score_text, score_bad = table.strings(2, _SCORE_WIDTH)
-    scores = _parse_floats(score_text)
+    score_text, score_of_row, score_bad = table.texts(2, _SCORE_WIDTH)
+    scores = _parse_floats(score_text)[score_of_row]
+    del score_of_row
     score_bad |= ~((scores >= 0.0) & (scores <= 1.0))
-    reason_text, reason_bad = table.strings(3, _REASON_WIDTH)
+    reason_text, reason_of_row, reason_bad = table.texts(3, _REASON_WIDTH)
     matches = reason_text[:, None] == _REASONS.astype(reason_text.dtype)
-    reason_bad |= ~matches.any(axis=1)
+    reason_bad |= ~matches.any(axis=1)[reason_of_row]
     table.check(
         np.column_stack([index_bad, label_bad, score_bad, reason_bad]),
         [0, 1, 2, 3],
         ["the row number", "one of -1, 0, 1", "a number in [0, 1]",
          f"one of {', '.join(_REASONS)}"],
     )
-    return Predictions(
-        labels=labels, score_pos=scores, abstain_reason=_REASONS[matches.argmax(axis=1)]
-    )
+    labels = labels.copy()
+    del table, label_bad  # the file's bytes, before the reasons' wide strings
+    reasons = _REASONS[matches.argmax(axis=1)][reason_of_row]
+    return Predictions(labels=labels, score_pos=scores, abstain_reason=reasons)
 
 
 def write_results_table(path, rows: list[dict]) -> None:

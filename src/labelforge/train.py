@@ -17,10 +17,13 @@ row per cell and one column of the kernel's m x K mat-mats, so each
 minibatch is gathered once for all cells; columns never mix, so each cell
 equals its own fit up to rounding. Each cell stops early on its own, and a
 cell whose gradient or objective turns non-finite fails alone. A cell's
-label prior enters only through its rows' class priors, gathered per batch
-and per epoch from a table indexed by anchor, so no rows x cells array
-outlives an epoch. Grids too large for MAX_STACKED_ENTRIES run as several
-such loops. :func:`fit` is the one-cell call.
+label prior enters only through its rows' class priors, gathered from a
+table indexed by anchor: once per fit for a full batch, per minibatch
+otherwise, and per epoch for the train and validation objectives, whose
+(patterns, 2, K) arrays would otherwise stay alive through the whole loop
+and raise a stacked grid's peak memory. Grids too large for
+MAX_STACKED_ENTRIES run as several such loops. :func:`fit` is the one-cell
+call.
 
 The train and validation matrices are checked and converted to
 :class:`~labelforge.model.VoteRows` once. Sums over rows are weighted, and
@@ -247,7 +250,6 @@ def fit_cells(
     # cells' class priors come from the table, so the rows' own are left
     # symmetric.
     patterns, pattern_anchors, _ = VoteRows.grouped(votes, 0.5, anchors)
-    pattern_idx = table_rows(pattern_anchors)
     scored = [(patterns, prior_rows(pattern_anchors))]
     if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
         val = as_lf_matrix(val_votes)
@@ -256,7 +258,9 @@ def fit_cells(
         val_rows, val_anchors, _ = VoteRows.grouped(val, 0.5)
         scored.append((val_rows, prior_rows(val_anchors)))
     full_batch = config.batch_size is None or config.batch_size >= n
-    if not full_batch:
+    if full_batch:
+        full_odds = np.take(half_odds, table_rows(pattern_anchors), axis=0)
+    else:
         unit_rows, unit_idx = VoteRows.of(votes), table_rows(anchors)
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
@@ -294,7 +298,7 @@ def fit_cells(
         if not running.any():
             break
         if full_batch:
-            batches = ((patterns, np.take(half_odds, pattern_idx, axis=0)),)
+            batches = ((patterns, full_odds),)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
             order = rng.permutation(n)

@@ -1,6 +1,7 @@
 """File round trips and parse diagnostics."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,12 +150,37 @@ class TestPredictionsIO:
             ("1,0,abc,tie", "score_pos"),
             ("1,0,0.5,maybe", "abstain_reason"),
             ("1,0,0.5,", "abstain_reason"),
+            ("1,0,0.5\x00,tie", "score_pos"),
+            ("1,0,0.75\x00,tie", "score_pos"),
+            ("1,0,0.5,tie\x00", "abstain_reason"),
+            ("1,0,0.5,nonenone", "abstain_reason"),
         ],
     )
     def test_rejects_bad_row(self, tmp_path, row, column):
         path = tmp_path / "bad_preds.csv"
         path.write_text(self.HEADER + "0,1,0.75,none\n" + row + "\n2,1,0.5,none\n")
         with pytest.raises(DataError, match=rf"row 1, column '{column}'"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("cell, row", [("0100", 100), ("1O0", 100), ("99", 100),
+                                           ("1000", 100), ("10O", 100), ("1010", 101)])
+    def test_rejects_multi_digit_index(self, tmp_path, cell, row):
+        lines = [f"{i},1,0.5,none" for i in range(102)]
+        lines[row] = f"{cell},1,0.5,none"
+        path = tmp_path / "long_preds.csv"
+        path.write_text(self.HEADER + "\n".join(lines) + "\n")
+        with pytest.raises(
+            DataError, match=re.escape(f"row {row}, column 'index': cell {cell!r} is not the row")
+        ):
+            read_predictions(path)
+
+    def test_score_cell_width(self, tmp_path):
+        path = tmp_path / "wide_score.csv"
+        score = "0." + "5" * 30  # 32 characters, the widest score cell read
+        path.write_text(self.HEADER + f"0,1,{score},none\n")
+        assert read_predictions(path).score_pos.tolist() == [float(score)]
+        path.write_text(self.HEADER + f"0,1,{score}5,none\n")
+        with pytest.raises(DataError, match=re.escape(f"row 0, column 'score_pos': cell '{score}5'")):
             read_predictions(path)
 
     def test_ragged_row(self, tmp_path):
@@ -193,6 +219,40 @@ class TestPredictionsIO:
         write_predictions(path, empty)
         assert path.read_text() == "index,label,score_pos,abstain_reason\n"
         assert len(read_predictions(path)) == 0
+
+
+class TestReaderMemory:
+    """The readers' peak traced memory, as a multiple of the file's size, on
+    a 100k x 10 dataset and its predictions. The readers that split a file
+    into per-cell int64 offsets and full-grid gathers peaked at 12.2x
+    (read_dataset) and 10.6x (read_predictions) on these files; the bounds
+    are half of that."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("memory")
+        ds = generate_synthetic(SyntheticSpec(m=10, n=100_000, accuracy=0.7, coverage=0.3, seed=1))
+        data, preds = root / "data.csv", root / "preds.csv"
+        write_dataset(data, ds)
+        params = ModelParams(np.linspace(0.55, 0.9, 10), np.full(10, 0.3))
+        write_predictions(preds, predict(ds.votes, params, LabelPrior(p=0.7)))
+        return data, preds
+
+    @staticmethod
+    def peak_ratio(reader, path):
+        tracemalloc.start()
+        try:
+            reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / path.stat().st_size
+
+    def test_read_dataset(self, files):
+        assert self.peak_ratio(read_dataset, files[0]) <= 12.2 / 2
+
+    def test_read_predictions(self, files):
+        assert self.peak_ratio(read_predictions, files[1]) <= 10.6 / 2
 
 
 class TestModelFile:

@@ -9,6 +9,7 @@ or raise DataError, and the CLI must then exit 2.
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from labelforge import (
     write_dataset,
     write_predictions,
 )
+from labelforge import dataio
 from labelforge.cli import cli_main
 from labelforge.dataio import model_file_from_fit, read_grid
 from labelforge.infer import Predictions
@@ -155,12 +157,16 @@ def spelled_datasets(draw):
 
 
 @st.composite
-def predictions(draw, max_rows=8):
-    n = draw(st.integers(0, max_rows))
+def predictions(draw):
+    # row counts on both sides of the steps in the index's digit count
+    n = draw(st.integers(0, 8) | st.integers(9, 11) | st.integers(99, 101))
     labels = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
     # repeated values and -0.0 check that the writer's per-distinct-value
-    # formatting keeps every score's own repr
+    # formatting keeps every score's own repr; a small pool makes most rows
+    # share a score, as rows that share a vote pattern do
     score = st.floats(0.0, 1.0) | st.sampled_from([0.5, 0.0, -0.0])
+    if draw(st.booleans()):
+        score = st.sampled_from(draw(st.lists(score, min_size=1, max_size=3)))
     scores = draw(st.lists(score, min_size=n, max_size=n))
     reasons = draw(st.lists(st.sampled_from(REASONS), min_size=n, max_size=n))
     return Predictions(
@@ -245,6 +251,43 @@ def test_read_predictions_matches_reference(scratch, preds, data):
     np.testing.assert_array_equal(back.labels, ref_labels)
     np.testing.assert_array_equal(back.score_pos, np.array(ref_scores, dtype=np.float64))
     assert back.abstain_reason.tolist() == ref_reasons
+
+
+# Spellings of one value each; every cell must read as its own float().
+SCORE_SPELLINGS = [
+    ["0.5", "0.50", "5e-1", "+.5", ".5", "5E-1", "500e-3", "0.5" + "0" * 29],
+    ["0", "0.0", "-0", "-0.0", "+0", "0e5", "1e-400"],
+    ["1", "1.0", "1e0", "+1.", "1."],
+    ["0.1", "0.10000000000000000555", "1e-1"],
+]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_read_predictions_reads_each_spelling_as_its_float(scratch, data):
+    n = data.draw(st.integers(1, 40))
+    cells = [data.draw(st.sampled_from(data.draw(st.sampled_from(SCORE_SPELLINGS))))
+             for _ in range(n)]
+    rows = [[str(i), "0", cell, "tie"] for i, cell in enumerate(cells)]
+    text = PREDICTIONS_HEADER + "\n" + data.draw(spelled_lines(rows))
+    back = read_predictions(_write(scratch / "spellings.csv", text))
+    expected = np.array([float(cell) for cell in cells])
+    np.testing.assert_array_equal(back.score_pos.view(np.int64), expected.view(np.int64))
+
+
+@PROPERTY
+@given(preds=predictions())
+def test_hash_collisions_never_merge_cells(scratch, preds):
+    """With every row hashed alike, grouping rests on the byte comparison
+    alone: reading and writing still treat each cell as its own."""
+    path = scratch / "collide.csv"
+    with mock.patch.object(dataio, "_MIX", np.uint64(0)):
+        write_predictions(path, preds)
+        assert path.read_bytes() == ref_write_predictions(preds)
+        back = read_predictions(path)
+    np.testing.assert_array_equal(back.score_pos.view(np.int64), preds.score_pos.view(np.int64))
+    np.testing.assert_array_equal(back.labels, preds.labels)
+    assert back.abstain_reason.tolist() == preds.abstain_reason.tolist()
 
 
 # --- writers: same bytes as the per-row writers, and write-read-write -----
