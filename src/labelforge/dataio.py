@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,6 +71,9 @@ _SCORE_WIDTH, _REASON_WIDTH = 32, 16
 
 _TAIL = _SCORE_WIDTH  # zero bytes after the body, so a window of that width from any cell fits
 _CHUNK = 1 << 16  # bytes of text searched at a time for cell offsets
+# Fewest LF columns for which read_dataset copies them out as a slice rather
+# than gathering them (about 0.3 against 0.4 ms per million cells at 20).
+_SLICE_COPY_LFS = 16
 # _WORD_MASKS[k] keeps the first k bytes of a uint64 word and zeroes the rest.
 _WORD_MASKS = np.frombuffer(
     b"".join(b"\xff" * k + b"\0" * (8 - k) for k in range(9)), dtype=np.uint64
@@ -103,7 +107,23 @@ def _live(body: np.ndarray) -> np.ndarray:
     return live
 
 
-def _body(data: bytes, end: int) -> np.ndarray:
+def _read_padded(path) -> bytearray:
+    """The file's bytes with LF line ends and a line end at the end, then
+    ``_TAIL`` zero bytes, read into one buffer sized for them, so the
+    padding copies nothing."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size + 1 + _TAIL)
+        del data[fh.readinto(data) :]
+        data += fh.read()  # whatever the file gained since its size was taken
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    data += bytes(_TAIL)
+    return data
+
+
+def _body(data: bytearray, end: int) -> np.ndarray:
     """The bytes of ``data`` from the header's line end at ``end`` on, without
     the spaces and tabs around cells and without blank lines. ``data`` ends
     in ``_TAIL`` zero bytes, and so does the result; when nothing is dropped
@@ -181,24 +201,21 @@ class _Table:
     cells removed (one after a sign is kept, so "- 1" stays a bad cell), then
     ``_TAIL`` zero bytes. Line ends may be LF, CRLF or CR. Each cell is
     closed by the comma or line end after it. One pass over ``text``, a
-    chunk at a time, finds those separators and reads every cell as a vote
-    from the three bytes before its separator. The cell offsets that text
-    columns need are found again on first use and kept as int32 (int64 past
-    2 GiB). Rows count the non-blank lines after the header. The grid holds
-    the rows before the first one whose field count differs from the
-    header's; ``ragged_fields`` is that row's count (None if every row
-    matches).
+    chunk at a time, finds those separators and reads the cells of
+    ``vote_col`` (every cell when None) as votes from the three bytes before
+    each one's separator. With ``offsets`` the same pass keeps every cell's
+    offset, which text columns need, as int32 (int64 past 2 GiB); otherwise
+    they are found again on first use. Rows count the non-blank lines after
+    the header. The grid holds the rows before the first one whose field
+    count differs from the header's; ``ragged_fields`` is that row's count
+    (None if every row matches).
     """
 
-    def __init__(self, path):
+    def __init__(self, path, vote_col: int | None = None, offsets: bool = False):
         self.path = path
-        data = Path(path).read_bytes()
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not data.endswith(b"\n"):
-            data += b"\n"
+        data = _read_padded(path)
         begin = _LEADING_BLANK_LINES.match(data).end()
-        if begin == len(data):
+        if begin == len(data) - _TAIL:
             raise DataError(f"{path}: empty file")
         end = data.index(b"\n", begin)
         try:
@@ -206,25 +223,37 @@ class _Table:
         except UnicodeDecodeError:
             raise DataError(f"{path}: header is not UTF-8 text") from None
         self.header = [name.strip() for name in header.split(",")]
-        self._data, self._end = data + bytes(_TAIL), end
+        width = len(self.header)
+        self._data, self._end = data, end
         del data
         self.text = _body(self._data, end)
 
         # text[0] is the header's line end, which closes no cell
         self.cells = sum(int(np.count_nonzero(self.text == sep)) for sep in b",\n") - 1
-        self._value = np.empty(self.cells, dtype=np.int8)
-        self._bad = np.empty(self.cells, dtype=bool)
+        # the cells read as votes: every step-th from the first
+        self._vote_col = vote_col
+        first, step = (0, 1) if vote_col is None else (vote_col, width)
+        voted = len(range(first, self.cells, step))
+        self._value = np.empty(voted, dtype=np.int8)
+        self._bad = np.empty(voted, dtype=bool)
         ends_line = np.empty(self.cells, dtype=bool)
+        if offsets:
+            self._closers = self._offset_array()
         for found, at in self._separators():
             cut = slice(found, found + at.size)
             ends_line[cut] = self.text[at] == _NL
+            if offsets:
+                self._closers[1 + found : 1 + found + at.size] = at
+            skip = first - found if found < first else (first - found) % step
+            at = at[skip::step]
+            lo = (found + skip - first) // step
+            into = slice(lo, lo + at.size)
             # Only the first cell can look back past text[0], a line end. It
             # then reads tail zeros (no sign, no separator), and its verdict
             # already follows from text[0] and its own bytes.
-            _read_votes(*(self.text[at - k] for k in (1, 2, 3)), self._value[cut], self._bad[cut])
+            _read_votes(*(self.text[at - k] for k in (1, 2, 3)), self._value[into], self._bad[into])
 
         self.lines = int(np.count_nonzero(ends_line))
-        width = len(self.header)
         # A row is whole when its last cell, and only that one, ends a line;
         # every row before the first that is not starts at a multiple of width.
         whole = ends_line[: self.cells // width * width].reshape(-1, width)
@@ -247,18 +276,26 @@ class _Table:
         width = len(self.header)
         return flat[: self.rows * width].reshape(self.rows, width)
 
-    def votes(self, col=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Cells of ``col`` as int8 votes, and the mask of cells that are not
-        a vote: an optional sign followed by the digit 0 or 1."""
-        return self._grid(self._value)[:, col], self._grid(self._bad)[:, col]
+    def votes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells read as votes, as int8, and the mask of those that are
+        not a vote (an optional sign followed by the digit 0 or 1): the grid,
+        or the rows' cells of the one column read."""
+        if self._vote_col is None:
+            return self._grid(self._value), self._grid(self._bad)
+        return self._value[: self.rows], self._bad[: self.rows]
+
+    def _offset_array(self) -> np.ndarray:
+        small = self.text.size <= np.iinfo(np.int32).max
+        closers = np.empty(1 + self.cells, dtype=np.int32 if small else np.int64)
+        closers[0] = 0
+        return closers
 
     @cached_property
     def _closers(self) -> np.ndarray:
         """Offsets into ``text`` of the header's line end, then of each cell's
-        closing separator."""
-        small = self.text.size <= np.iinfo(np.int32).max
-        closers = np.empty(1 + self.cells, dtype=np.int32 if small else np.int64)
-        closers[0] = 0
+        closing separator; set by the first pass when the table was read with
+        ``offsets``."""
+        closers = self._offset_array()
         for found, at in self._separators():
             closers[1 + found : 1 + found + at.size] = at
         return closers
@@ -372,7 +409,15 @@ def read_dataset(path, truth_col: str = "y") -> Dataset:
         return Dataset(values)
     bad[:, truth_idx] |= values[:, truth_idx] == 0
     table.check(bad, lf_idx + [truth_idx], expected + ["-1 or 1"])
-    return Dataset(values[:, lf_idx], values[:, truth_idx].copy())
+    # The votes must come out contiguous: a whole-array pass over a strided
+    # view loops once per row. With the truth column at either end they are
+    # a slice, whose copy goes a row at a time; a column gather (which comes
+    # out Fortran-ordered) goes a cell at a time, faster for narrow rows only.
+    if truth_idx in (0, len(header) - 1) and len(lf_idx) >= _SLICE_COPY_LFS:
+        votes = (values[:, 1:] if truth_idx == 0 else values[:, :-1]).copy()
+    else:
+        votes = values[:, lf_idx]
+    return Dataset(votes, values[:, truth_idx].copy())
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -438,12 +483,13 @@ def write_predictions(path, predictions: Predictions) -> None:
 def read_predictions(path) -> Predictions:
     """Parse a predictions file. Each row must carry its own row number as
     index, a label in {-1, 0, 1}, a score in [0, 1] and a known abstain
-    reason. Each distinct score text is cast to float once."""
-    table = _Table(path)
+    reason. Each distinct score text is cast to float once. One pass over
+    the text reads the labels and the offsets of the other cells."""
+    table = _Table(path, vote_col=1, offsets=True)
     if ",".join(table.header) != PREDICTIONS_HEADER:
         raise DataError(f"{path}: unexpected predictions header {','.join(table.header)!r}")
     index_bad = table.row_numbers(0)
-    labels, label_bad = table.votes(1)
+    labels, label_bad = table.votes()
     score_text, score_of_row, score_bad = table.texts(2, _SCORE_WIDTH)
     scores = _parse_floats(score_text)[score_of_row]
     del score_of_row

@@ -9,18 +9,23 @@ joints over both labels. Beta priors over per-LF accuracies (and
 optionally coverages) turn the log objective from plain likelihood into
 a regularized one.
 
-Every probability is computed in the log domain by one kernel. The
-model factorises per LF, so a row's two class log-likelihoods are linear
-in its votes: with d the votes as float64 and s = |d|, they are
-``c + s @ g +- d @ h`` for per-LF vectors h, g and a constant c built from
-the parameters (:func:`log_likelihoods`). The posterior log-odds are then
-``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`), so the
-objective, its gradient and prediction are each one or two mat-vecs over
-votes converted once per matrix. Stacked (K, m) parameters, one row per
-cell of a grid, turn the mat-vecs into mat-mats with one column per cell
-(:func:`log_objectives`). :meth:`VoteRows.of` is the one place a
-vote matrix and its class priors are checked; every kernel function takes
-the converted rows and plain per-LF vectors.
+Every probability is computed in the log domain. The model factorises
+per LF, so a row's two class log-likelihoods are linear in its votes: with
+d the votes as float64 and s = |d|, they are ``c + s @ g +- d @ h`` for
+per-LF vectors h, g and a constant c built from the parameters
+(:func:`log_likelihoods`, the per-row form). The label-free term
+``c + s @ g`` is the same under both labels, so it leaves the log-sum-exp
+of the row marginal, and its weighted sum over rows is ``W c + count @ g``
+for the weight total W and the per-LF vote counts. The objective
+(:func:`log_objectives`) is therefore one mat-vec ``d @ h`` plus O(m)
+work, and never builds s. ``d @ h``, half of each row's vote log-likelihood
+ratio (:func:`half_log_ratios`), is also where the accuracy gradient
+starts, and the posterior log-odds are ``2 d @ h`` plus the prior log-odds
+(:func:`posterior_log_odds`). Stacked (K, m) parameters, one row per cell
+of a grid, turn the mat-vecs into mat-mats with one column per cell.
+:meth:`VoteRows.of` is the one place a vote matrix and its class priors
+are checked; every kernel function takes the converted rows and plain
+per-LF vectors.
 
 A row enters the model only through its votes and its prior pair, and the
 pair follows from the row's majority-vote anchor, so rows with the same
@@ -56,6 +61,9 @@ VALID_VOTES = (-1, 0, 1)
 # Widest matrix whose rows :meth:`VoteRows.grouped` keys by vote pattern: the
 # base-3 key of m votes and an anchor is below 3^(m + 1), and 3^39 < 2^63.
 MAX_PATTERN_LFS = 38
+
+# Entries of |d| that VoteRows.count holds at once: 256 KiB of float64.
+_COUNT_BLOCK = 1 << 15
 
 
 def _as_votes(values: np.ndarray, allowed: tuple[int, ...], what: str) -> np.ndarray:
@@ -244,7 +252,7 @@ class _computed_once:
     """Attribute computed by the decorated method on first read and then
     stored on the instance, which shadows this descriptor. Unlike
     ``functools.cached_property`` before Python 3.12 it takes no lock, which
-    makes a first read about 0.5 us cheaper; a minibatch makes three."""
+    makes a first read about 0.5 us cheaper; a minibatch makes two."""
 
     def __init__(self, method):
         self.method = method
@@ -275,10 +283,11 @@ class VoteRows:
     ``d`` holds the votes as float64, ``w`` the rows' weights (the number of
     input rows each stands for: 1, or a pattern's count from
     :meth:`grouped`), and ``log_prior`` the rows' (n, 2) log class priors
-    (-inf where a prior is 0). ``s = |d|`` marks the votes cast, ``count``
-    is the weighted number of votes each LF cast and ``total`` the weight
-    total; each is computed on first use, so prediction, which reads only
-    ``d`` and ``log_prior``, never builds them.
+    (-inf where a prior is 0). ``count`` is the weighted number of votes
+    each LF cast, ``total`` the weight total and ``s = |d|`` the mask of
+    votes cast, which only the per-row :func:`log_likelihoods` reads; each
+    is computed on first use, so prediction, which reads only ``d`` and
+    ``log_prior``, never builds them, and fitting never builds ``s``.
     """
 
     d: np.ndarray
@@ -356,7 +365,14 @@ class VoteRows:
 
     @_computed_once
     def count(self) -> np.ndarray:
-        return self.w @ self.s
+        # w @ |d| a block of rows at a time, so no |d|-sized array is built.
+        # With integer weights every partial sum is an integer, so the blocks
+        # add up to exactly w @ |d|.
+        step = max(1, _COUNT_BLOCK // self.d.shape[1])
+        count = self.w[:step] @ np.abs(self.d[:step])
+        for lo in range(step, self.n, step):
+            count += self.w[lo : lo + step] @ np.abs(self.d[lo : lo + step])
+        return count
 
     @_computed_once
     def total(self) -> float:
@@ -413,8 +429,10 @@ def log_likelihoods(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) 
     """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1),
     -inf where a row casts a vote of probability 0 under that label.
 
-    Stacked (K, m) parameters, which must lie strictly inside (0, 1), give
-    an (n, 2, K) array, one column per cell.
+    This is the per-row form of the kernel, for tests and callers that want
+    each row's class likelihoods; it builds ``rows.s``. The objective and
+    the gradients never call it. Stacked (K, m) parameters, which must lie
+    strictly inside (0, 1), give an (n, 2, K) array, one column per cell.
     """
     h, g, c, zero = _kernel(accuracy, coverage)
     dh = rows.d @ h.T
@@ -426,6 +444,21 @@ def log_likelihoods(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) 
     if zero.any():
         ll[_impossible(rows.d, zero)] = -np.inf
     return ll
+
+
+def half_log_ratios(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """``d @ h``: half of each row's vote log-likelihood ratio
+    log P(votes | +1) - log P(votes | -1), for parameters strictly inside
+    (0, 1). An n-vector for m-vector parameters, (n, K) for stacked (K, m)
+    ones.
+
+    The objective and the accuracy gradient both start from this mat-vec,
+    and both get it here, so a value computed for one equals, bit for bit,
+    the one the other would compute at the same parameters.
+    """
+    log_cov = np.log(coverage)
+    h = 0.5 * ((np.log(accuracy) + log_cov) - (np.log1p(-accuracy) + log_cov))
+    return rows.d @ h.T
 
 
 def posterior_log_odds(
@@ -455,6 +488,7 @@ def log_objectives(
     coverage: np.ndarray,
     accuracy_prior: BetaPrior | None = None,
     coverage_prior: BetaPrior | None = None,
+    dh: np.ndarray | None = None,
 ) -> np.ndarray:
     """Log objective of K cells at once: the weighted sum of the rows' log
     marginals under each cell's class priors, plus the cells' beta log
@@ -464,11 +498,20 @@ def log_objectives(
     clamp; ``log_prior`` is the rows' (n, 2, K) log class priors. Returns a
     K-vector, non-finite for a cell whose objective is; nothing is checked,
     so a cell that fails leaves the others alone. With m-vectors and (n, 2)
-    log priors it returns the one objective as a 0-d array.
+    log priors it returns the one objective as a 0-d array. ``dh`` is the
+    rows' :func:`half_log_ratios` at these parameters, computed here when
+    None.
+
+    A row's marginal is ``logaddexp(dh + lp+, lp- - dh)`` plus the label-free
+    ``c + s @ g``, and the weighted sum of the latter over the rows is
+    ``total * c + g @ count``: one mat-vec over the votes in all.
     """
-    joint = log_likelihoods(rows, accuracy, coverage)
-    joint += log_prior
-    total = rows.w @ np.logaddexp(joint[:, 0], joint[:, 1])
+    if dh is None:
+        dh = half_log_ratios(rows, accuracy, coverage)
+    _, g, c, _ = _kernel(accuracy, coverage)
+    marginal = dh + log_prior[:, 0]
+    np.logaddexp(marginal, log_prior[:, 1] - dh, out=marginal)
+    total = rows.w @ marginal + (rows.total * c + g @ rows.count)
     for prior, x in ((accuracy_prior, accuracy), (coverage_prior, coverage)):
         if prior is not None:
             total = total + prior.log_density(x).sum(axis=-1)

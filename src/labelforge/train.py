@@ -32,6 +32,17 @@ batch stands for), so a full batch and the per-epoch train and validation
 objectives run over distinct vote patterns
 (:meth:`~labelforge.model.VoteRows.grouped`, up to 38 LFs), while
 minibatches keep one unit-weight row per input row in the seeded order.
+
+A full-batch epoch makes two passes over the train votes. Its gradient
+needs ``d @ h`` and ``(w tanh) @ d``; its train objective needs ``d @ h``
+at the stepped parameters (:func:`~labelforge.model.log_objectives`
+factors everything else out of the rows). Those parameters are where the
+next epoch's gradient starts, so the objective's ``d @ h`` is handed to
+that gradient instead of being computed again. Both come from
+:func:`~labelforge.model.half_log_ratios`, so the handed-over value equals
+a fresh one bit for bit. Minibatches carry nothing over: the objective
+runs over other rows than the next batch.
+
 Everything is seeded and single-threaded: identical inputs produce
 identical results, including loss histories.
 """
@@ -52,6 +63,7 @@ from .model import (
     ModelParams,
     VoteRows,
     as_lf_matrix,
+    half_log_ratios,
     log_objectives,
 )
 from .priors import PriorSpec, beta_from_mean, majority_vote
@@ -122,6 +134,7 @@ def grad_accuracy(
     coverage: np.ndarray,
     accuracy_prior: BetaPrior | None,
     prior_weight: float,
+    dh: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the batch objective (sum of log marginals over the batch
     plus prior_weight * accuracy-prior log density) with respect to accuracy.
@@ -130,15 +143,17 @@ def grad_accuracy(
     ``prior_odds`` holds the rows' half prior log-odds (log P(+1) - log P(-1)) / 2
     per cell, (n, K); m-vectors with an n-vector of odds give one cell's
     m-vector. With e = w * tanh(r / 2) for the rows' weights w and posterior
-    log-odds r, the posterior mass of LF j's agreeing votes is
-    (count_j + d_j . e) / 2 and that of its disagreeing votes
-    (count_j - d_j . e) / 2. Parameters are clamped; nothing is checked, so a
-    non-finite entry shows only in its cell's row.
+    log-odds r = 2 (d @ h + prior_odds), the posterior mass of LF j's
+    agreeing votes is (count_j + d_j . e) / 2 and that of its disagreeing
+    votes (count_j - d_j . e) / 2. ``dh`` is the rows'
+    :func:`~labelforge.model.half_log_ratios` at the clamped parameters,
+    computed here when None. Parameters are clamped; nothing is checked, so
+    a non-finite entry shows only in its cell's row.
     """
     acc = np.clip(accuracy, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    log_cov = np.log(np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS))
-    h = 0.5 * ((np.log(acc) + log_cov) - (np.log1p(-acc) + log_cov))
-    de = (rows.w * np.tanh(rows.d @ h.T + prior_odds).T) @ rows.d
+    if dh is None:
+        dh = half_log_ratios(rows, acc, np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS))
+    de = (rows.w * np.tanh(dh + prior_odds).T) @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
         grad = grad + prior_weight * accuracy_prior.log_density_grad(acc)
@@ -279,6 +294,9 @@ def fit_cells(
             )
         coverage_prior = _stacked_prior(cov_priors, m)
 
+    # The train rows' half_log_ratios at the current parameters, which the
+    # last full-batch objective computed and the next gradient starts from.
+    train_dh = None
     errors: list[NumericalError | None] = [None] * k
     running = np.ones(k, dtype=bool)
     train_hist: list[list[float]] = [[] for _ in range(k)]
@@ -312,7 +330,7 @@ def fit_cells(
             step = lr / batch.total
             # A stopped or failed cell is still stepped (a NaN stays in its
             # own row) but no longer recorded.
-            g_acc = grad_accuracy(batch, odds, acc, cov, acc_prior, weight)
+            g_acc = grad_accuracy(batch, odds, acc, cov, acc_prior, weight, train_dh)
             bad = running & ~np.isfinite(g_acc).all(axis=1)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if config.learn_beta:
@@ -324,9 +342,12 @@ def fit_cells(
             if bad.any():
                 fail(bad, "non-finite accuracy gradient (parameter at a boundary?)")
 
+        if full_batch:
+            train_dh = half_log_ratios(patterns, acc, cov)
         losses = [
             -log_objectives(
-                rows, np.take(log_prior, pairs, axis=0), acc, cov, acc_prior, coverage_prior
+                rows, np.take(log_prior, pairs, axis=0), acc, cov, acc_prior, coverage_prior,
+                train_dh if rows is patterns else None,
             )
             for rows, pairs in scored
         ]

@@ -127,6 +127,27 @@ class TestReadDataset:
         with pytest.raises(DataError, match="row 1: expected 2 fields, got 1"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("m", [3, 20])
+    @pytest.mark.parametrize("truth_at", [0, 1, -1])
+    def test_votes_come_out_contiguous(self, tmp_path, m, truth_at):
+        # whole-array passes over a strided view loop once per row; a column
+        # gather comes out Fortran-ordered, which they take in one loop too
+        rng = np.random.default_rng(m)
+        votes = rng.integers(-1, 2, size=(30, m)).astype(np.int8)
+        truth = rng.choice(np.array([-1, 1], dtype=np.int8), 30)
+        at = truth_at % (m + 1)
+        grid = np.insert(votes, at, truth, axis=1)
+        header = [f"lf_{j}" for j in range(m)]
+        header.insert(at, "y")
+        path = tmp_path / "truth_placed.csv"
+        path.write_text(
+            ",".join(header) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in grid)
+        )
+        ds = read_dataset(path)
+        np.testing.assert_array_equal(ds.votes, votes)
+        np.testing.assert_array_equal(ds.truth, truth)
+        assert ds.votes.flags.c_contiguous or ds.votes.flags.f_contiguous
+
     def test_non_utf8_header(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"lf_\xe9\n1\n")
@@ -181,6 +202,14 @@ class TestPredictionsIO:
         assert read_predictions(path).score_pos.tolist() == [float(score)]
         path.write_text(self.HEADER + f"0,1,{score}5,none\n")
         with pytest.raises(DataError, match=re.escape(f"row 0, column 'score_pos': cell '{score}5'")):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("header", ["index", "index,label", "label,index,score_pos"])
+    def test_rejects_other_header(self, tmp_path, header):
+        # fewer columns than the label column's position must not trip the reader
+        path = tmp_path / "other_header.csv"
+        path.write_text(header + "\n" + "\n".join(["0,1,0.5", "1", "1,0"]) + "\n")
+        with pytest.raises(DataError, match="unexpected predictions header"):
             read_predictions(path)
 
     def test_ragged_row(self, tmp_path):

@@ -253,6 +253,34 @@ def test_read_predictions_matches_reference(scratch, preds, data):
     assert back.abstain_reason.tolist() == ref_reasons
 
 
+@PROPERTY
+@given(text=spelled_datasets(), preds=predictions(), chunk=st.integers(1, 40), data=st.data())
+def test_readers_match_reference_at_any_chunk_size(scratch, text, preds, chunk, data):
+    """Chunks of a few bytes split cells and rows anywhere; the one pass that
+    reads the votes (every cell, or only the label column) and the text
+    cells' offsets must not depend on where."""
+    rows = [
+        [str(i), data.draw(st.sampled_from(SPELLINGS[int(label)])), repr(float(score)), reason]
+        for i, (label, score, reason) in enumerate(
+            zip(preds.labels, preds.score_pos, preds.abstain_reason)
+        )
+    ]
+    preds_path = _write(
+        scratch / "chunked_preds.csv", PREDICTIONS_HEADER + "\n" + data.draw(spelled_lines(rows))
+    )
+    path = _write(scratch / "chunked.csv", text)
+    with mock.patch.object(dataio, "_CHUNK", chunk):
+        ds = read_dataset(path)
+        back = read_predictions(preds_path)
+    ref_votes, ref_truth = ref_read_dataset(path)
+    np.testing.assert_array_equal(ds.votes, ref_votes)
+    np.testing.assert_array_equal(ds.truth, ref_truth)
+    ref_labels, ref_scores, ref_reasons = ref_read_predictions(preds_path)
+    np.testing.assert_array_equal(back.labels, ref_labels)
+    np.testing.assert_array_equal(back.score_pos, np.array(ref_scores, dtype=np.float64))
+    assert back.abstain_reason.tolist() == ref_reasons
+
+
 # Spellings of one value each; every cell must read as its own float().
 SCORE_SPELLINGS = [
     ["0.5", "0.50", "5e-1", "+.5", ".5", "5E-1", "500e-3", "0.5" + "0" * 29],

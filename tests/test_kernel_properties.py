@@ -5,9 +5,11 @@ are checked against the linear-space row reference in ``kernel_reference``;
 then the symmetries of the model: negating every vote and swapping each
 prior pair swaps the posterior, permuting LF columns permutes the gradient,
 and one epoch of minibatch gradients sums to the full-batch gradient.
-Last, the vote-pattern path (distinct rows weighted by their counts) is
+Then the vote-pattern path (distinct rows weighted by their counts) is
 checked against the row path: the objective, both gradients, whole fits
-and predictions.
+and predictions. Last, the factored objective, which takes the label-free
+part of every row out of the log-sum-exp, is checked against the per-row
+form built from the class log-likelihoods.
 """
 
 from dataclasses import replace
@@ -20,10 +22,12 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 from labelforge import BetaPrior, LabelPrior, ModelParams, TrainConfig, fit, model, predict
 from labelforge.model import (
+    MAX_PATTERN_LFS,
     VoteRows,
     label_prior_pairs,
     log_likelihoods,
     log_objective,
+    log_objectives,
     posterior_log_odds,
 )
 from labelforge.priors import beta_from_mean, build_mv_priors, majority_vote
@@ -295,4 +299,49 @@ def test_widest_grouped_matrix_next_to_row_path():
             grad_accuracy(plain, ref.prior_odds(plain), acc, cov, None, 1.0),
             rtol=RTOL,
             atol=GRAD_ATOL,
+        )
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.sampled_from([1, 3, 6, MAX_PATTERN_LFS + 1, MAX_PATTERN_LFS + 7]),
+    st.lists(st.sampled_from([0.5, 0.7, 0.99, 1.0]), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(1, 100),
+)
+def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
+    """log_objectives keeps only d @ h per row and adds the label-free
+    c + s @ g of all rows as total * c + g @ count. The per-row form sums
+    each row's logaddexp of its two class joints. For K stacked cells, unit
+    or pattern weights (wider matrices keep unit weights), and p = 1, whose
+    class priors are -inf; VoteRows.count runs over row blocks of any size."""
+    rng = np.random.default_rng(seed)
+    votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
+    votes[rng.random(n) < 0.3] = votes[0]  # repeated patterns
+    k = len(ps)
+    acc, cov = rng.uniform(0.05, 0.95, (k, m)), rng.uniform(0.05, 0.95, (k, m))
+    prior = BetaPrior(rng.uniform(0.5, 20.0, (k, m)), rng.uniform(0.5, 20.0, (k, m)))
+    with mock.patch.object(model, "_COUNT_BLOCK", block):
+        if grouped:
+            rows, anchors, _ = VoteRows.grouped(votes, 0.5)
+        else:
+            rows, anchors = VoteRows.of(votes), majority_vote(votes)
+        count = rows.count
+    np.testing.assert_array_equal(count, rows.w @ np.abs(rows.d))
+    with np.errstate(divide="ignore"):  # p = 1 gives log 0 = -inf
+        log_prior = np.stack([np.log(label_prior_pairs(anchors, p)) for p in ps], axis=-1)
+
+    value = log_objectives(rows, log_prior, acc, cov, prior)
+    joint = log_likelihoods(rows, acc, cov) + log_prior
+    per_row = rows.w @ np.logaddexp(joint[:, 0], joint[:, 1])
+    expected = per_row + prior.log_density(acc).sum(axis=-1)
+    assert value.shape == (k,) and np.isfinite(value).all()
+    np.testing.assert_allclose(value, expected, rtol=1e-12)
+    for cell in range(k):  # each cell alone, as m-vectors and (n, 2) log priors
+        np.testing.assert_allclose(
+            log_objectives(rows, log_prior[..., cell], acc[cell], cov[cell]),
+            per_row[cell],
+            rtol=1e-12,
         )

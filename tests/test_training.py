@@ -1,6 +1,8 @@
 """Training: coverage estimation, analytic gradients against finite
 differences, determinism, ascent, and prior-strength behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,59 @@ class TestFit:
         ):
             expected = -log_objective(scored, acc, cov, prior.accuracy_prior)
             np.testing.assert_allclose(history, [expected], rtol=1e-12)
+
+
+class TestFullBatchEpoch:
+    """A full-batch epoch hands the train objective's d @ h to the next
+    gradient. The fit must equal a loop that asks ``grad_accuracy`` for every
+    gradient afresh, over the same grouped rows with the same (1, m) shapes,
+    bit for bit; and each epoch's recorded train loss must be the objective
+    at that epoch's parameters."""
+
+    @pytest.mark.parametrize("m", [10, 50])
+    @pytest.mark.parametrize("p", [0.7, 1.0])
+    def test_carried_products_equal_fresh_gradients(self, m, p):
+        n, epochs, lr = 400, 8, 0.3
+        data = generate_synthetic(
+            SyntheticSpec(m=m, n=n, accuracy=0.75, coverage=0.4, seed=m)
+        )
+        votes = data.votes
+        prior = build_mv_priors(votes, 10.0, p)
+        result = fit(votes, None, prior, TrainConfig(learning_rate=lr, max_epochs=epochs,
+                                                     alpha_init=0.7))
+
+        anchors = majority_vote(votes)
+        rows, pattern_anchors, _ = VoteRows.grouped(votes, 0.5, anchors)
+        assert (rows.n < n) == (m == 10)  # patterns, or one row per input row
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(np.stack([[1.0 - p], [0.5], [p]]))
+        odds = np.take(0.5 * (log_prior - log_prior[::-1]), pattern_anchors + 1, axis=0)
+        acc_prior = BetaPrior(prior.accuracy_prior.u[None], prior.accuracy_prior.v[None])
+        acc = np.full((1, m), 0.7)
+        cov = np.clip(rows.count / n, CLAMP_EPS, 1.0 - CLAMP_EPS)[None]
+        plain = VoteRows.of(votes, label_prior_pairs(anchors, p))
+        for epoch in range(epochs):
+            grad = grad_accuracy(rows, odds, acc, cov, acc_prior, 1.0)
+            acc = np.clip(acc + lr / rows.total * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
+            expected = -log_objective(plain, acc[0], cov[0], prior.accuracy_prior)
+            np.testing.assert_allclose(result.train_loss_history[epoch], expected, rtol=1e-12)
+        np.testing.assert_array_equal(result.params.accuracy, acc[0])
+        assert 0.01 < acc.min() and acc.max() < 0.99  # the fit is not pinned at the clamp
+
+    def test_fit_never_holds_a_second_vote_matrix(self):
+        # the fit converts the votes to float64 once; a |d| of the same size
+        # (1.0 more) or a (rows, 2) likelihood array per LF would show here
+        rng = np.random.default_rng(3)
+        votes = rng.integers(-1, 2, size=(1500, 400)).astype(np.int8)
+        float_bytes = votes.size * 8
+        config = TrainConfig(learning_rate=0.05, max_epochs=3, alpha_init=0.7)
+        tracemalloc.start()
+        try:
+            fit(votes, None, build_mv_priors(votes, 10.0, 0.7), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * float_bytes, peak / float_bytes
 
 
 class TestLearnBeta:
