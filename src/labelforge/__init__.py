@@ -4,6 +4,14 @@ Fits a generative model of noisy labeling-function votes, with optional
 beta priors over LF accuracies and a majority-vote-anchored prior over
 the latent labels, and produces denoised label vectors with abstention.
 
+The public names are those the README's Library section uses, the library
+form of each CLI command (``generate_synthetic``, ``fit`` with a
+``build_*_priors`` function, ``predict``, ``score``, ``grid_search``,
+``low_data_sweep``, ``stability_sweep``, ``prior_quality_study`` and the
+file readers and writers), the types and errors those take, return or
+raise, and ``majority_vote``. Helpers such as ``BetaPrior``, ``auc_roc``
+or ``reference_accuracies`` are imported from their modules.
+
 The package imports lazily (PEP 562): ``import labelforge`` loads neither
 numpy nor any submodule, and each public name imports its module on first
 use. Importing the library never changes the environment or numpy's thread
@@ -18,37 +26,19 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "errors": ("DataError", "EmptyOverlapError", "LabelForgeError", "NumericalError"),
-        "model": ("BetaPrior", "Dataset", "LabelPrior", "ModelParams", "log_objective"),
+        "errors": ("DataError", "LabelForgeError", "NumericalError"),
+        "model": ("Dataset", "LabelPrior", "ModelParams"),
         "priors": (
             "PriorSpec",
-            "accuracy_vs_reference",
-            "beta_from_mean",
             "build_empirical_priors",
             "build_mv_priors",
             "build_random_priors",
-            "build_uniform_priors",
             "build_user_priors",
             "majority_vote",
-            "reference_accuracies",
         ),
-        "train": ("FitResult", "TrainConfig", "coverage_from_data", "fit"),
-        "infer": (
-            "Prediction",
-            "Predictions",
-            "coverage",
-            "majority_vote_predictions",
-            "predict",
-        ),
-        "metrics": (
-            "ConcordanceReport",
-            "MetricsReport",
-            "auc_roc",
-            "format_percent",
-            "l2_distance",
-            "mv_concordance",
-            "score",
-        ),
+        "train": ("FitResult", "TrainConfig", "fit"),
+        "infer": ("Predictions", "majority_vote_predictions", "predict"),
+        "metrics": ("MetricsReport", "l2_distance", "mv_concordance", "score"),
         "experiments": (
             "GridSpec",
             "SplitSpec",
@@ -61,7 +51,6 @@ _EXPORTS = {
             "stability_sweep",
         ),
         "dataio": (
-            "ModelFile",
             "load_model",
             "read_dataset",
             "read_predictions",

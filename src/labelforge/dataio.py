@@ -229,7 +229,10 @@ class _Table:
         self.text = _body(self._data, end)
 
         # text[0] is the header's line end, which closes no cell
-        self.cells = sum(int(np.count_nonzero(self.text == sep)) for sep in b",\n") - 1
+        self.cells = sum(
+            int(np.count_nonzero(_separator(self.text[lo : lo + _CHUNK])))
+            for lo in range(1, self.text.size, _CHUNK)
+        )
         # the cells read as votes: every step-th from the first
         self._vote_col = vote_col
         first, step = (0, 1) if vote_col is None else (vote_col, width)
@@ -548,31 +551,19 @@ class ModelFile:
 def model_file_from_fit(
     params: ModelParams, prior_spec: PriorSpec | None, config_digest: str
 ) -> ModelFile:
-    if prior_spec is None:
-        return ModelFile(
-            m=params.m,
-            accuracy=params.accuracy,
-            coverage=params.coverage,
-            prior_source="none",
-            prior_strength=None,
-            prior_p=0.5,
-            prior_force_abstain=False,
-            prior_u=None,
-            prior_v=None,
-            prior_means=None,
-            config_digest=config_digest,
-        )
+    none = prior_spec is None
+    label_prior = LabelPrior() if none else prior_spec.label_prior
     return ModelFile(
         m=params.m,
         accuracy=params.accuracy,
         coverage=params.coverage,
-        prior_source=prior_spec.source,
-        prior_strength=prior_spec.strength,
-        prior_p=prior_spec.label_prior.p,
-        prior_force_abstain=prior_spec.label_prior.force_abstain,
-        prior_u=prior_spec.accuracy_prior.u,
-        prior_v=prior_spec.accuracy_prior.v,
-        prior_means=prior_spec.means,
+        prior_source="none" if none else prior_spec.source,
+        prior_strength=None if none else prior_spec.strength,
+        prior_p=label_prior.p,
+        prior_force_abstain=label_prior.force_abstain,
+        prior_u=None if none else prior_spec.accuracy_prior.u,
+        prior_v=None if none else prior_spec.accuracy_prior.v,
+        prior_means=None if none else prior_spec.means,
         config_digest=config_digest,
     )
 

@@ -15,7 +15,3 @@ class DataError(LabelForgeError, ValueError):
 
 class NumericalError(LabelForgeError, ArithmeticError):
     """Optimization or probability computation produced a non-finite result."""
-
-
-class EmptyOverlapError(LabelForgeError):
-    """No index where both a labeling function and the reference vote; accuracy undefined."""

@@ -376,16 +376,22 @@ def low_data_sweep(
     that replicate's full test split.
 
     Subsets are prefix-nested across sizes within a replicate (see
-    :func:`low_data_indices`). Sizes larger than the train split are skipped
-    with a warning. Aggregate rows (mean and population standard deviation
-    over replicates, ignoring undefined values) are appended with
-    replicate = 'mean' / 'std'.
+    :func:`low_data_indices`). Sizes and the replicate count must be at
+    least 1, or DataError names the bad value before anything is fitted.
+    Sizes larger than the train split are skipped with a warning. Aggregate
+    rows (mean and population standard deviation over replicates, ignoring
+    undefined values) are appended with replicate = 'mean' / 'std'.
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
+    sizes = list(sizes)
+    if replicates < 1:
+        raise DataError(f"low-data sweep needs at least 1 replicate, got {replicates}")
+    for size in sizes:
+        if size < 1:
+            raise DataError(f"low-data size must be >= 1, got {size}")
     split_spec = split_spec or SplitSpec()
     base = config or TrainConfig()
-    sizes = list(sizes)
     rows: list[dict] = []
     for r in range(replicates):
         sp = replace(split_spec, seed=split_spec.seed + r)

@@ -16,7 +16,6 @@ degenerate masks included) and the results are copied back to the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,12 +38,6 @@ REASON_FORCED = "forced"
 REASON_DEGENERATE = "degenerate"
 
 
-class Prediction(NamedTuple):
-    label: int
-    score_pos: float
-    abstain_reason: str
-
-
 @dataclass
 class Predictions:
     """Per-row predicted labels, positive-class scores, and abstain reasons."""
@@ -55,14 +48,6 @@ class Predictions:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def __getitem__(self, i: int) -> Prediction:
-        return Prediction(
-            int(self.labels[i]), float(self.score_pos[i]), str(self.abstain_reason[i])
-        )
-
-    def __iter__(self) -> Iterator[Prediction]:
-        return (self[i] for i in range(len(self)))
 
 
 def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -> Predictions:
@@ -121,10 +106,3 @@ def majority_vote_predictions(votes) -> Predictions:
     labels = majority_vote(votes)
     reasons = np.where(labels == 0, REASON_TIE, REASON_NONE).astype("<U10")
     return Predictions(labels=labels, score_pos=vote_fraction(votes), abstain_reason=reasons)
-
-
-def coverage(predictions: Predictions) -> float:
-    """Fraction of rows with a non-abstaining predicted label."""
-    if len(predictions) == 0:
-        raise DataError("coverage of an empty prediction set is undefined")
-    return float((predictions.labels != 0).sum() / len(predictions))

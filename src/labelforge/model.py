@@ -11,18 +11,19 @@ a regularized one.
 
 Every probability is computed in the log domain. The model factorises
 per LF, so a row's two class log-likelihoods are linear in its votes: with
-d the votes as float64 and s = |d|, they are ``c + s @ g +- d @ h`` for
-per-LF vectors h, g and a constant c built from the parameters
-(:func:`log_likelihoods`, the per-row form). The label-free term
-``c + s @ g`` is the same under both labels, so it leaves the log-sum-exp
-of the row marginal, and its weighted sum over rows is ``W c + count @ g``
-for the weight total W and the per-LF vote counts. The objective
-(:func:`log_objectives`) is therefore one mat-vec ``d @ h`` plus O(m)
-work, and never builds s. ``d @ h``, half of each row's vote log-likelihood
-ratio (:func:`half_log_ratios`), is also where the accuracy gradient
-starts, and the posterior log-odds are ``2 d @ h`` plus the prior log-odds
-(:func:`posterior_log_odds`). Stacked (K, m) parameters, one row per cell
-of a grid, turn the mat-vecs into mat-mats with one column per cell.
+d the votes as float64, they are ``c + |d| @ g +- d @ h`` for per-LF
+vectors h, g and a constant c, which one function builds from the
+parameters. The label-free term ``c + |d| @ g`` is the same under both
+labels, so it leaves the log-sum-exp of the row marginal, and its weighted
+sum over rows is ``W c + count @ g`` for the weight total W and the per-LF
+vote counts. The objective (:func:`log_objectives`) is therefore one
+mat-vec ``d @ h`` plus O(m) work, and never builds |d|. ``d @ h``, half of
+each row's vote log-likelihood ratio (:func:`half_log_ratios`), is also
+where the accuracy gradient starts, and the posterior log-odds are
+``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`). These
+three are the kernel; there is no per-row form of the class
+log-likelihoods. Stacked (K, m) parameters, one row per cell of a grid,
+turn the mat-vecs into mat-mats with one column per cell.
 :meth:`VoteRows.of` is the one place a vote matrix and its class priors
 are checked; every kernel function takes the converted rows and plain
 per-LF vectors.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -248,23 +250,6 @@ def label_prior_pairs(mv_votes: np.ndarray, p: float) -> np.ndarray:
     return pairs
 
 
-class _computed_once:
-    """Attribute computed by the decorated method on first read and then
-    stored on the instance, which shadows this descriptor. Unlike
-    ``functools.cached_property`` before Python 3.12 it takes no lock, which
-    makes a first read about 0.5 us cheaper; a minibatch makes two."""
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
-
-
 def row_majority(votes: np.ndarray) -> np.ndarray:
     """Per-row unweighted majority vote of a checked int8 vote matrix: the
     sign of the vote sum, so ties and all-abstain rows yield 0."""
@@ -284,10 +269,9 @@ class VoteRows:
     input rows each stands for: 1, or a pattern's count from
     :meth:`grouped`), and ``log_prior`` the rows' (n, 2) log class priors
     (-inf where a prior is 0). ``count`` is the weighted number of votes
-    each LF cast, ``total`` the weight total and ``s = |d|`` the mask of
-    votes cast, which only the per-row :func:`log_likelihoods` reads; each
-    is computed on first use, so prediction, which reads only ``d`` and
-    ``log_prior``, never builds them, and fitting never builds ``s``.
+    each LF cast and ``total`` the weight total; each is computed on first
+    use, so prediction, which reads only ``d`` and ``log_prior``, never
+    builds them.
     """
 
     d: np.ndarray
@@ -359,11 +343,7 @@ class VoteRows:
         """The number of rows held (patterns, for grouped rows)."""
         return self.d.shape[0]
 
-    @_computed_once
-    def s(self) -> np.ndarray:
-        return np.abs(self.d)
-
-    @_computed_once
+    @cached_property
     def count(self) -> np.ndarray:
         # w @ |d| a block of rows at a time, so no |d|-sized array is built.
         # With integer weights every partial sum is an integer, so the blocks
@@ -374,7 +354,7 @@ class VoteRows:
             count += self.w[lo : lo + step] @ np.abs(self.d[lo : lo + step])
         return count
 
-    @_computed_once
+    @cached_property
     def total(self) -> float:
         return float(self.w.sum())
 
@@ -400,10 +380,11 @@ def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
     Under label +1, vote v of LF j has log probability ``logf[v + 1, j]``:
     log((1-a) b), log(1-b) and log(a b) for v = -1, 0, +1, with a the
     accuracy and b the coverage. Under label -1 the vote is negated. So with
-    d the float votes and s = |d|, the class log-likelihoods are
-    ``c + s @ g + d @ h`` (+1) and ``c + s @ g - d @ h`` (-1). A factor of 0
-    (a parameter at exactly 0 or 1, which a model file can hold) is left out
-    of h, g and c and marked in ``zero``, so no 0 * -inf makes a NaN.
+    d the float votes, the class log-likelihoods are ``c + |d| @ g + d @ h``
+    (+1) and ``c + |d| @ g - d @ h`` (-1). A factor of 0 (a parameter at
+    exactly 0 or 1, which a model file can hold) is left out of h, g and c
+    and marked in ``zero``, so no 0 * -inf makes a NaN. Every kernel
+    function takes h from here, so all of them agree on it bit for bit.
     """
     with np.errstate(divide="ignore"):
         log_cov = np.log(coverage)
@@ -425,40 +406,17 @@ def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return np.stack([zero[v + 1, cols].any(axis=1), zero[1 - v, cols].any(axis=1)], axis=1)
 
 
-def log_likelihoods(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
-    """(n, 2) array of log P(row | label) for label = +1 (col 0) and -1 (col 1),
-    -inf where a row casts a vote of probability 0 under that label.
-
-    This is the per-row form of the kernel, for tests and callers that want
-    each row's class likelihoods; it builds ``rows.s``. The objective and
-    the gradients never call it. Stacked (K, m) parameters, which must lie
-    strictly inside (0, 1), give an (n, 2, K) array, one column per cell.
-    """
-    h, g, c, zero = _kernel(accuracy, coverage)
-    dh = rows.d @ h.T
-    base = rows.s @ g.T
-    base += c
-    ll = np.empty((base.shape[0], 2) + base.shape[1:])
-    np.add(base, dh, out=ll[:, 0])
-    np.subtract(base, dh, out=ll[:, 1])
-    if zero.any():
-        ll[_impossible(rows.d, zero)] = -np.inf
-    return ll
-
-
 def half_log_ratios(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     """``d @ h``: half of each row's vote log-likelihood ratio
     log P(votes | +1) - log P(votes | -1), for parameters strictly inside
     (0, 1). An n-vector for m-vector parameters, (n, K) for stacked (K, m)
     ones.
 
-    The objective and the accuracy gradient both start from this mat-vec,
-    and both get it here, so a value computed for one equals, bit for bit,
-    the one the other would compute at the same parameters.
+    The objective and the accuracy gradient both start from this mat-vec
+    over the same h, so a value computed for one equals, bit for bit, the
+    one the other would compute at the same parameters.
     """
-    log_cov = np.log(coverage)
-    h = 0.5 * ((np.log(accuracy) + log_cov) - (np.log1p(-accuracy) + log_cov))
-    return rows.d @ h.T
+    return rows.d @ _kernel(accuracy, coverage)[0].T
 
 
 def posterior_log_odds(
@@ -503,12 +461,12 @@ def log_objectives(
     None.
 
     A row's marginal is ``logaddexp(dh + lp+, lp- - dh)`` plus the label-free
-    ``c + s @ g``, and the weighted sum of the latter over the rows is
+    ``c + |d| @ g``, and the weighted sum of the latter over the rows is
     ``total * c + g @ count``: one mat-vec over the votes in all.
     """
+    h, g, c, _ = _kernel(accuracy, coverage)
     if dh is None:
-        dh = half_log_ratios(rows, accuracy, coverage)
-    _, g, c, _ = _kernel(accuracy, coverage)
+        dh = rows.d @ h.T
     marginal = dh + log_prior[:, 0]
     np.logaddexp(marginal, log_prior[:, 1] - dh, out=marginal)
     total = rows.w @ marginal + (rows.total * c + g @ rows.count)

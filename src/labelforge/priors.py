@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyOverlapError
+from .errors import DataError
 from .model import BetaPrior, LabelPrior, as_label_vector, as_lf_matrix, row_majority
 
 PRIOR_SOURCES = ("mv", "empirical", "random", "uniform", "user")
@@ -64,24 +64,6 @@ def vote_fraction(votes) -> np.ndarray:
     return out
 
 
-def accuracy_vs_reference(lf_column, reference) -> float:
-    """Fraction of agreements between an LF column and a reference vector,
-    counted only over rows where both vote (abstentions excluded on both sides).
-
-    Raises EmptyOverlapError when no row has both nonzero; callers
-    substitute the uninformative mean 0.5.
-    """
-    col = as_label_vector(lf_column)
-    ref = as_label_vector(reference)
-    if col.shape[0] != ref.shape[0]:
-        raise DataError(f"column length {col.shape[0]} != reference length {ref.shape[0]}")
-    both = (col != 0) & (ref != 0)
-    count = int(both.sum())
-    if count == 0:
-        raise EmptyOverlapError("no row where both the LF and the reference vote")
-    return float((col[both] == ref[both]).sum() / count)
-
-
 def beta_from_mean(mean, strength: float):
     """Beta parameters (u, v) with the given mean and pseudo-count mass,
     elementwise when ``mean`` is an array.
@@ -97,7 +79,9 @@ def beta_from_mean(mean, strength: float):
 
 
 def reference_accuracies(votes, reference) -> np.ndarray:
-    """Per-column :func:`accuracy_vs_reference`, 0.5 where there is no overlap."""
+    """Per-column accuracy against a reference vector: the fraction of
+    agreements over the rows where both the LF and the reference vote
+    (abstentions excluded on both sides), 0.5 where there is no such row."""
     votes = as_lf_matrix(votes)
     ref = as_label_vector(reference)
     if ref.shape[0] != votes.shape[0]:

@@ -1,8 +1,9 @@
 """Model fitting by stochastic gradient ascent on the (regularized) log objective.
 
 Accuracies are learned; coverages are fixed to the observed per-column
-coverage rate unless ``learn_beta`` is set, in which case they are learned
-under a beta prior whose means are the empirical coverages. Updates use
+coverage rate (the train rows' vote counts over their number) unless
+``learn_beta`` is set, in which case they are learned under a beta prior
+whose means are the empirical coverages. Updates use
 the mean per-row gradient of each minibatch (so the learning rate is
 independent of dataset size), with the prior gradient weighted by
 |batch| / n so an epoch of summed minibatch gradients matches the
@@ -119,12 +120,6 @@ class FitResult:
     val_loss_history: list[float] = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
-
-
-def coverage_from_data(votes) -> np.ndarray:
-    """Observed coverage rate per column: fraction of nonzero entries."""
-    votes = as_lf_matrix(votes)
-    return (votes != 0).sum(axis=0) / votes.shape[0]
 
 
 def grad_accuracy(

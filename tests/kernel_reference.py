@@ -4,7 +4,9 @@ Everything here works one row at a time on plain probabilities: a vote's
 probability given the label, products of them per class, their sum per row,
 and the posterior and gradient that follow. It is the textbook form of the
 model, kept as the reference that the kernel's mat-vecs are tested against.
-It underflows on wide rows, so tests use it on a few LFs only.
+It underflows on wide rows, so tests use it on a few LFs only. The data
+statistics the model is built from, each LF's coverage and its accuracy
+against a reference vote, are given per column here too.
 """
 
 import math
@@ -72,3 +74,19 @@ def prior_odds(rows) -> np.ndarray:
     from its class priors: the form in which ``train.grad_accuracy`` takes a
     cell's label prior."""
     return 0.5 * (rows.log_prior[:, 0] - rows.log_prior[:, 1])
+
+
+def coverage(votes) -> np.ndarray:
+    """Observed coverage rate per column: the fraction of rows that vote."""
+    votes = np.asarray(votes)
+    return (votes != 0).sum(axis=0) / votes.shape[0]
+
+
+def column_accuracy(column, reference) -> float | None:
+    """Fraction of agreements between an LF column and a reference vector,
+    counted over the rows where both vote; None when there is no such row."""
+    column, reference = np.asarray(column), np.asarray(reference)
+    both = (column != 0) & (reference != 0)
+    if not both.any():
+        return None
+    return float((column[both] == reference[both]).sum() / both.sum())

@@ -9,19 +9,14 @@ import numpy as np
 import pytest
 
 from labelforge import (
-    BetaPrior,
     LabelPrior,
     ModelParams,
     SplitSpec,
     SyntheticSpec,
     TrainConfig,
-    beta_from_mean,
     build_mv_priors,
-    build_uniform_priors,
     build_user_priors,
-    coverage_from_data,
     fit,
-    format_percent,
     generate_synthetic,
     load_model,
     majority_vote,
@@ -30,7 +25,6 @@ from labelforge import (
     prior_quality_study,
     low_data_sweep,
     read_dataset,
-    reference_accuracies,
     save_model,
     score,
     split,
@@ -39,8 +33,9 @@ from labelforge import (
 from labelforge.cli import cli_main
 from labelforge.dataio import model_file_from_fit
 from labelforge.experiments import collect_aggregates
-from labelforge.metrics import metrics_from_confusion
-from labelforge.model import VoteRows, label_prior_pairs, log_objective
+from labelforge.metrics import format_percent, metrics_from_confusion
+from labelforge.model import BetaPrior, VoteRows, label_prior_pairs, log_objective
+from labelforge.priors import beta_from_mean, build_uniform_priors, reference_accuracies
 from labelforge.train import grad_accuracy, grad_coverage
 
 import kernel_reference as ref
@@ -75,7 +70,7 @@ def test_criterion_01_gradient_oracle():
         prior = build_mv_priors(votes, strength, p=float(rng.choice([0.5, 0.7, 0.9])))
         pairs = label_prior_pairs(prior.label_prior.mv_votes, prior.label_prior.p)
         rows = VoteRows.of(votes, pairs)
-        cov_prior = BetaPrior(*beta_from_mean(coverage_from_data(votes), strength))
+        cov_prior = BetaPrior(*beta_from_mean(ref.coverage(votes), strength))
 
         def obj_acc(a):
             return log_objective(rows, a, cov, prior.accuracy_prior, cov_prior)
@@ -182,7 +177,7 @@ def test_criterion_04_parameter_recovery():
     cfg = TrainConfig(learning_rate=0.05, max_epochs=150, alpha_init=0.9, seed=3)
     result = fit(data.votes, None, None, cfg)
     acc_err = float(np.abs(result.params.accuracy - np.array(TRUE_ACCURACY)).max())
-    cov_err = float(np.abs(coverage_from_data(data.votes) - 0.5).max())
+    cov_err = float(np.abs(ref.coverage(data.votes) - 0.5).max())
     elapsed = time.time() - start
     verdict(
         4,
@@ -272,7 +267,7 @@ def test_criterion_09_optional_reference_dataset():
         pytest.skip(f"{REFERENCE_ENV} not set; reference-dataset check is optional")
     data = read_dataset(path)
     assert data.truth is not None, "dataset file must include ground truth"
-    cov = np.round(coverage_from_data(data.votes), 2)
+    cov = np.round(ref.coverage(data.votes), 2)
     acc = np.round(reference_accuracies(data.votes, data.truth), 2)
     stats_ok = (np.abs(cov - np.array([0.05, 1.00, 0.37])) <= 0.01).all() and (
         np.abs(acc - np.array([1.00, 0.68, 1.00])) <= 0.01

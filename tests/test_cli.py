@@ -188,6 +188,35 @@ class TestExitCodes:
         assert run("evaluate", "--data", data) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    def lowdata_refused(self, tmp_path, monkeypatch, capsys, *flags) -> str:
+        """Run lowdata on a 400-row file with ``flags``, which must exit 2
+        before any cell is fitted; returns stderr."""
+        import labelforge.experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(labelforge.experiments, "_fit_and_score", no_fit)
+        data = make_synth(tmp_path, n=400)
+        out = tmp_path / "low.csv"
+        assert run("lowdata", "--data", data, *flags, "--out", out) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_lowdata_negative_size_is_data_error(self, tmp_path, monkeypatch, capsys):
+        err = self.lowdata_refused(tmp_path, monkeypatch, capsys, "--sizes=-250,50")
+        assert "size must be >= 1, got -250" in err
+
+    def test_lowdata_zero_size_is_data_error(self, tmp_path, monkeypatch, capsys):
+        err = self.lowdata_refused(tmp_path, monkeypatch, capsys, "--sizes=50,0")
+        assert "size must be >= 1, got 0" in err
+
+    def test_lowdata_negative_replicates_is_data_error(self, tmp_path, monkeypatch, capsys):
+        err = self.lowdata_refused(
+            tmp_path, monkeypatch, capsys, "--sizes", "50", "--replicates", "-2"
+        )
+        assert "at least 1 replicate, got -2" in err
+
     def test_help_exits_zero(self):
         assert run("--help") == 0
 

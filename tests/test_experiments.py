@@ -14,7 +14,6 @@ from labelforge import (
     SplitSpec,
     SyntheticSpec,
     TrainConfig,
-    coverage_from_data,
     generate_synthetic,
     grid_search,
     low_data_sweep,
@@ -33,6 +32,8 @@ from labelforge.experiments import (
 )
 from labelforge.model import CLAMP_EPS
 import labelforge.experiments
+
+import kernel_reference as ref
 
 
 def toy_dataset(n=300, seed=0):
@@ -99,7 +100,7 @@ class TestGenerateSynthetic:
     def test_coverage_concentration(self):
         cov = np.array([0.2, 0.5, 0.8])
         ds = generate_synthetic(SyntheticSpec(m=3, n=5000, accuracy=0.8, coverage=tuple(cov), seed=3))
-        observed = coverage_from_data(ds.votes)
+        observed = ref.coverage(ds.votes)
         bound = 3 * np.sqrt(cov * (1 - cov) / 5000)
         assert (np.abs(observed - cov) <= bound).all()
 
@@ -258,7 +259,7 @@ class TestStabilitySweep:
         f1 = [r["value"] for r in rows if r["metric"] == "f1"][0]
         init_params = ModelParams(
             np.clip(np.full(train.m, 0.8), CLAMP_EPS, 1 - CLAMP_EPS),
-            coverage_from_data(train.votes),
+            ref.coverage(train.votes),
         )
         expected = score(predict(test.votes, init_params, LabelPrior()), test.truth)
         assert f1 == expected.f1

@@ -7,10 +7,10 @@ from labelforge import (
     DataError,
     LabelPrior,
     ModelParams,
-    coverage,
     majority_vote,
     majority_vote_predictions,
     predict,
+    score,
 )
 from labelforge.infer import (
     REASON_DEGENERATE,
@@ -26,33 +26,33 @@ class TestPredict:
     def test_all_abstain_row_is_tie(self):
         params = ModelParams([0.9], [0.4])
         preds = predict([[0]], params, LabelPrior())
-        assert preds[0].label == 0
-        assert preds[0].abstain_reason == REASON_TIE
-        assert preds[0].score_pos == pytest.approx(0.5)
+        assert preds.labels[0] == 0
+        assert preds.abstain_reason[0] == REASON_TIE
+        assert preds.score_pos[0] == pytest.approx(0.5)
 
     def test_single_positive_vote(self):
         params = ModelParams([0.7], [0.5])
         preds = predict([[1]], params, LabelPrior())
-        assert preds[0].label == 1
-        assert preds[0].score_pos == pytest.approx(0.7)
-        assert preds[0].abstain_reason == REASON_NONE
+        assert preds.labels[0] == 1
+        assert preds.score_pos[0] == pytest.approx(0.7)
+        assert preds.abstain_reason[0] == REASON_NONE
 
     def test_forced_abstention_overrides_model(self):
         # MV ties on (+1, -1); a lopsided accuracy pair would break the tie
         params = ModelParams([0.95, 0.55], [0.8, 0.8])
         forced = predict([[1, -1]], params, LabelPrior(force_abstain=True))
-        assert forced[0].label == 0
-        assert forced[0].abstain_reason == REASON_FORCED
+        assert forced.labels[0] == 0
+        assert forced.abstain_reason[0] == REASON_FORCED
         free = predict([[1, -1]], params, LabelPrior(force_abstain=False))
-        assert free[0].label == 1
+        assert free.labels[0] == 1
 
     def test_degenerate_row_abstains(self):
         # abstention on a full-coverage LF has probability zero under both labels
         params = ModelParams([0.7, 0.8], [1.0, 0.5])
         preds = predict([[0, 1]], params, LabelPrior())
-        assert preds[0].label == 0
-        assert preds[0].abstain_reason == REASON_DEGENERATE
-        assert preds[0].score_pos == pytest.approx(0.5)
+        assert preds.labels[0] == 0
+        assert preds.abstain_reason[0] == REASON_DEGENERATE
+        assert preds.score_pos[0] == pytest.approx(0.5)
 
     def test_strong_p_recapitulates_majority_vote(self):
         rng = np.random.default_rng(42)
@@ -87,9 +87,8 @@ class TestPredict:
         votes = rng.integers(-1, 2, size=(60, 3))
         params = ModelParams(rng.uniform(0.2, 0.8, 3), rng.uniform(0.2, 0.8, 3))
         preds = predict(votes, params, LabelPrior(p=0.8, force_abstain=True))
-        for pred in preds:
-            assert (pred.label == 0) == (pred.abstain_reason != REASON_NONE)
-            assert 0.0 <= pred.score_pos <= 1.0
+        np.testing.assert_array_equal(preds.labels == 0, preds.abstain_reason != REASON_NONE)
+        assert ((preds.score_pos >= 0.0) & (preds.score_pos <= 1.0)).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
@@ -170,15 +169,17 @@ class TestWideAndBoundary:
 
 
 class TestCoverage:
+    """The share of rows labelled, as score reports it (truth does not enter)."""
+
     def test_full(self):
         params = ModelParams([0.9], [1.0])
         preds = predict([[1], [-1]], params, LabelPrior())
-        assert coverage(preds) == 1.0
+        assert score(preds, [1, 1]).coverage == 1.0
 
     def test_zero(self):
         params = ModelParams([0.9], [0.4])
         preds = predict([[0], [0]], params, LabelPrior())
-        assert coverage(preds) == 0.0
+        assert score(preds, [1, -1]).coverage == 0.0
 
     def test_forced_matches_mv_coverage(self):
         rng = np.random.default_rng(31)
@@ -186,7 +187,7 @@ class TestCoverage:
         params = ModelParams(rng.uniform(0.3, 0.9, 3), rng.uniform(0.3, 0.9, 3))
         preds = predict(votes, params, LabelPrior(p=1 - 1e-9, force_abstain=True))
         mv_cov = float((majority_vote(votes) != 0).mean())
-        assert coverage(preds) == pytest.approx(mv_cov)
+        assert score(preds, np.ones(50, dtype=np.int8)).coverage == pytest.approx(mv_cov)
 
 
 class TestMajorityVotePredictions:
@@ -194,4 +195,4 @@ class TestMajorityVotePredictions:
         preds = majority_vote_predictions([[1, 1, -1], [0, 0, 0], [-1, -1, 1]])
         np.testing.assert_array_equal(preds.labels, [1, 0, -1])
         np.testing.assert_allclose(preds.score_pos, [2 / 3, 0.5, 1 / 3])
-        assert preds[1].abstain_reason == REASON_TIE
+        assert preds.abstain_reason[1] == REASON_TIE

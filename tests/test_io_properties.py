@@ -107,8 +107,13 @@ def ref_write_dataset(votes, truth):
 
 def ref_write_predictions(predictions):
     lines = [PREDICTIONS_HEADER]
-    for i, pred in enumerate(predictions):
-        lines.append(f"{i},{pred.label},{pred.score_pos!r},{pred.abstain_reason}")
+    rows = zip(
+        predictions.labels.tolist(),
+        predictions.score_pos.tolist(),
+        predictions.abstain_reason.tolist(),
+    )
+    for i, (label, score, reason) in enumerate(rows):
+        lines.append(f"{i},{label},{score!r},{reason}")
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -1,15 +1,16 @@
 """Property tests of the log-joint kernel.
 
-The kernel's class log-likelihoods, the objective and the accuracy gradient
-are checked against the linear-space row reference in ``kernel_reference``;
-then the symmetries of the model: negating every vote and swapping each
-prior pair swaps the posterior, permuting LF columns permutes the gradient,
-and one epoch of minibatch gradients sums to the full-batch gradient.
-Then the vote-pattern path (distinct rows weighted by their counts) is
-checked against the row path: the objective, both gradients, whole fits
-and predictions. Last, the factored objective, which takes the label-free
-part of every row out of the log-sum-exp, is checked against the per-row
-form built from the class log-likelihoods.
+The kernel's posterior log-odds (parameters at 0 or 1 included), the
+objective and the accuracy gradient are checked against the linear-space
+row reference in ``kernel_reference``; then the symmetries of the model:
+negating every vote and swapping each prior pair swaps the posterior and
+keeps the objective, permuting LF columns permutes the gradient, and one
+epoch of minibatch gradients sums to the full-batch gradient. Then the
+vote-pattern path (distinct rows weighted by their counts) is checked
+against the row path: the objective, both gradients, whole fits and
+predictions. Last, the factored objective, which takes the label-free part
+of every row out of the log-sum-exp, is checked against the reference's
+sum of per-row log marginals.
 """
 
 from dataclasses import replace
@@ -20,18 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from labelforge import BetaPrior, LabelPrior, ModelParams, TrainConfig, fit, model, predict
+from labelforge import LabelPrior, ModelParams, TrainConfig, fit, model, predict
 from labelforge.model import (
     MAX_PATTERN_LFS,
+    BetaPrior,
     VoteRows,
     label_prior_pairs,
-    log_likelihoods,
     log_objective,
     log_objectives,
     posterior_log_odds,
 )
 from labelforge.priors import beta_from_mean, build_mv_priors, majority_vote
-from labelforge.train import coverage_from_data, grad_accuracy, grad_coverage
+from labelforge.train import grad_accuracy, grad_coverage
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -100,13 +101,18 @@ def row_path():
 @PROPERTY
 @given(cases(st.booleans()))
 def test_kernel_equals_row_reference(case):
-    ll = log_likelihoods(case.rows(), case.acc, case.cov)
-    expected = np.array(
-        [[ref.class_joint(row, label, case.acc, case.cov) for label in (1, -1)]
-         for row in case.votes]
+    odds, degenerate = posterior_log_odds(case.rows(), case.acc, case.cov)
+    joints = np.array(
+        [[ref.class_joint(row, label, case.acc, case.cov, prior)
+          for label, prior in zip((1, -1), pair)]
+         for row, pair in zip(case.votes, case.pairs)]
     )
-    with np.errstate(divide="ignore"):
-        np.testing.assert_allclose(ll, np.log(expected), rtol=RTOL)
+    impossible = joints == 0.0
+    np.testing.assert_array_equal(degenerate, impossible.all(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, -inf - -inf
+        log_joints = np.log(joints)
+        expected = np.where(degenerate, 0.0, log_joints[:, 0] - log_joints[:, 1])
+    np.testing.assert_allclose(odds, expected, rtol=RTOL, atol=GRAD_ATOL)
 
 
 @PROPERTY
@@ -130,8 +136,9 @@ def test_gradient_equals_row_reference(case):
 @given(cases(st.booleans()))
 def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
     flipped = VoteRows.of(-case.votes, case.pairs[:, ::-1])
-    ll = log_likelihoods(case.rows(), case.acc, case.cov)
-    np.testing.assert_array_equal(log_likelihoods(flipped, case.acc, case.cov), ll[:, ::-1])
+    assert log_objective(flipped, case.acc, case.cov) == log_objective(
+        case.rows(), case.acc, case.cov
+    )
 
     odds, degenerate = posterior_log_odds(case.rows(), case.acc, case.cov)
     odds_flip, degenerate_flip = posterior_log_odds(flipped, case.acc, case.cov)
@@ -290,7 +297,7 @@ def test_widest_grouped_matrix_next_to_row_path():
             assert inverse is None and rows.n == 40
             np.testing.assert_array_equal(rows.w, 1.0)
         plain = VoteRows.of(votes, label_prior_pairs(anchors, 0.8))
-        acc, cov = rng.uniform(0.55, 0.95, m), coverage_from_data(votes)
+        acc, cov = rng.uniform(0.55, 0.95, m), ref.coverage(votes)
         np.testing.assert_allclose(
             log_objective(rows, acc, cov), log_objective(plain, acc, cov), rtol=RTOL
         )
@@ -313,10 +320,11 @@ def test_widest_grouped_matrix_next_to_row_path():
 )
 def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     """log_objectives keeps only d @ h per row and adds the label-free
-    c + s @ g of all rows as total * c + g @ count. The per-row form sums
-    each row's logaddexp of its two class joints. For K stacked cells, unit
-    or pattern weights (wider matrices keep unit weights), and p = 1, whose
-    class priors are -inf; VoteRows.count runs over row blocks of any size."""
+    c + |d| @ g of all rows as total * c + g @ count. The reference sums each
+    input row's log marginal, one row and one factor at a time. For K
+    stacked cells, unit or pattern weights (wider matrices keep unit
+    weights), and p = 1, whose class priors are -inf; VoteRows.count runs
+    over row blocks of any size."""
     rng = np.random.default_rng(seed)
     votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
     votes[rng.random(n) < 0.3] = votes[0]  # repeated patterns
@@ -334,8 +342,11 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
         log_prior = np.stack([np.log(label_prior_pairs(anchors, p)) for p in ps], axis=-1)
 
     value = log_objectives(rows, log_prior, acc, cov, prior)
-    joint = log_likelihoods(rows, acc, cov) + log_prior
-    per_row = rows.w @ np.logaddexp(joint[:, 0], joint[:, 1])
+    row_anchors = majority_vote(votes)
+    per_row = np.array([
+        ref.objective(votes, acc[cell], cov[cell], label_prior_pairs(row_anchors, p))
+        for cell, p in enumerate(ps)
+    ])
     expected = per_row + prior.log_density(acc).sum(axis=-1)
     assert value.shape == (k,) and np.isfinite(value).all()
     np.testing.assert_allclose(value, expected, rtol=1e-12)

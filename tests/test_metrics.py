@@ -6,14 +6,12 @@ import pytest
 
 from labelforge import (
     DataError,
-    auc_roc,
-    format_percent,
     l2_distance,
     mv_concordance,
     score,
 )
 from labelforge.infer import Predictions
-from labelforge.metrics import metrics_from_confusion, report_lines
+from labelforge.metrics import auc_roc, format_percent, metrics_from_confusion, report_lines
 
 
 def make_predictions(labels, scores=None):

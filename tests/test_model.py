@@ -8,28 +8,17 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from labelforge import (
-    BetaPrior,
-    DataError,
-    Dataset,
-    LabelPrior,
-    ModelParams,
-    build_uniform_priors,
-    log_objective,
-)
+from labelforge import DataError, Dataset, LabelPrior, ModelParams
 from labelforge.model import (
+    BetaPrior,
     VoteRows,
     as_lf_matrix,
     label_prior_pairs,
-    log_likelihoods,
+    log_objective,
+    log_objectives,
     posterior_log_odds,
 )
-from labelforge.priors import majority_vote
-
-
-def kernel_ll(votes, params: ModelParams) -> np.ndarray:
-    """The kernel's (n, 2) log P(row | label), parameters used as given."""
-    return log_likelihoods(VoteRows.of(votes), params.accuracy, params.coverage)
+from labelforge.priors import build_uniform_priors, majority_vote
 
 
 def objective(votes, params: ModelParams, accuracy_prior=None, pairs=None) -> float:
@@ -39,10 +28,21 @@ def objective(votes, params: ModelParams, accuracy_prior=None, pairs=None) -> fl
 
 
 def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
-    ll = kernel_ll(votes, params)
-    with np.errstate(divide="ignore"):
-        log_pair = np.log(np.asarray(pair, dtype=np.float64))
-    return np.logaddexp(ll[:, 0] + log_pair[0], ll[:, 1] + log_pair[1])
+    """Each row's log marginal under the class prior ``pair``: the kernel's
+    log objective of that row alone, parameters used as given."""
+    marginals = []
+    for row in as_lf_matrix(votes):
+        rows = VoteRows.of(row[None], [pair])
+        marginals.append(log_objectives(rows, rows.log_prior, params.accuracy, params.coverage))
+    return np.array(marginals, dtype=np.float64)
+
+
+def kernel_ll(votes, params: ModelParams) -> np.ndarray:
+    """The kernel's (n, 2) log P(row | label): each row's log marginal with
+    all prior mass on label +1 (col 0) or -1 (col 1)."""
+    return np.column_stack(
+        [kernel_log_marginals(votes, params, pair) for pair in ((1.0, 0.0), (0.0, 1.0))]
+    )
 
 
 def kernel_posterior(row, params: ModelParams, pair) -> tuple[float, float]:
@@ -126,8 +126,8 @@ class TestMarginal:
 
     def test_degenerate_prior_equals_class_joint(self):
         params = ModelParams([0.7, 0.6], [0.5, 0.9])
-        row = [[1, -1]]
-        assert kernel_log_marginals(row, params, (1.0, 0.0))[0] == kernel_ll(row, params)[0, 0]
+        value = math.exp(kernel_log_marginals([[1, -1]], params, (1.0, 0.0))[0])
+        assert value == pytest.approx(ref.class_joint([1, -1], 1, [0.7, 0.6], [0.5, 0.9]))
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(7)

@@ -5,18 +5,21 @@ import pytest
 
 from labelforge import (
     DataError,
-    EmptyOverlapError,
-    accuracy_vs_reference,
-    beta_from_mean,
     build_empirical_priors,
     build_mv_priors,
     build_random_priors,
-    build_uniform_priors,
     build_user_priors,
     majority_vote,
 )
 from labelforge.model import label_prior_pairs
-from labelforge.priors import reference_accuracies, vote_fraction
+from labelforge.priors import (
+    beta_from_mean,
+    build_uniform_priors,
+    reference_accuracies,
+    vote_fraction,
+)
+
+import kernel_reference as ref
 
 
 class TestMajorityVote:
@@ -49,20 +52,22 @@ class TestMajorityVote:
 
 
 class TestAccuracyVsReference:
+    """reference_accuracies on one LF column."""
+
     def test_partial_overlap(self):
-        assert accuracy_vs_reference([1, -1, 0], [1, 1, 1]) == pytest.approx(0.5)
+        assert reference_accuracies([[1], [-1], [0]], [1, 1, 1])[0] == pytest.approx(0.5)
 
     def test_self_reference(self):
         col = np.array([1, 0, -1, 1])
-        assert accuracy_vs_reference(col, col) == 1.0
+        assert reference_accuracies(col[:, None], col)[0] == 1.0
 
     def test_empty_overlap(self):
-        with pytest.raises(EmptyOverlapError):
-            accuracy_vs_reference([0, 1], [1, 0])
+        # no row where both vote: the uninformative mean
+        assert reference_accuracies([[0], [1]], [1, 0])[0] == 0.5
 
     def test_reference_abstentions_excluded(self):
         # only the first row counts: both vote there and agree
-        assert accuracy_vs_reference([1, 1, -1], [1, 0, 0]) == 1.0
+        assert reference_accuracies([[1], [1], [-1]], [1, 0, 0])[0] == 1.0
 
 
 class TestBetaFromMean:
@@ -170,10 +175,8 @@ class TestBuilders:
             reference = rng.integers(-1, 2, size=n)
             expected = []
             for j in range(m):
-                try:
-                    expected.append(accuracy_vs_reference(votes[:, j], reference))
-                except EmptyOverlapError:
-                    expected.append(0.5)
+                accuracy = ref.column_accuracy(votes[:, j], reference)
+                expected.append(0.5 if accuracy is None else accuracy)
             np.testing.assert_array_equal(reference_accuracies(votes, reference), expected)
 
     def test_reference_accuracies_length_mismatch(self):

@@ -12,23 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforge import (
-    BetaPrior,
     DataError,
     LabelPrior,
     NumericalError,
     TrainConfig,
-    beta_from_mean,
     build_mv_priors,
-    build_uniform_priors,
     build_user_priors,
-    coverage_from_data,
     fit,
     generate_synthetic,
     predict,
     SyntheticSpec,
 )
-from labelforge.model import CLAMP_EPS, VoteRows, label_prior_pairs, log_objective
-from labelforge.priors import majority_vote
+from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, label_prior_pairs, log_objective
+from labelforge.priors import beta_from_mean, build_uniform_priors, majority_vote
 import labelforge.train
 from labelforge.train import fit_cells, grad_accuracy, grad_coverage
 
@@ -46,13 +42,18 @@ def finite_difference(objective, x0, step=1e-5):
     return grad
 
 
+def fixed_coverage(votes) -> np.ndarray:
+    """The coverage a fit fixes for a matrix (no epoch run)."""
+    return fit(votes, config=TrainConfig(max_epochs=0)).params.coverage
+
+
 class TestCoverage:
     def test_all_abstain_column(self):
-        assert coverage_from_data([[0], [0]])[0] == 0.0
+        assert fixed_coverage([[0], [0]])[0] == 0.0
 
     def test_fractions(self):
         votes = [[1, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 1]]
-        np.testing.assert_allclose(coverage_from_data(votes), [0.75, 0.0, 0.75])
+        np.testing.assert_allclose(fixed_coverage(votes), [0.75, 0.0, 0.75])
 
 
 class TestGradients:
@@ -87,7 +88,7 @@ class TestGradients:
             acc = rng.uniform(0.2, 0.8, m)
             cov = rng.uniform(0.2, 0.8, m)
             prior = build_mv_priors(votes, 10.0)
-            cov_prior = BetaPrior(*beta_from_mean(coverage_from_data(votes), 10.0))
+            cov_prior = BetaPrior(*beta_from_mean(ref.coverage(votes), 10.0))
             rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), 0.5))
 
             def objective(c):
@@ -225,7 +226,7 @@ class TestFit:
         result = fit(votes, val, prior, cfg)
 
         rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), p))
-        acc, cov = np.full(3, 0.7), coverage_from_data(votes)
+        acc, cov = np.full(3, 0.7), ref.coverage(votes)
         if batch_size is None:
             batches = [rows]
         else:
@@ -307,7 +308,7 @@ class TestLearnBeta:
         prior = build_mv_priors(data.votes, 10.0)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=80, alpha_init=0.9, seed=1, learn_beta=True)
         result = fit(data.votes, None, prior, cfg)
-        empirical = coverage_from_data(data.votes)
+        empirical = ref.coverage(data.votes)
         assert np.linalg.norm(result.params.coverage - empirical) < 0.05
 
     def test_strong_coverage_prior_pins(self):
@@ -315,7 +316,7 @@ class TestLearnBeta:
         prior = build_mv_priors(data.votes, 1e6)
         cfg = TrainConfig(learning_rate=2e-4, max_epochs=150, alpha_init=0.5, seed=1, learn_beta=True)
         result = fit(data.votes, None, prior, cfg)
-        empirical = coverage_from_data(data.votes)
+        empirical = ref.coverage(data.votes)
         assert np.abs(result.params.coverage - empirical).max() < 0.01
 
     def test_flag_steps_under_empirical_coverage_prior(self):
@@ -325,7 +326,7 @@ class TestLearnBeta:
         prior = build_mv_priors(data.votes, 10.0)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=1, seed=3)
         result = fit(data.votes, None, prior, replace(cfg, learn_beta=True))
-        empirical = coverage_from_data(data.votes)
+        empirical = ref.coverage(data.votes)
         cov_prior = BetaPrior(*beta_from_mean(empirical, 10.0))
         step = grad_coverage(VoteRows.of(data.votes), empirical, cov_prior, 1.0)
         expected = np.clip(empirical + 0.05 / 100 * step, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -335,7 +336,7 @@ class TestLearnBeta:
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
         cfg = TrainConfig(learning_rate=0.05, max_epochs=5, seed=3)
         result = fit(data.votes, None, None, cfg)
-        np.testing.assert_array_equal(result.params.coverage, coverage_from_data(data.votes))
+        np.testing.assert_array_equal(result.params.coverage, ref.coverage(data.votes))
 
 
 class TestPredictAfterFit:
