@@ -44,6 +44,7 @@ try:
     )
     from .errors import DataError, LabelForgeError, NumericalError
     from .experiments import (
+        MODES,
         GridSpec,
         SplitSpec,
         SyntheticSpec,
@@ -68,21 +69,18 @@ finally:
 # command's peak RSS by about 0.1 MB
 import hashlib  # noqa: E402
 
-MODE_CHOICES = ("mle", "map-mv", "map-emp", "map-rand", "map-user")
 
-
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, flag: str, cast=float) -> list:
+    """The comma-separated values of ``flag``; empty entries are skipped, and
+    a list with no value left is refused."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [cast(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise DataError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise DataError(f"expected comma-separated integers, got {text!r}") from None
+        kind = "integers" if cast is int else "numbers"
+        raise DataError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
+    if not values:
+        raise DataError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _resolve_seed(args) -> int:
@@ -134,7 +132,9 @@ def _cmd_train(args) -> int:
             print("error: --mode map-user requires --prior-u and --prior-v", file=sys.stderr)
             return 1
         prior = build_user_priors(
-            _parse_floats(args.prior_u), _parse_floats(args.prior_v), args.p,
+            _parse_list(args.prior_u, "--prior-u"),
+            _parse_list(args.prior_v, "--prior-v"),
+            args.p,
             force_abstain=args.force_abstain,
         )
     else:
@@ -271,7 +271,7 @@ def _cmd_lowdata(args) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     rows = low_data_sweep(
         dataset,
-        _parse_ints(args.sizes),
+        _parse_list(args.sizes, "--sizes", int),
         args.replicates,
         modes=tuple(args.modes.split(",")),
         split_spec=SplitSpec(seed=seed),
@@ -300,7 +300,7 @@ def _cmd_stability(args) -> int:
     rows = stability_sweep(
         train,
         test,
-        _parse_ints(args.epoch_grid),
+        _parse_list(args.epoch_grid, "--epoch-grid", int),
         modes=tuple(args.modes.split(",")),
         config=_train_config(args, seed),
         strength=args.strength,
@@ -319,8 +319,8 @@ def _cmd_stability(args) -> int:
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args)
     _announce(args, seed)
-    accuracy = _parse_floats(args.alpha)
-    coverage = _parse_floats(args.beta)
+    accuracy = _parse_list(args.alpha, "--alpha")
+    coverage = _parse_list(args.beta, "--beta")
     spec = SyntheticSpec(
         m=args.m,
         n=args.n,
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True)
     train.add_argument("--truth-col", default="y")
     train.add_argument("--val-frac", type=float, default=0.1)
-    train.add_argument("--mode", choices=MODE_CHOICES, default="map-mv")
+    train.add_argument("--mode", choices=(*MODES, "map-user"), default="map-mv")
     train.add_argument("--prior-u", default=None, help="comma list for map-user")
     train.add_argument("--prior-v", default=None, help="comma list for map-user")
     train.add_argument("--learn-beta", action="store_true")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--data", required=True)
     gs.add_argument("--truth-col", default="y")
     gs.add_argument("--grid", default=None, help="JSON file of candidate value lists")
-    gs.add_argument("--mode", choices=("mle", "map-mv", "map-emp", "map-rand"), default="map-mv")
+    gs.add_argument("--mode", choices=MODES, default="map-mv")
     gs.add_argument("--seed", type=int, default=None)
     gs.add_argument("--out", default=None)
     _add_train_flags(gs, with_init=False)

@@ -92,8 +92,11 @@ class SyntheticSpec:
                     f"synthetic {name} has {vec.size} entries, expected 1 or m={self.m}"
                 )
             vec = np.broadcast_to(vec, (self.m,)).copy()
-            if (vec < 0).any() or (vec > 1).any():
-                raise DataError(f"synthetic {name} entries must lie in [0, 1]")
+            bad = ~((vec >= 0) & (vec <= 1))  # NaN fails both
+            if bad.any():
+                raise DataError(
+                    f"synthetic {name} entries must be numbers in [0, 1], got {vec[bad][0]}"
+                )
             vectors.append(vec)
         return vectors[0], vectors[1]
 
@@ -299,7 +302,7 @@ def grid_search(
             results = fit_cells(train.votes, val.votes, priors, configs)
         except LabelForgeError as exc:
             results = [exc] * len(stacked)
-        val_grouped = VoteRows.grouped(val.votes, 0.5)
+        val_grouped = VoteRows.grouped(val.votes)
         for cell, prior, result in zip(fitted, priors, results):
             try:
                 if isinstance(result, LabelForgeError):

@@ -25,7 +25,7 @@ from .model import (
     ModelParams,
     VoteRows,
     as_lf_matrix,
-    label_prior_pairs,
+    class_prior_table,
     posterior_log_odds,
 )
 from .priors import majority_vote, vote_fraction
@@ -53,30 +53,28 @@ class Predictions:
 def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -> Predictions:
     """Most probable label per row under the model and label prior.
 
-    Majority-vote anchors for the prior pairs (and for forced abstention)
+    Majority-vote anchors for the class priors (and for forced abstention)
     are always recomputed from the matrix being predicted.
     """
-    label_prior = label_prior or LabelPrior()
-    return predict_grouped(VoteRows.grouped(votes, label_prior.p), params, label_prior)
+    return predict_grouped(VoteRows.grouped(votes), params, label_prior or LabelPrior())
 
 
 def predict_grouped(
-    grouped: tuple[VoteRows, np.ndarray, np.ndarray | None],
+    grouped: tuple[VoteRows, np.ndarray | None],
     params: ModelParams,
     label_prior: LabelPrior,
 ) -> Predictions:
     """:func:`predict` over a matrix already grouped by
-    :meth:`VoteRows.grouped`, with its own anchors and any ``p``: the class
-    priors are rebuilt from ``label_prior.p``, so one grouping serves every
-    model that labels the same matrix."""
-    patterns, mv, inverse = grouped
-    if patterns.d.shape[1] != params.m:
-        raise DataError(f"matrix has {patterns.d.shape[1]} columns but params have {params.m}")
+    :meth:`VoteRows.grouped` with its own anchors. The rows carry only
+    anchors, and the class priors come from ``label_prior.p``, so one
+    grouping serves every model and ``p`` that label the same matrix."""
+    rows, inverse = grouped
+    if rows.d.shape[1] != params.m:
+        raise DataError(f"matrix has {rows.d.shape[1]} columns but params have {params.m}")
     # Rows with the same votes get the same prediction: label each distinct
     # pattern once, then copy its prediction to its rows.
-    rows = patterns.with_class_priors(label_prior_pairs(mv, label_prior.p))
-
-    odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
+    table = class_prior_table(label_prior.p)
+    odds, degenerate = posterior_log_odds(rows, table, params.accuracy, params.coverage)
     score_pos = np.exp(-np.logaddexp(0.0, -odds))
     score_neg = 1.0 - score_pos
 
@@ -91,7 +89,7 @@ def predict_grouped(
     reasons[degenerate] = REASON_DEGENERATE
 
     if label_prior.force_abstain:
-        forced = mv == 0
+        forced = rows.anchor == 0
         labels[forced] = 0
         reasons[forced] = REASON_FORCED
 

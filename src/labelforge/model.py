@@ -24,24 +24,26 @@ where the accuracy gradient starts, and the posterior log-odds are
 three are the kernel; there is no per-row form of the class
 log-likelihoods. Stacked (K, m) parameters, one row per cell of a grid,
 turn the mat-vecs into mat-mats with one column per cell.
-:meth:`VoteRows.of` is the one place a vote matrix and its class priors
+:meth:`VoteRows.of` is the one place a vote matrix and its rows' anchors
 are checked; every kernel function takes the converted rows and plain
 per-LF vectors.
 
-A row enters the model only through its votes and its prior pair, and the
-pair follows from the row's majority-vote anchor, so rows with the same
-votes and anchor are interchangeable. Each converted row carries a weight,
+A row's label prior follows from its majority-vote anchor (-1, 0 or +1)
+and the cell's ``p``, so each converted row carries its anchor, and the
+kernel reads the class priors from one (3, K) table of log priors indexed
+by anchor (:func:`class_prior_table`). Rows with the same votes and anchor
+are therefore interchangeable. Each converted row carries a weight,
 and every sum over rows (the objective's log marginals, the gradient's
 vote masses, the vote counts) is weighted. :meth:`VoteRows.grouped` keeps
 one row per distinct (pattern, anchor) pair with its count as weight, so a
 full-batch pass costs O(patterns) rather than O(rows): at most 3^m
 patterns, about 12k in 100k rows of 10 LFs. It keys rows by a base-3 int64
 code, which fits up to MAX_PATTERN_LFS = 38 LFs; wider matrices keep one
-row per input row with weight 1. The objective and its
-gradients clamp accuracies and coverages into [CLAMP_EPS, 1 - CLAMP_EPS]
-so every log stays finite; prediction uses the parameters as given, and a
-row that is impossible under both labels (only parameters at exactly 0 or
-1 allow that) comes back as degenerate, never as NaN.
+row per input row with weight 1. Training keeps accuracies and
+coverages inside [CLAMP_EPS, 1 - CLAMP_EPS] so every log stays finite;
+prediction uses the parameters as given, and a row that is impossible
+under both labels (only parameters at exactly 0 or 1 allow that) comes
+back as degenerate, never as NaN.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 # Clamp applied to accuracy/coverage before log evaluation; initialization
 # at exactly 1.0 must still yield a finite objective.
@@ -237,28 +239,38 @@ class Dataset:
         return Dataset(self.votes[idx], truth)
 
 
-def label_prior_pairs(mv_votes: np.ndarray, p: float) -> np.ndarray:
-    """Per-row (prior_pos, prior_neg) pairs from majority-vote anchors.
-
-    Rows voting +1 get (p, 1-p), rows voting -1 get (1-p, p), abstaining
-    rows get the uninformative (0.5, 0.5).
-    """
-    votes = as_label_vector(mv_votes)
-    pairs = np.full((votes.shape[0], 2), 0.5, dtype=np.float64)
-    pairs[votes == 1] = (p, 1.0 - p)
-    pairs[votes == -1] = (1.0 - p, p)
-    return pairs
-
-
 def row_majority(votes: np.ndarray) -> np.ndarray:
     """Per-row unweighted majority vote of a checked int8 vote matrix: the
     sign of the vote sum, so ties and all-abstain rows yield 0."""
     return np.sign(votes.sum(axis=1)).astype(np.int8)
 
 
-def _log_class_priors(class_priors: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):  # a prior of 0 gives -inf
-        return np.log(class_priors)
+def class_prior_table(p) -> np.ndarray:
+    """Log class prior of label +1 for a row anchored at -1, 0 and +1 (table
+    rows 0, 1 and 2), for a scalar ``p`` or, one column per cell, a K-vector.
+
+    The anchor's label gets mass p, the other label 1 - p, and both labels
+    0.5 on a row whose majority vote abstains. Label -1 reads the table in
+    reverse, so a row anchored at a has the log class priors
+    ``table[a + 1]`` (+1) and ``table[1 - a]`` (-1). p = 1 gives -inf,
+    never NaN.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.log(np.stack([1.0 - p, np.full_like(p, 0.5), p]))
+
+
+def _checked_anchors(votes: np.ndarray, anchors) -> np.ndarray:
+    """The rows' anchors as int8 after checking them against the vote
+    matrix; each row's own majority vote when None."""
+    if anchors is None:
+        return row_majority(votes)
+    anchors = as_label_vector(anchors)
+    if anchors.shape[0] != votes.shape[0]:
+        raise DataError(
+            f"label prior covers {anchors.shape[0]} rows, matrix has {votes.shape[0]}"
+        )
+    return anchors
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,56 +279,44 @@ class VoteRows:
 
     ``d`` holds the votes as float64, ``w`` the rows' weights (the number of
     input rows each stands for: 1, or a pattern's count from
-    :meth:`grouped`), and ``log_prior`` the rows' (n, 2) log class priors
-    (-inf where a prior is 0). ``count`` is the weighted number of votes
-    each LF cast and ``total`` the weight total; each is computed on first
-    use, so prediction, which reads only ``d`` and ``log_prior``, never
-    builds them.
+    :meth:`grouped`), and ``anchor`` the rows' int8 majority-vote anchors,
+    which index the table of :func:`class_prior_table`. ``count`` is the
+    weighted number of votes each LF cast and ``total`` the weight total;
+    each is computed on first use, so prediction, which reads only ``d``
+    and ``anchor``, never builds them.
     """
 
     d: np.ndarray
     w: np.ndarray
-    log_prior: np.ndarray
+    anchor: np.ndarray
 
     @classmethod
-    def of(cls, votes, class_priors=None) -> "VoteRows":
-        """Check a vote matrix and its (n, 2) class prior pairs (symmetric
-        when None), and convert them for the kernel with unit weights."""
+    def of(cls, votes, anchors=None) -> "VoteRows":
+        """Check a vote matrix and its rows' anchors (each row's own majority
+        vote when None), and convert them for the kernel with unit weights."""
         votes = as_lf_matrix(votes)
-        n = votes.shape[0]
-        if class_priors is None:
-            class_priors = np.full((n, 2), 0.5)
-        class_priors = np.asarray(class_priors, dtype=np.float64)
-        if class_priors.shape != (n, 2):
-            raise DataError(f"class priors must have shape ({n}, 2), got {class_priors.shape}")
-        if not (class_priors >= 0).all():
-            raise DataError("class prior probabilities must be numbers >= 0")
-        return cls._converted(votes, class_priors, np.ones(n))
+        anchors = _checked_anchors(votes, anchors)
+        return cls(votes.astype(np.float64), np.ones(votes.shape[0]), anchors)
 
     @classmethod
-    def grouped(
-        cls, votes, p: float, anchors=None
-    ) -> tuple["VoteRows", np.ndarray, np.ndarray | None]:
+    def grouped(cls, votes, anchors=None) -> tuple["VoteRows", np.ndarray | None]:
         """The distinct (row, anchor) pairs of a vote matrix, each weighted by
-        how often it occurs, with the prior pairs of :func:`label_prior_pairs`.
+        how often it occurs.
 
         ``anchors`` of None anchors each row to its own majority vote. Each
         row is keyed by the base-3 code of its votes with the anchor as the
         last digit, and the keys are made unique; that fits an int64 up to
-        MAX_PATTERN_LFS columns. Returns the rows, their anchors and the
-        index ``inverse`` that maps each input row to its pattern
-        (``rows.d[inverse]`` is the input). Wider matrices come back as
-        their own rows with unit weights, and ``inverse`` is None.
+        MAX_PATTERN_LFS columns. Returns the rows and the index ``inverse``
+        that maps each input row to its pattern (``rows.d[inverse]`` is the
+        input, ``rows.anchor[inverse]`` its anchors). Wider matrices come
+        back as their own rows with unit weights, and ``inverse`` is None.
         """
         votes = as_lf_matrix(votes)
         n, m = votes.shape
-        if anchors is not None:
-            anchors = as_label_vector(anchors)
-            if anchors.shape[0] != n:
-                raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
         if m > MAX_PATTERN_LFS:
-            anchors = row_majority(votes) if anchors is None else anchors
-            return cls._converted(votes, label_prior_pairs(anchors, p), np.ones(n)), anchors, None
+            return cls(votes.astype(np.float64), np.ones(n), _checked_anchors(votes, anchors)), None
+        if anchors is not None:
+            anchors = _checked_anchors(votes, anchors)
 
         # digits v + 1 of the votes, then anchor + 1 (0 without anchors)
         key = (votes + 1) @ 3 ** np.arange(m, 0, -1, dtype=np.int64)
@@ -327,16 +327,7 @@ class VoteRows:
         one_row[inverse] = np.arange(n)  # the rows of a key are all alike
         patterns = votes[one_row]
         anchors = row_majority(patterns) if anchors is None else anchors[one_row]
-        pairs = label_prior_pairs(anchors, p)
-        return cls._converted(patterns, pairs, counts.astype(np.float64)), anchors, inverse
-
-    @classmethod
-    def _converted(cls, votes: np.ndarray, class_priors: np.ndarray, w: np.ndarray) -> "VoteRows":
-        return cls(votes.astype(np.float64), w, _log_class_priors(class_priors))
-
-    def with_class_priors(self, class_priors: np.ndarray) -> "VoteRows":
-        """The same rows and weights under other (n, 2) class prior pairs."""
-        return VoteRows(self.d, self.w, _log_class_priors(class_priors))
+        return cls(patterns.astype(np.float64), counts.astype(np.float64), anchors), inverse
 
     @property
     def n(self) -> int:
@@ -359,17 +350,14 @@ class VoteRows:
         return float(self.w.sum())
 
     def take(self, idx: np.ndarray) -> "VoteRows":
-        return VoteRows(self.d[idx], self.w[idx], self.log_prior[idx])
+        return VoteRows(self.d[idx], self.w[idx], self.anchor[idx])
 
-
-def _clamped(rows: VoteRows, *params) -> list[np.ndarray]:
-    """Per-LF parameter vectors clamped into [CLAMP_EPS, 1 - CLAMP_EPS] so
-    every log stays finite, after checking each has one entry per column."""
-    m = rows.d.shape[1]
-    for vec in params:
-        if len(vec) != m:
-            raise DataError(f"matrix has {m} columns but params have {len(vec)}")
-    return [np.clip(vec, CLAMP_EPS, 1.0 - CLAMP_EPS) for vec in params]
+    def class_priors(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' log class priors of label +1 and of label -1, read from a
+        :func:`class_prior_table`: n-vectors for a scalar ``p``, (n, K)
+        arrays for K cells."""
+        idx = self.anchor + 1
+        return table[idx], table[2 - idx]
 
 
 def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
@@ -420,16 +408,18 @@ def half_log_ratios(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) 
 
 
 def posterior_log_odds(
-    rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray
+    rows: VoteRows, prior_table: np.ndarray, accuracy: np.ndarray, coverage: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log P(+1 | row) - log P(-1 | row), and the mask of degenerate
-    rows, which are impossible under both labels (their log-odds are 0).
+    """Per-row log P(+1 | row) - log P(-1 | row) under the class priors of
+    the one-cell ``prior_table`` (:func:`class_prior_table` of a scalar p),
+    and the mask of degenerate rows, which are impossible under both labels
+    (their log-odds are 0).
 
     Parameters are used as given, so they may sit at exactly 0 or 1; a row
     impossible under one label only gets log-odds -inf or +inf.
     """
     h, _, _, zero = _kernel(accuracy, coverage)
-    log_w = rows.log_prior.copy()
+    log_w = np.stack(rows.class_priors(prior_table), axis=1)
     if zero.any():
         log_w[_impossible(rows.d, zero)] = -np.inf
     degenerate = (log_w == -np.inf).all(axis=1)
@@ -441,7 +431,7 @@ def posterior_log_odds(
 
 def log_objectives(
     rows: VoteRows,
-    log_prior: np.ndarray,
+    prior_table: np.ndarray,
     accuracy: np.ndarray,
     coverage: np.ndarray,
     accuracy_prior: BetaPrior | None = None,
@@ -453,12 +443,12 @@ def log_objectives(
     densities where given.
 
     ``accuracy`` and ``coverage`` are (K, m), one row per cell, inside the
-    clamp; ``log_prior`` is the rows' (n, 2, K) log class priors. Returns a
-    K-vector, non-finite for a cell whose objective is; nothing is checked,
-    so a cell that fails leaves the others alone. With m-vectors and (n, 2)
-    log priors it returns the one objective as a 0-d array. ``dh`` is the
-    rows' :func:`half_log_ratios` at these parameters, computed here when
-    None.
+    clamp; ``prior_table`` is the cells' (3, K) :func:`class_prior_table`.
+    Returns a K-vector, non-finite for a cell whose objective is; nothing is
+    checked, so a cell that fails leaves the others alone. With m-vectors
+    and the (3,) table of a scalar p it returns the one objective as a 0-d
+    array. ``dh`` is the rows' :func:`half_log_ratios` at these parameters,
+    computed here when None.
 
     A row's marginal is ``logaddexp(dh + lp+, lp- - dh)`` plus the label-free
     ``c + |d| @ g``, and the weighted sum of the latter over the rows is
@@ -467,35 +457,11 @@ def log_objectives(
     h, g, c, _ = _kernel(accuracy, coverage)
     if dh is None:
         dh = rows.d @ h.T
-    marginal = dh + log_prior[:, 0]
-    np.logaddexp(marginal, log_prior[:, 1] - dh, out=marginal)
+    prior_pos, prior_neg = rows.class_priors(prior_table)
+    marginal = dh + prior_pos
+    np.logaddexp(marginal, prior_neg - dh, out=marginal)
     total = rows.w @ marginal + (rows.total * c + g @ rows.count)
     for prior, x in ((accuracy_prior, accuracy), (coverage_prior, coverage)):
         if prior is not None:
             total = total + prior.log_density(x).sum(axis=-1)
-    return total
-
-
-def log_objective(
-    rows: VoteRows,
-    accuracy: np.ndarray,
-    coverage: np.ndarray,
-    accuracy_prior: BetaPrior | None = None,
-    coverage_prior: BetaPrior | None = None,
-) -> float:
-    """Total log objective: the weighted sum of the rows' log marginals under
-    their class priors, plus the beta log densities of the accuracy prior and of
-    the coverage prior (learned-coverage variant) where given.
-
-    With no beta prior this is the plain likelihood objective.
-    """
-    acc, cov = _clamped(rows, accuracy, coverage)
-    for prior, x in ((accuracy_prior, acc), (coverage_prior, cov)):
-        if prior is not None and prior.m != x.shape[0]:
-            raise DataError(f"beta prior has {prior.m} entries, params have {x.shape[0]}")
-    total = float(
-        log_objectives(rows, rows.log_prior, acc, cov, accuracy_prior, coverage_prior)
-    )
-    if not np.isfinite(total):
-        raise NumericalError(f"log objective is non-finite ({total})")
     return total

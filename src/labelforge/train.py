@@ -18,13 +18,12 @@ row per cell and one column of the kernel's m x K mat-mats, so each
 minibatch is gathered once for all cells; columns never mix, so each cell
 equals its own fit up to rounding. Each cell stops early on its own, and a
 cell whose gradient or objective turns non-finite fails alone. A cell's
-label prior enters only through its rows' class priors, gathered from a
-table indexed by anchor: once per fit for a full batch, per minibatch
-otherwise, and per epoch for the train and validation objectives, whose
-(patterns, 2, K) arrays would otherwise stay alive through the whole loop
-and raise a stacked grid's peak memory. Grids too large for
-MAX_STACKED_ENTRIES run as several such loops. :func:`fit` is the one-cell
-call.
+label prior enters only through the cells' (3, K) table of log class
+priors (:func:`~labelforge.model.class_prior_table`), from which the
+gradient and the objectives read each row's priors by its majority-vote
+anchor as they need them, so no rows x cells prior array outlives a
+call. Grids too large for MAX_STACKED_ENTRIES run as several such loops.
+:func:`fit` is the one-cell call.
 
 The train and validation matrices are checked and converted to
 :class:`~labelforge.model.VoteRows` once. Sums over rows are weighted, and
@@ -64,6 +63,7 @@ from .model import (
     ModelParams,
     VoteRows,
     as_lf_matrix,
+    class_prior_table,
     half_log_ratios,
     log_objectives,
 )
@@ -124,7 +124,7 @@ class FitResult:
 
 def grad_accuracy(
     rows: VoteRows,
-    prior_odds: np.ndarray,
+    prior_table: np.ndarray,
     accuracy: np.ndarray,
     coverage: np.ndarray,
     accuracy_prior: BetaPrior | None,
@@ -135,19 +135,22 @@ def grad_accuracy(
     plus prior_weight * accuracy-prior log density) with respect to accuracy.
 
     ``accuracy`` and ``coverage`` are (K, m), one row per cell, and
-    ``prior_odds`` holds the rows' half prior log-odds (log P(+1) - log P(-1)) / 2
-    per cell, (n, K); m-vectors with an n-vector of odds give one cell's
-    m-vector. With e = w * tanh(r / 2) for the rows' weights w and posterior
-    log-odds r = 2 (d @ h + prior_odds), the posterior mass of LF j's
-    agreeing votes is (count_j + d_j . e) / 2 and that of its disagreeing
-    votes (count_j - d_j . e) / 2. ``dh`` is the rows'
-    :func:`~labelforge.model.half_log_ratios` at the clamped parameters,
-    computed here when None. Parameters are clamped; nothing is checked, so
-    a non-finite entry shows only in its cell's row.
+    ``prior_table`` is the cells' (3, K)
+    :func:`~labelforge.model.class_prior_table`; m-vectors with the (3,)
+    table of a scalar p give one cell's m-vector. Each row's half prior
+    log-odds (log P(+1) - log P(-1)) / 2 is read by its anchor from
+    ``0.5 * (t - t[::-1])``. With e = w * tanh(r / 2) for the rows' weights
+    w and posterior log-odds r = 2 (d @ h + half prior log-odds), the
+    posterior mass of LF j's agreeing votes is (count_j + d_j . e) / 2 and
+    that of its disagreeing votes (count_j - d_j . e) / 2. ``dh`` is the
+    rows' :func:`~labelforge.model.half_log_ratios` at the clamped
+    parameters, computed here when None. Parameters are clamped; nothing is
+    checked, so a non-finite entry shows only in its cell's row.
     """
     acc = np.clip(accuracy, CLAMP_EPS, 1.0 - CLAMP_EPS)
     if dh is None:
         dh = half_log_ratios(rows, acc, np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS))
+    prior_odds = (0.5 * (prior_table - prior_table[::-1]))[rows.anchor + 1]
     de = (rows.w * np.tanh(dh + prior_odds).T) @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
@@ -225,8 +228,6 @@ def fit_cells(
         mv = majority_vote(votes)
         anchor_sets = [mv if a is None else a for a in anchor_sets]
     anchors = anchor_sets[0]
-    if anchors.shape[0] != n:
-        raise DataError(f"label prior covers {anchors.shape[0]} rows, matrix has {n}")
     if any(a is not anchors and not np.array_equal(a, anchors) for a in anchor_sets):
         raise DataError("stacked cells must share their label-prior anchors")
     block = max(1, MAX_STACKED_ENTRIES // n)
@@ -239,39 +240,20 @@ def fit_cells(
             )
         ]
     acc_prior = _stacked_prior([None if s is None else s.accuracy_prior for s in priors], m)
-
-    # Log class prior of label +1 for anchors -1, 0 and +1 (rows), per cell
-    # (columns); label -1 reads the rows in reverse. p = 1 gives -inf, never NaN.
-    p = np.array([lp.p for lp in label_priors])
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(np.stack([1.0 - p, np.full(k, 0.5), p]))
-    half_odds = 0.5 * (log_prior - log_prior[::-1])
-
-    def table_rows(row_anchors: np.ndarray) -> np.ndarray:
-        return row_anchors.astype(np.intp) + 1
-
-    def prior_rows(row_anchors: np.ndarray) -> np.ndarray:
-        # the table rows of each row's (label +1, label -1) class priors
-        idx = table_rows(row_anchors)
-        return np.stack([idx, 2 - idx], axis=1)
+    prior_table = class_prior_table([lp.p for lp in label_priors])
 
     # The objectives and a full batch sum over rows in any order, so they
-    # run over one weighted row per distinct (pattern, anchor) pair. The
-    # cells' class priors come from the table, so the rows' own are left
-    # symmetric.
-    patterns, pattern_anchors, _ = VoteRows.grouped(votes, 0.5, anchors)
-    scored = [(patterns, prior_rows(pattern_anchors))]
+    # run over one weighted row per distinct (pattern, anchor) pair.
+    patterns, _ = VoteRows.grouped(votes, anchors)
+    scored = [patterns]
     if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
         val = as_lf_matrix(val_votes)
         if val.shape[1] != m:
             raise DataError(f"validation matrix has {val.shape[1]} columns, train has {m}")
-        val_rows, val_anchors, _ = VoteRows.grouped(val, 0.5)
-        scored.append((val_rows, prior_rows(val_anchors)))
+        scored.append(VoteRows.grouped(val)[0])
     full_batch = config.batch_size is None or config.batch_size >= n
-    if full_batch:
-        full_odds = np.take(half_odds, table_rows(pattern_anchors), axis=0)
-    else:
-        unit_rows, unit_idx = VoteRows.of(votes), table_rows(anchors)
+    if not full_batch:
+        unit_rows = VoteRows.of(votes, anchors)
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]
@@ -311,21 +293,18 @@ def fit_cells(
         if not running.any():
             break
         if full_batch:
-            batches = ((patterns, full_odds),)
+            batches = (patterns,)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
             order = rng.permutation(n)
             size = config.batch_size
-            batches = (
-                (unit_rows.take(sel), np.take(half_odds, unit_idx[sel], axis=0))
-                for sel in (order[start : start + size] for start in range(0, n, size))
-            )
-        for batch, odds in batches:
+            batches = (unit_rows.take(order[start : start + size]) for start in range(0, n, size))
+        for batch in batches:
             weight = batch.total / n
             step = lr / batch.total
             # A stopped or failed cell is still stepped (a NaN stays in its
             # own row) but no longer recorded.
-            g_acc = grad_accuracy(batch, odds, acc, cov, acc_prior, weight, train_dh)
+            g_acc = grad_accuracy(batch, prior_table, acc, cov, acc_prior, weight, train_dh)
             bad = running & ~np.isfinite(g_acc).all(axis=1)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if config.learn_beta:
@@ -341,10 +320,10 @@ def fit_cells(
             train_dh = half_log_ratios(patterns, acc, cov)
         losses = [
             -log_objectives(
-                rows, np.take(log_prior, pairs, axis=0), acc, cov, acc_prior, coverage_prior,
+                rows, prior_table, acc, cov, acc_prior, coverage_prior,
                 train_dh if rows is patterns else None,
             )
-            for rows, pairs in scored
+            for rows in scored
         ]
         finite = np.isfinite(losses).all(axis=0)
         if (running & ~finite).any():

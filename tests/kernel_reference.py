@@ -6,12 +6,20 @@ and the posterior and gradient that follow. It is the textbook form of the
 model, kept as the reference that the kernel's mat-vecs are tested against.
 It underflows on wide rows, so tests use it on a few LFs only. The data
 statistics the model is built from, each LF's coverage and its accuracy
-against a reference vote, are given per column here too.
+against a reference vote, are given per column here too, and so are each
+row's class prior pair under a majority-vote anchor.
+
+Last, ``log_objective`` is the kernel's objective of one model with its
+inputs checked and its parameters clamped, the form the tests use where
+they need the objective itself (finite differences, bitwise comparisons).
 """
 
 import math
 
 import numpy as np
+
+from labelforge.errors import DataError, NumericalError
+from labelforge.model import CLAMP_EPS, class_prior_table, log_objectives
 
 
 def factor(vote: int, label: int, acc: float, cov: float) -> float:
@@ -69,11 +77,14 @@ def grad_accuracy(votes, acc, cov, pairs, prior=None, weight: float = 1.0) -> np
     return grad
 
 
-def prior_odds(rows) -> np.ndarray:
-    """Half the prior log-odds of each row, (log P(+1) - log P(-1)) / 2, read
-    from its class priors: the form in which ``train.grad_accuracy`` takes a
-    cell's label prior."""
-    return 0.5 * (rows.log_prior[:, 0] - rows.log_prior[:, 1])
+def pairs(anchors, p: float) -> np.ndarray:
+    """Per-row (P(+1), P(-1)) class priors: p on the anchor's label and
+    1 - p on the other, or 0.5 each where the anchor is 0."""
+    out = np.full((len(anchors), 2), 0.5)
+    for row, anchor in enumerate(anchors):
+        if anchor != 0:
+            out[row] = (p, 1.0 - p) if anchor == 1 else (1.0 - p, p)
+    return out
 
 
 def coverage(votes) -> np.ndarray:
@@ -90,3 +101,22 @@ def column_accuracy(column, reference) -> float | None:
     if not both.any():
         return None
     return float((column[both] == reference[both]).sum() / both.sum())
+
+
+def log_objective(rows, p, accuracy, coverage, accuracy_prior=None, coverage_prior=None) -> float:
+    """The log objective of one model over converted rows under label prior
+    ``p``: the parameters are checked against the matrix and the priors, and
+    clamped into [CLAMP_EPS, 1 - CLAMP_EPS], and a non-finite total raises."""
+    m = rows.d.shape[1]
+    for vec in (accuracy, coverage):
+        if len(vec) != m:
+            raise DataError(f"matrix has {m} columns but params have {len(vec)}")
+    acc, cov = (np.clip(vec, CLAMP_EPS, 1.0 - CLAMP_EPS) for vec in (accuracy, coverage))
+    for prior in (accuracy_prior, coverage_prior):
+        if prior is not None and prior.m != m:
+            raise DataError(f"beta prior has {prior.m} entries, params have {m}")
+    table = class_prior_table(p)
+    total = float(log_objectives(rows, table, acc, cov, accuracy_prior, coverage_prior))
+    if not np.isfinite(total):
+        raise NumericalError(f"log objective is non-finite ({total})")
+    return total

@@ -34,7 +34,7 @@ from labelforge.cli import cli_main
 from labelforge.dataio import model_file_from_fit
 from labelforge.experiments import collect_aggregates
 from labelforge.metrics import format_percent, metrics_from_confusion
-from labelforge.model import BetaPrior, VoteRows, label_prior_pairs, log_objective
+from labelforge.model import BetaPrior, VoteRows, class_prior_table
 from labelforge.priors import beta_from_mean, build_uniform_priors, reference_accuracies
 from labelforge.train import grad_accuracy, grad_coverage
 
@@ -68,17 +68,18 @@ def test_criterion_01_gradient_oracle():
         cov = rng.uniform(0.15, 0.85, m)
         strength = float(rng.choice([10.0, 100.0]))
         prior = build_mv_priors(votes, strength, p=float(rng.choice([0.5, 0.7, 0.9])))
-        pairs = label_prior_pairs(prior.label_prior.mv_votes, prior.label_prior.p)
-        rows = VoteRows.of(votes, pairs)
+        p = prior.label_prior.p
+        rows = VoteRows.of(votes, prior.label_prior.mv_votes)
         cov_prior = BetaPrior(*beta_from_mean(ref.coverage(votes), strength))
 
         def obj_acc(a):
-            return log_objective(rows, a, cov, prior.accuracy_prior, cov_prior)
+            return ref.log_objective(rows, p, a, cov, prior.accuracy_prior, cov_prior)
 
         def obj_cov(c):
-            return log_objective(rows, acc, c, prior.accuracy_prior, cov_prior)
+            return ref.log_objective(rows, p, acc, c, prior.accuracy_prior, cov_prior)
 
-        g_acc = grad_accuracy(rows, ref.prior_odds(rows), acc, cov, prior.accuracy_prior, 1.0)
+        table = class_prior_table(p)
+        g_acc = grad_accuracy(rows, table, acc, cov, prior.accuracy_prior, 1.0)
         fd_acc = central_difference(obj_acc, acc)
         g_cov = grad_coverage(rows, cov, cov_prior, 1.0)
         fd_cov = central_difference(obj_cov, cov)
@@ -109,14 +110,13 @@ def test_criterion_02_mle_map_reduction():
         uniform = build_uniform_priors(m)
         map_res = fit(votes, val, uniform, cfg)
         mle_res = fit(votes, val, None, cfg)
-        rows = VoteRows.of(votes, np.full((n, 2), 0.5))
+        rows, table = VoteRows.of(votes), class_prior_table(0.5)
         map_acc, map_cov = map_res.params.accuracy, map_res.params.coverage
         mle_acc, mle_cov = mle_res.params.accuracy, mle_res.params.coverage
-        obj_map = log_objective(rows, map_acc, map_cov, uniform.accuracy_prior)
-        obj_mle = log_objective(rows, mle_acc, mle_cov)
-        odds = ref.prior_odds(rows)
-        g_map = grad_accuracy(rows, odds, map_acc, map_cov, uniform.accuracy_prior, 1.0)
-        g_mle = grad_accuracy(rows, odds, mle_acc, mle_cov, None, 1.0)
+        obj_map = ref.log_objective(rows, 0.5, map_acc, map_cov, uniform.accuracy_prior)
+        obj_mle = ref.log_objective(rows, 0.5, mle_acc, mle_cov)
+        g_map = grad_accuracy(rows, table, map_acc, map_cov, uniform.accuracy_prior, 1.0)
+        g_mle = grad_accuracy(rows, table, mle_acc, mle_cov, None, 1.0)
         p_map = predict(votes, map_res.params, uniform.label_prior)
         p_mle = predict(votes, mle_res.params, LabelPrior())
         same = (

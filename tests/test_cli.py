@@ -174,6 +174,26 @@ class TestExitCodes:
             assert named in err and "m=3" in err
         assert not out.exists()
 
+    def test_non_finite_synth_parameter_is_data_error(self, tmp_path, capsys):
+        # NaN passed both range checks and wrote an all-abstain matrix (--beta)
+        out = tmp_path / "s.csv"
+        for value in ("nan", "inf", "-inf", "0.7,nan,0.7"):
+            for alpha, beta, named in ((value, "0.5", "accuracy"), ("0.7", value, "coverage")):
+                assert run("synth", "--m", "3", "--n", "10", f"--alpha={alpha}",
+                           f"--beta={beta}", "--out", out) == 2
+                err = capsys.readouterr().err
+                assert f"synthetic {named} entries" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_empty_list_is_data_error(self, tmp_path, capsys):
+        # an empty list raised IndexError, a traceback with exit 1
+        out = tmp_path / "s.csv"
+        for alpha, beta, flag in ((",", "0.5", "--alpha"), ("0.7", ",", "--beta")):
+            assert run("synth", "--m", "3", "--n", "10", "--alpha", alpha, "--beta", beta,
+                       "--out", out) == 2
+            assert f"{flag} needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_beta_pseudo_count_is_data_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         ones = ",".join(["1"] * 4)
@@ -216,6 +236,17 @@ class TestExitCodes:
             tmp_path, monkeypatch, capsys, "--sizes", "50", "--replicates", "-2"
         )
         assert "at least 1 replicate, got -2" in err
+
+    def test_lowdata_empty_sizes_is_data_error(self, tmp_path, monkeypatch, capsys):
+        err = self.lowdata_refused(tmp_path, monkeypatch, capsys, "--sizes", ",")
+        assert "--sizes needs at least one value" in err
+
+    def test_stability_empty_epoch_grid_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=400)
+        out = tmp_path / "st.csv"
+        assert run("stability", "--data", data, "--epoch-grid", ",", "--out", out) == 2
+        assert "--epoch-grid needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert run("--help") == 0

@@ -19,7 +19,9 @@ from labelforge.infer import (
     REASON_TIE,
     predict_grouped,
 )
-from labelforge.model import MAX_PATTERN_LFS, VoteRows, label_prior_pairs
+from labelforge.model import MAX_PATTERN_LFS, VoteRows
+
+import kernel_reference as ref
 
 
 class TestPredict:
@@ -100,7 +102,7 @@ class TestPredict:
         rng = np.random.default_rng(m)
         votes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(300, m))
         params = ModelParams(rng.uniform(0.55, 0.95, m), rng.uniform(0.2, 0.9, m))
-        grouped = VoteRows.grouped(votes, 0.5)
+        grouped = VoteRows.grouped(votes)
         for p in (0.5, 0.8, 1.0):
             for force in (False, True):
                 prior = LabelPrior(p=p, force_abstain=force)
@@ -127,7 +129,7 @@ class TestWideAndBoundary:
         assert not (preds.abstain_reason == REASON_DEGENERATE).any()
 
         # log-domain reference: sum of log factors per row and class
-        log_prior = np.log(label_prior_pairs(majority_vote(votes), 0.7))
+        log_prior = np.log(ref.pairs(majority_vote(votes), 0.7))
         joints = []
         for label in (1, -1):
             factors = np.where(

@@ -2,10 +2,12 @@
 
 The kernel's posterior log-odds (parameters at 0 or 1 included), the
 objective and the accuracy gradient are checked against the linear-space
-row reference in ``kernel_reference``; then the symmetries of the model:
-negating every vote and swapping each prior pair swaps the posterior and
-keeps the objective, permuting LF columns permutes the gradient, and one
-epoch of minibatch gradients sums to the full-batch gradient. Then the
+row reference in ``kernel_reference``, for grouped and ungrouped rows,
+anchors of the rows' own or the caller's, and p = 1, whose class priors
+are -inf; then the symmetries of the model: negating every vote and every
+anchor swaps the posterior and keeps the objective, permuting LF columns
+permutes the gradient, and one epoch of minibatch gradients sums to the
+full-batch gradient. Then the
 vote-pattern path (distinct rows weighted by their counts) is checked
 against the row path: the objective, both gradients, whole fits and
 predictions. Last, the factored objective, which takes the label-free part
@@ -22,12 +24,12 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from labelforge import LabelPrior, ModelParams, TrainConfig, fit, model, predict
+from labelforge.infer import predict_grouped
 from labelforge.model import (
     MAX_PATTERN_LFS,
     BetaPrior,
     VoteRows,
-    label_prior_pairs,
-    log_objective,
+    class_prior_table,
     log_objectives,
     posterior_log_odds,
 )
@@ -42,9 +44,10 @@ GRAD_ATOL = 1e-9
 
 
 class Case:
-    """A random matrix with parameters, an accuracy prior and prior pairs
-    anchored to the majority vote, or to caller-supplied ``anchors`` drawn
-    independently of the votes."""
+    """A random matrix with parameters, an accuracy prior and a label prior
+    ``p`` anchored to the majority vote, or to caller-supplied ``anchors``
+    drawn independently of the votes. ``row_anchors`` holds the anchors in
+    use and ``pairs`` the rows' class priors from the reference."""
 
     def __init__(
         self, seed: int, n: int, m: int, p: float, boundary: bool = False, own_anchors=False
@@ -60,32 +63,48 @@ class Case:
         self.prior = BetaPrior(rng.uniform(0.5, 20.0, m), rng.uniform(0.5, 20.0, m))
         self.p = p
         self.anchors = rng.integers(-1, 2, n).astype(np.int8) if own_anchors else None
-        mv = majority_vote(self.votes) if self.anchors is None else self.anchors
-        self.pairs = label_prior_pairs(mv, p)
+        self.row_anchors = majority_vote(self.votes) if self.anchors is None else self.anchors
+        self.pairs = ref.pairs(self.row_anchors, p)
+        self.table = class_prior_table(p)
 
     @property
     def params(self) -> ModelParams:
         return ModelParams(self.acc, self.cov)
 
     def rows(self) -> VoteRows:
-        return VoteRows.of(self.votes, self.pairs)
+        return VoteRows.of(self.votes, self.anchors)
 
     def patterns(self) -> VoteRows:
-        return VoteRows.grouped(self.votes, self.p, self.anchors)[0]
+        return VoteRows.grouped(self.votes, self.anchors)[0]
+
+    def both_paths(self, grouped: bool) -> tuple[VoteRows, np.ndarray]:
+        """The converted rows, grouped or not, and the index that maps each
+        input row to its converted row."""
+        if grouped:
+            return VoteRows.grouped(self.votes, self.anchors)
+        return self.rows(), np.arange(self.votes.shape[0])
 
 
 def cases(
-    boundary=st.just(False), n=st.integers(1, 30), m=st.integers(1, 6), own_anchors=st.just(False)
+    boundary=st.just(False),
+    n=st.integers(1, 30),
+    m=st.integers(1, 6),
+    own_anchors=st.just(False),
+    p=st.floats(0.5, 0.99),
 ):
     return st.builds(
         Case,
         seed=st.integers(0, 2**32 - 1),
         n=n,
         m=m,
-        p=st.floats(0.5, 0.99),
+        p=p,
         boundary=boundary,
         own_anchors=own_anchors,
     )
+
+
+# p = 1 puts all prior mass on the anchor's label: a class prior of -inf.
+certain_or_not = st.one_of(st.just(1.0), st.floats(0.5, 0.99))
 
 
 # Few LFs and up to 80 rows, so that most rows share their pattern.
@@ -99,9 +118,11 @@ def row_path():
 
 
 @PROPERTY
-@given(cases(st.booleans()))
-def test_kernel_equals_row_reference(case):
-    odds, degenerate = posterior_log_odds(case.rows(), case.acc, case.cov)
+@given(cases(st.booleans(), own_anchors=st.booleans(), p=certain_or_not), st.booleans())
+def test_kernel_equals_row_reference(case, grouped):
+    rows, inverse = case.both_paths(grouped)
+    odds, degenerate = posterior_log_odds(rows, case.table, case.acc, case.cov)
+    odds, degenerate = odds[inverse], degenerate[inverse]
     joints = np.array(
         [[ref.class_joint(row, label, case.acc, case.cov, prior)
           for label, prior in zip((1, -1), pair)]
@@ -114,11 +135,20 @@ def test_kernel_equals_row_reference(case):
         expected = np.where(degenerate, 0.0, log_joints[:, 0] - log_joints[:, 1])
     np.testing.assert_allclose(odds, expected, rtol=RTOL, atol=GRAD_ATOL)
 
+    # predict_grouped reads the same anchors from the rows
+    preds = predict_grouped((rows, inverse), case.params, LabelPrior(case.p))
+    live = ~degenerate
+    with np.errstate(invalid="ignore"):  # 0 / 0 on degenerate rows
+        score = joints[:, 0] / joints.sum(axis=1)
+    np.testing.assert_allclose(preds.score_pos[live], score[live], rtol=1e-9, atol=1e-12)
+    np.testing.assert_array_equal(preds.abstain_reason[degenerate], "degenerate")
+
 
 @PROPERTY
-@given(cases())
-def test_objective_equals_row_reference(case):
-    value = log_objective(case.rows(), case.acc, case.cov, case.prior)
+@given(cases(own_anchors=st.booleans(), p=certain_or_not), st.booleans())
+def test_objective_equals_row_reference(case, grouped):
+    rows, _ = case.both_paths(grouped)
+    value = ref.log_objective(rows, case.p, case.acc, case.cov, case.prior)
     expected = ref.objective(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(value, expected, rtol=RTOL)
 
@@ -127,7 +157,7 @@ def test_objective_equals_row_reference(case):
 @given(cases())
 def test_gradient_equals_row_reference(case):
     rows = case.rows()
-    grad = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
+    grad = grad_accuracy(rows, case.table, case.acc, case.cov, case.prior, 1.0)
     expected = ref.grad_accuracy(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(grad, expected, rtol=RTOL, atol=GRAD_ATOL)
 
@@ -135,13 +165,14 @@ def test_gradient_equals_row_reference(case):
 @PROPERTY
 @given(cases(st.booleans()))
 def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
-    flipped = VoteRows.of(-case.votes, case.pairs[:, ::-1])
-    assert log_objective(flipped, case.acc, case.cov) == log_objective(
-        case.rows(), case.acc, case.cov
+    # negating a row's anchor swaps its pair of class priors
+    flipped = VoteRows.of(-case.votes, -case.row_anchors)
+    assert ref.log_objective(flipped, case.p, case.acc, case.cov) == ref.log_objective(
+        case.rows(), case.p, case.acc, case.cov
     )
 
-    odds, degenerate = posterior_log_odds(case.rows(), case.acc, case.cov)
-    odds_flip, degenerate_flip = posterior_log_odds(flipped, case.acc, case.cov)
+    odds, degenerate = posterior_log_odds(case.rows(), case.table, case.acc, case.cov)
+    odds_flip, degenerate_flip = posterior_log_odds(flipped, case.table, case.acc, case.cov)
     np.testing.assert_array_equal(odds_flip, -odds)
     np.testing.assert_array_equal(degenerate_flip, degenerate)
 
@@ -160,11 +191,10 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
 def test_permuting_columns_permutes_gradient(case, random):
     m = case.votes.shape[1]
     perm = np.array(random.sample(range(m), m))
-    rows = case.rows()
-    grad = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
+    grad = grad_accuracy(case.rows(), case.table, case.acc, case.cov, case.prior, 1.0)
     permuted = grad_accuracy(
-        VoteRows.of(case.votes[:, perm], case.pairs),
-        ref.prior_odds(rows),
+        VoteRows.of(case.votes[:, perm], case.row_anchors),
+        case.table,
         case.acc[perm],
         case.cov[perm],
         BetaPrior(case.prior.u[perm], case.prior.v[perm]),
@@ -182,24 +212,22 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
     total = np.zeros(case.votes.shape[1])
     for start in range(0, n, batch_size):
         batch = rows.take(order[start : start + batch_size])
-        odds = ref.prior_odds(batch)
-        total += grad_accuracy(batch, odds, case.acc, case.cov, case.prior, batch.n / n)
-    full = grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, case.prior, 1.0)
+        total += grad_accuracy(batch, case.table, case.acc, case.cov, case.prior, batch.n / n)
+    full = grad_accuracy(rows, case.table, case.acc, case.cov, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)
 
 
 @PROPERTY
 @given(pattern_cases)
 def test_patterns_rebuild_the_rows(case):
-    rows, anchors, inverse = VoteRows.grouped(case.votes, case.p, case.anchors)
+    rows, inverse = VoteRows.grouped(case.votes, case.anchors)
     np.testing.assert_array_equal(rows.d[inverse], case.votes)
-    expected = majority_vote(case.votes) if case.anchors is None else case.anchors
-    np.testing.assert_array_equal(anchors[inverse], expected)
-    np.testing.assert_array_equal(rows.log_prior[inverse], np.log(case.pairs))
+    np.testing.assert_array_equal(rows.anchor[inverse], case.row_anchors)
+    assert rows.anchor.dtype == np.int8
     np.testing.assert_array_equal(rows.w, np.bincount(inverse))
     assert rows.total == case.votes.shape[0]
     np.testing.assert_array_equal(rows.count, np.abs(case.votes).sum(axis=0))
-    distinct = {(tuple(row), a) for row, a in zip(rows.d.tolist(), anchors.tolist())}
+    distinct = {(tuple(row), a) for row, a in zip(rows.d.tolist(), rows.anchor.tolist())}
     assert len(distinct) == rows.n
 
 
@@ -210,13 +238,13 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
     cov_prior = BetaPrior(*beta_from_mean(case.cov, 10.0))
     for prior, weight in ((None, 1.0), (case.prior, 0.3)):
         np.testing.assert_allclose(
-            log_objective(patterns, case.acc, case.cov, prior, cov_prior),
-            log_objective(rows, case.acc, case.cov, prior, cov_prior),
+            ref.log_objective(patterns, case.p, case.acc, case.cov, prior, cov_prior),
+            ref.log_objective(rows, case.p, case.acc, case.cov, prior, cov_prior),
             rtol=RTOL,
         )
         np.testing.assert_allclose(
-            grad_accuracy(patterns, ref.prior_odds(patterns), case.acc, case.cov, prior, weight),
-            grad_accuracy(rows, ref.prior_odds(rows), case.acc, case.cov, prior, weight),
+            grad_accuracy(patterns, case.table, case.acc, case.cov, prior, weight),
+            grad_accuracy(rows, case.table, case.acc, case.cov, prior, weight),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -288,7 +316,7 @@ def test_widest_grouped_matrix_next_to_row_path():
         anchors = rng.integers(-1, 2, 40).astype(np.int8)
         anchors[:4] = [1, -1, 1, -1]
         anchors[20:] = anchors[:20]
-        rows, _, inverse = VoteRows.grouped(votes, 0.8, anchors)
+        rows, inverse = VoteRows.grouped(votes, anchors)
         if m == 38:
             assert rows.n == 20
             np.testing.assert_array_equal(rows.d[inverse], votes)
@@ -296,14 +324,17 @@ def test_widest_grouped_matrix_next_to_row_path():
         else:
             assert inverse is None and rows.n == 40
             np.testing.assert_array_equal(rows.w, 1.0)
-        plain = VoteRows.of(votes, label_prior_pairs(anchors, 0.8))
+        plain = VoteRows.of(votes, anchors)
         acc, cov = rng.uniform(0.55, 0.95, m), ref.coverage(votes)
         np.testing.assert_allclose(
-            log_objective(rows, acc, cov), log_objective(plain, acc, cov), rtol=RTOL
+            ref.log_objective(rows, 0.8, acc, cov),
+            ref.log_objective(plain, 0.8, acc, cov),
+            rtol=RTOL,
         )
+        table = class_prior_table(0.8)
         np.testing.assert_allclose(
-            grad_accuracy(rows, ref.prior_odds(rows), acc, cov, None, 1.0),
-            grad_accuracy(plain, ref.prior_odds(plain), acc, cov, None, 1.0),
+            grad_accuracy(rows, table, acc, cov, None, 1.0),
+            grad_accuracy(plain, table, acc, cov, None, 1.0),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -332,27 +363,23 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     acc, cov = rng.uniform(0.05, 0.95, (k, m)), rng.uniform(0.05, 0.95, (k, m))
     prior = BetaPrior(rng.uniform(0.5, 20.0, (k, m)), rng.uniform(0.5, 20.0, (k, m)))
     with mock.patch.object(model, "_COUNT_BLOCK", block):
-        if grouped:
-            rows, anchors, _ = VoteRows.grouped(votes, 0.5)
-        else:
-            rows, anchors = VoteRows.of(votes), majority_vote(votes)
+        rows = VoteRows.grouped(votes)[0] if grouped else VoteRows.of(votes)
         count = rows.count
     np.testing.assert_array_equal(count, rows.w @ np.abs(rows.d))
-    with np.errstate(divide="ignore"):  # p = 1 gives log 0 = -inf
-        log_prior = np.stack([np.log(label_prior_pairs(anchors, p)) for p in ps], axis=-1)
+    table = class_prior_table(ps)  # p = 1 gives log 0 = -inf
 
-    value = log_objectives(rows, log_prior, acc, cov, prior)
+    value = log_objectives(rows, table, acc, cov, prior)
     row_anchors = majority_vote(votes)
     per_row = np.array([
-        ref.objective(votes, acc[cell], cov[cell], label_prior_pairs(row_anchors, p))
+        ref.objective(votes, acc[cell], cov[cell], ref.pairs(row_anchors, p))
         for cell, p in enumerate(ps)
     ])
     expected = per_row + prior.log_density(acc).sum(axis=-1)
     assert value.shape == (k,) and np.isfinite(value).all()
     np.testing.assert_allclose(value, expected, rtol=1e-12)
-    for cell in range(k):  # each cell alone, as m-vectors and (n, 2) log priors
+    for cell in range(k):  # each cell alone, as m-vectors and its (3,) table
         np.testing.assert_allclose(
-            log_objectives(rows, log_prior[..., cell], acc[cell], cov[cell]),
+            log_objectives(rows, table[:, cell], acc[cell], cov[cell]),
             per_row[cell],
             rtol=1e-12,
         )

@@ -9,31 +9,41 @@ import pytest
 
 import kernel_reference as ref
 from labelforge import DataError, Dataset, LabelPrior, ModelParams
+from labelforge.infer import predict_grouped
 from labelforge.model import (
     BetaPrior,
     VoteRows,
     as_lf_matrix,
-    label_prior_pairs,
-    log_objective,
+    class_prior_table,
     log_objectives,
     posterior_log_odds,
 )
-from labelforge.priors import build_uniform_priors, majority_vote
+from labelforge.priors import build_uniform_priors
 
 
-def objective(votes, params: ModelParams, accuracy_prior=None, pairs=None) -> float:
-    return log_objective(
-        VoteRows.of(votes, pairs), params.accuracy, params.coverage, accuracy_prior
+def objective(votes, params: ModelParams, accuracy_prior=None, p: float = 0.5) -> float:
+    """The log objective with each row anchored to its own majority vote."""
+    return ref.log_objective(
+        VoteRows.of(votes), p, params.accuracy, params.coverage, accuracy_prior
     )
+
+
+def anchored(pair) -> tuple[int, float]:
+    """The anchor (+1 or -1) and the p whose class priors are ``pair``
+    scaled to sum to 1."""
+    pos = pair[0] / (pair[0] + pair[1])
+    return (1, pos) if pos >= 0.5 else (-1, 1.0 - pos)
 
 
 def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
     """Each row's log marginal under the class prior ``pair``: the kernel's
     log objective of that row alone, parameters used as given."""
+    anchor, p = anchored(pair)
+    table = class_prior_table(p)
     marginals = []
     for row in as_lf_matrix(votes):
-        rows = VoteRows.of(row[None], [pair])
-        marginals.append(log_objectives(rows, rows.log_prior, params.accuracy, params.coverage))
+        rows = VoteRows.of(row[None], [anchor])
+        marginals.append(log_objectives(rows, table, params.accuracy, params.coverage))
     return np.array(marginals, dtype=np.float64)
 
 
@@ -45,9 +55,13 @@ def kernel_ll(votes, params: ModelParams) -> np.ndarray:
     )
 
 
-def kernel_posterior(row, params: ModelParams, pair) -> tuple[float, float]:
-    rows = VoteRows.of([row], [pair])
-    odds, degenerate = posterior_log_odds(rows, params.accuracy, params.coverage)
+def kernel_posterior(row, params: ModelParams, pair, shift: float = 0.0) -> tuple[float, float]:
+    """(P(+1 | row), P(-1 | row)) under the class prior ``pair``, with
+    ``shift`` added to both log class priors."""
+    anchor, p = anchored(pair)
+    rows = VoteRows.of([row], [anchor])
+    table = class_prior_table(p) + shift
+    odds, degenerate = posterior_log_odds(rows, table, params.accuracy, params.coverage)
     assert not degenerate[0]
     return float(np.exp(-np.logaddexp(0.0, -odds[0]))), float(np.exp(-np.logaddexp(0.0, odds[0])))
 
@@ -66,9 +80,10 @@ class TestLfFactor:
         assert np.exp(kernel_ll([[-1]], ModelParams([0.9], [0.4]))[0, 0]) == pytest.approx(0.04)
 
     def test_rejects_zero_label(self):
-        # the kernel's labels are +1 and -1 only: a prior column for a third is refused
+        # the kernel's labels are +1 and -1 only, and an anchor is one of
+        # them or none (0): an anchor naming a third label is refused
         with pytest.raises(DataError):
-            VoteRows.of([[1]], np.full((1, 3), 1 / 3))
+            VoteRows.of([[1]], [2])
 
     def test_branches_sum_to_one(self):
         rng = np.random.default_rng(42)
@@ -101,8 +116,8 @@ class TestClassJoint:
         assert ref.class_joint([1], -1, [0.7], [0.5], 1.0) == pytest.approx(0.15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            log_objective(VoteRows.of([[1, 0]]), np.array([0.7]), np.array([0.5]))
+        with pytest.raises(DataError, match="2 columns but params have 1"):
+            predict_grouped(VoteRows.grouped([[1, 0]]), ModelParams([0.7], [0.5]), LabelPrior())
 
     def test_monotone_in_accuracy(self):
         # agreement row increases with accuracy, disagreement row decreases
@@ -177,16 +192,17 @@ class TestPosterior:
     def test_impossible_row_is_degenerate(self):
         # full-coverage column cannot abstain: zero probability under both labels
         odds, degenerate = posterior_log_odds(
-            VoteRows.of([[0]]), np.array([0.7]), np.array([1.0])
+            VoteRows.of([[0]]), class_prior_table(0.5), np.array([0.7]), np.array([1.0])
         )
         assert degenerate[0]
         assert odds[0] == 0.0
         assert ref.marginal([0], [0.7], [1.0], (0.5, 0.5)) == 0.0
 
     def test_scaling_priors_leaves_posterior_unchanged(self):
+        # halving both class priors shifts the whole log table by log 0.5
         params = ModelParams([0.7, 0.6], [0.5, 0.8])
         a = kernel_posterior([1, -1], params, (0.5, 0.5))
-        b = kernel_posterior([1, -1], params, (0.25, 0.25))
+        b = kernel_posterior([1, -1], params, (0.5, 0.5), shift=np.log(0.5))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -211,15 +227,15 @@ class TestLogObjective:
         assert value == pytest.approx(2 * math.log(0.5), abs=1e-5)
 
     def test_label_prior_pairs_construction(self):
-        pairs = label_prior_pairs(np.array([1, -1, 0]), 0.8)
-        np.testing.assert_allclose(
-            pairs, [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]
-        )
+        rows = VoteRows.of([[1], [-1], [0]], [1, -1, 0])
+        pairs = np.exp(np.column_stack(rows.class_priors(class_prior_table(0.8))))
+        np.testing.assert_allclose(pairs, [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
+        np.testing.assert_allclose(pairs, ref.pairs([1, -1, 0], 0.8))
 
     def test_informative_label_prior_enters_marginals(self):
         votes = as_lf_matrix([[1], [0]])
         params = ModelParams([0.7], [0.5])
-        skew = objective(votes, params, pairs=label_prior_pairs(majority_vote(votes), 0.9))
+        skew = objective(votes, params, p=0.9)
         flat = objective(votes, params)
         # first row's majority vote is +1 and the LF agrees, so p=0.9 helps
         assert skew > flat
@@ -276,17 +292,19 @@ class TestValidation:
         assert Dataset([[1, 0]], [1]).truth.dtype == np.int8
 
     @pytest.mark.parametrize(
-        "votes, pairs",
+        "votes, anchors",
         [
             ([[1, 2]], None),  # a non-vote entry
-            ([[1], [0]], [[0.5, 0.5]]),  # one prior pair for two rows
-            ([[1], [0]], [[1.5, -0.5], [0.5, 0.5]]),  # a negative prior
-            ([[1], [0]], [[np.nan, 0.5], [0.5, 0.5]]),
+            ([[1], [0]], [1]),  # one anchor for two rows
+            ([[1], [0]], [1, 2]),  # an anchor that is no label
+            ([[1], [0]], [1, 0.5]),  # must not truncate to 0
         ],
     )
-    def test_vote_rows_check_votes_and_priors(self, votes, pairs):
+    def test_vote_rows_check_votes_and_priors(self, votes, anchors):
         with pytest.raises(DataError):
-            VoteRows.of(votes, pairs)
+            VoteRows.of(votes, anchors)
+        with pytest.raises(DataError):
+            VoteRows.grouped(votes, anchors)
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(DataError):

@@ -11,7 +11,6 @@ from labelforge import (
     build_user_priors,
     majority_vote,
 )
-from labelforge.model import label_prior_pairs
 from labelforge.priors import (
     beta_from_mean,
     build_uniform_priors,
@@ -113,13 +112,13 @@ class TestBuilders:
     def test_p_half_gives_uninformative_pairs(self):
         votes = [[1, 1, -1], [-1, -1, 1]]
         spec = build_mv_priors(votes, 10.0, p=0.5)
-        pairs = label_prior_pairs(spec.label_prior.mv_votes, spec.label_prior.p)
+        pairs = ref.pairs(spec.label_prior.mv_votes, spec.label_prior.p)
         np.testing.assert_allclose(pairs, 0.5)
 
     def test_aligned_pairs(self):
         votes = [[1, 1], [-1, -1], [0, 0]]
         spec = build_mv_priors(votes, 10.0, p=0.9)
-        pairs = label_prior_pairs(spec.label_prior.mv_votes, spec.label_prior.p)
+        pairs = ref.pairs(spec.label_prior.mv_votes, spec.label_prior.p)
         np.testing.assert_allclose(pairs, [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
 
     def test_empirical_matches_mv_when_truth_is_mv(self):

@@ -23,7 +23,7 @@ from labelforge import (
     predict,
     SyntheticSpec,
 )
-from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, label_prior_pairs, log_objective
+from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
 from labelforge.priors import beta_from_mean, build_uniform_priors, majority_vote
 import labelforge.train
 from labelforge.train import fit_cells, grad_accuracy, grad_coverage
@@ -66,13 +66,13 @@ class TestGradients:
             acc = rng.uniform(0.15, 0.85, m)
             cov = rng.uniform(0.15, 0.85, m)
             prior = build_mv_priors(votes, float(rng.choice([10.0, 100.0])), p=0.7)
-            rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), 0.7))
+            rows = VoteRows.of(votes)
 
             def objective(a):
-                return log_objective(rows, a, cov, prior.accuracy_prior)
+                return ref.log_objective(rows, 0.7, a, cov, prior.accuracy_prior)
 
             analytic = grad_accuracy(
-                rows, ref.prior_odds(rows), acc, cov, prior.accuracy_prior, 1.0
+                rows, class_prior_table(0.7), acc, cov, prior.accuracy_prior, 1.0
             )
             numeric = finite_difference(objective, acc)
             np.testing.assert_allclose(
@@ -89,10 +89,10 @@ class TestGradients:
             cov = rng.uniform(0.2, 0.8, m)
             prior = build_mv_priors(votes, 10.0)
             cov_prior = BetaPrior(*beta_from_mean(ref.coverage(votes), 10.0))
-            rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), 0.5))
+            rows = VoteRows.of(votes)
 
             def objective(c):
-                return log_objective(rows, acc, c, prior.accuracy_prior, cov_prior)
+                return ref.log_objective(rows, 0.5, acc, c, prior.accuracy_prior, cov_prior)
 
             analytic = grad_coverage(rows, cov, cov_prior, 1.0)
             numeric = finite_difference(objective, cov)
@@ -101,19 +101,19 @@ class TestGradients:
             )
 
     def test_all_abstain_row_zero_gradient(self):
-        rows = VoteRows.of([[0, 0]], [[0.5, 0.5]])
+        rows = VoteRows.of([[0, 0]], [0])
         uniform = build_uniform_priors(2).accuracy_prior
         acc, cov = np.array([0.7, 0.6]), np.array([0.5, 0.5])
-        grad = grad_accuracy(rows, ref.prior_odds(rows), acc, cov, uniform, 1.0)
+        grad = grad_accuracy(rows, class_prior_table(0.5), acc, cov, uniform, 1.0)
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_strong_prior_dominates_sign(self):
         rows = VoteRows.of([[1, 1], [-1, -1], [1, -1]])
         prior = build_user_priors([0.7e6, 0.7e6], [0.3e6, 0.3e6]).accuracy_prior
         cov = np.array([0.9, 0.9])
-        odds = ref.prior_odds(rows)
-        low = grad_accuracy(rows, odds, np.array([0.5, 0.5]), cov, prior, 1.0)
-        high = grad_accuracy(rows, odds, np.array([0.9, 0.9]), cov, prior, 1.0)
+        table = class_prior_table(0.5)
+        low = grad_accuracy(rows, table, np.array([0.5, 0.5]), cov, prior, 1.0)
+        high = grad_accuracy(rows, table, np.array([0.9, 0.9]), cov, prior, 1.0)
         assert (low > 0).all()
         assert (high < 0).all()
 
@@ -216,8 +216,8 @@ class TestFit:
     @pytest.mark.parametrize("batch_size", [None, 7])
     @pytest.mark.parametrize("p", [0.8, 1.0])
     def test_one_epoch_follows_the_gradient_oracle(self, batch_size, p):
-        # the label prior reaches the step and both losses as each row's
-        # class prior pair, as in the gradient and objective oracles
+        # the label prior reaches the step and both losses through each row's
+        # majority-vote anchor, as in the gradient and objective oracles
         data = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.6, seed=4))
         votes, val = data.votes[:45], data.votes[45:]
         prior = build_mv_priors(votes, 10.0, p)
@@ -225,7 +225,7 @@ class TestFit:
                           seed=3)
         result = fit(votes, val, prior, cfg)
 
-        rows = VoteRows.of(votes, label_prior_pairs(majority_vote(votes), p))
+        rows, table = VoteRows.of(votes), class_prior_table(p)
         acc, cov = np.full(3, 0.7), ref.coverage(votes)
         if batch_size is None:
             batches = [rows]
@@ -233,17 +233,15 @@ class TestFit:
             order = np.random.default_rng(np.random.SeedSequence([3, 1])).permutation(45)
             batches = [rows.take(order[i : i + batch_size]) for i in range(0, 45, batch_size)]
         for batch in batches:
-            grad = grad_accuracy(
-                batch, ref.prior_odds(batch), acc, cov, prior.accuracy_prior, batch.n / 45
-            )
+            grad = grad_accuracy(batch, table, acc, cov, prior.accuracy_prior, batch.n / 45)
             acc = np.clip(acc + 0.2 / batch.n * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
         np.testing.assert_allclose(result.params.accuracy, acc, rtol=1e-12)
-        val_rows = VoteRows.of(val, label_prior_pairs(majority_vote(val), p))
+        val_rows = VoteRows.of(val)
         for history, scored in (
             (result.train_loss_history, rows),
             (result.val_loss_history, val_rows),
         ):
-            expected = -log_objective(scored, acc, cov, prior.accuracy_prior)
+            expected = -ref.log_objective(scored, p, acc, cov, prior.accuracy_prior)
             np.testing.assert_allclose(history, [expected], rtol=1e-12)
 
 
@@ -267,19 +265,17 @@ class TestFullBatchEpoch:
                                                      alpha_init=0.7))
 
         anchors = majority_vote(votes)
-        rows, pattern_anchors, _ = VoteRows.grouped(votes, 0.5, anchors)
+        rows, _ = VoteRows.grouped(votes, anchors)
         assert (rows.n < n) == (m == 10)  # patterns, or one row per input row
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(np.stack([[1.0 - p], [0.5], [p]]))
-        odds = np.take(0.5 * (log_prior - log_prior[::-1]), pattern_anchors + 1, axis=0)
+        table = class_prior_table([p])  # one cell
         acc_prior = BetaPrior(prior.accuracy_prior.u[None], prior.accuracy_prior.v[None])
         acc = np.full((1, m), 0.7)
         cov = np.clip(rows.count / n, CLAMP_EPS, 1.0 - CLAMP_EPS)[None]
-        plain = VoteRows.of(votes, label_prior_pairs(anchors, p))
+        plain = VoteRows.of(votes, anchors)
         for epoch in range(epochs):
-            grad = grad_accuracy(rows, odds, acc, cov, acc_prior, 1.0)
+            grad = grad_accuracy(rows, table, acc, cov, acc_prior, 1.0)
             acc = np.clip(acc + lr / rows.total * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
-            expected = -log_objective(plain, acc[0], cov[0], prior.accuracy_prior)
+            expected = -ref.log_objective(plain, p, acc[0], cov[0], prior.accuracy_prior)
             np.testing.assert_allclose(result.train_loss_history[epoch], expected, rtol=1e-12)
         np.testing.assert_array_equal(result.params.accuracy, acc[0])
         assert 0.01 < acc.min() and acc.max() < 0.99  # the fit is not pinned at the clamp
