@@ -53,6 +53,7 @@ try:
         grid_search,
         holdout,
         low_data_sweep,
+        metric_rows,
         prior_quality_study,
         split,
         stability_sweep,
@@ -215,17 +216,7 @@ def _cmd_evaluate(args) -> int:
     for line in report_lines(report):
         print(line)
     if args.out:
-        rows = [
-            {
-                "experiment": "evaluate",
-                "mode": row_tag,
-                "size": len(preds),
-                "replicate": "0",
-                "metric": name,
-                "value": value,
-            }
-            for name, value in report.as_dict().items()
-        ]
+        rows = metric_rows("evaluate", row_tag, len(preds), "0", report.as_dict())
         write_results_table(args.out, rows)
         print(f"report written to {args.out}")
     return 0
@@ -245,21 +236,14 @@ def _cmd_gridsearch(args) -> int:
     result = grid_search(train, val, grid, args.mode, base)
     print(f"best cell #{result.best.index} wins={result.best.wins}: {result.best.settings}")
     if args.out:
-        rows = []
-        for cell in result.cells:
-            if cell.report is None:
-                continue
-            for name, value in cell.report.as_dict().items():
-                rows.append(
-                    {
-                        "experiment": "gridsearch",
-                        "mode": args.mode,
-                        "size": "",
-                        "replicate": str(cell.index),
-                        "metric": name,
-                        "value": value,
-                    }
-                )
+        rows = [
+            row
+            for cell in result.cells
+            if cell.report is not None
+            for row in metric_rows(
+                "gridsearch", args.mode, "", str(cell.index), cell.report.as_dict()
+            )
+        ]
         write_results_table(args.out, rows)
         print(f"per-cell metrics written to {args.out}")
     return 0
@@ -351,17 +335,7 @@ def _cmd_priors_study(args) -> int:
     for mode, entry in study.items():
         prior_text = "-" if entry["prior_l2"] is None else f"{entry['prior_l2']:.3f}"
         print(f"{mode}: prior_l2={prior_text} alpha_l2={entry['alpha_l2']:.3f}")
-        for metric in ("prior_l2", "alpha_l2"):
-            rows.append(
-                {
-                    "experiment": "priors_study",
-                    "mode": mode,
-                    "size": "",
-                    "replicate": "0",
-                    "metric": metric,
-                    "value": entry[metric],
-                }
-            )
+        rows.extend(metric_rows("priors_study", mode, "", "0", entry))
     if args.out:
         write_results_table(args.out, rows)
         print(f"results written to {args.out}")

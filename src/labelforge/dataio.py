@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .experiments import GridSpec
 from .infer import REASON_DEGENERATE, REASON_FORCED, REASON_NONE, REASON_TIE, Predictions
-from .model import Dataset, LabelPrior, ModelParams
+from .model import BetaPrior, Dataset, LabelPrior, ModelParams
 from .priors import PriorSpec
 
 MODEL_FORMAT_VERSION = 1
@@ -399,6 +399,11 @@ def read_dataset(path, truth_col: str = "y") -> Dataset:
     split out."""
     table = _Table(path)
     header = table.header
+    if header.count(truth_col) > 1:
+        raise DataError(
+            f"{path}: truth column {truth_col!r} appears {header.count(truth_col)} times "
+            "in the header"
+        )
     truth_idx = header.index(truth_col) if truth_col in header else None
     lf_idx = [k for k in range(len(header)) if k != truth_idx]
     if not lf_idx:
@@ -545,7 +550,7 @@ class ModelFile:
         return ModelParams(self.accuracy, self.coverage)
 
     def label_prior(self) -> LabelPrior:
-        return LabelPrior(p=self.prior_p, mv_votes=None, force_abstain=self.prior_force_abstain)
+        return LabelPrior(p=self.prior_p, force_abstain=self.prior_force_abstain)
 
 
 def model_file_from_fit(
@@ -640,8 +645,9 @@ def save_model(path, model: ModelFile) -> None:
 
 
 def load_model(path) -> ModelFile:
-    """Parse a model file; any malformed or inconsistent field raises DataError
-    naming it."""
+    """Parse a model file; any malformed, inconsistent or out-of-range field
+    raises DataError naming it. Values are range-checked by the types that
+    hold them in use: ModelParams, LabelPrior and BetaPrior."""
     fields: dict[str, str] = {}
     for line in _read_text(path).splitlines():
         if not line.strip():
@@ -670,9 +676,22 @@ def load_model(path) -> ModelFile:
             raise DataError(f"{path}: model field {key!r} is required")
         if vec is not None and vec.shape[0] != m:
             raise DataError(f"{path}: model field {key!r} has {vec.shape[0]} entries, m={m}")
-    return ModelFile(
+    if (parsed["prior_u"] is None) != (parsed["prior_v"] is None):
+        raise DataError(
+            f"{path}: model fields 'prior_u' and 'prior_v' must be both none or both set"
+        )
+    model = ModelFile(
         prior_source=fields["prior_source"], config_digest=fields["config_digest"], **parsed
     )
+    checks = [("'accuracy', 'coverage'", model.params), ("'prior_p'", model.label_prior)]
+    if model.prior_u is not None:
+        checks.append(("'prior_u', 'prior_v'", lambda: BetaPrior(model.prior_u, model.prior_v)))
+    for names, build in checks:
+        try:
+            build()
+        except DataError as exc:
+            raise DataError(f"{path}: model field {names}: {exc}") from None
+    return model
 
 
 _GRID_KEYS = ("strengths", "learning_rates", "alpha_inits", "ps", "force_abstain")

@@ -331,9 +331,8 @@ def grid_search(
     return GridSearchResult(best=best, cells=cells)
 
 
-def _metric_rows(
-    experiment: str, mode: str, size, replicate, report: MetricsReport
-) -> list[dict]:
+def metric_rows(experiment: str, mode: str, size, replicate, values: dict) -> list[dict]:
+    """One results-table row per (metric name, value) pair of ``values``."""
     return [
         {
             "experiment": experiment,
@@ -343,7 +342,7 @@ def _metric_rows(
             "metric": name,
             "value": value,
         }
-        for name, value in report.as_dict().items()
+        for name, value in values.items()
     ]
 
 
@@ -417,7 +416,7 @@ def low_data_sweep(
                 _, report = _fit_and_score(
                     sub_train, sub_val.votes, test, mode, strength, p, force_abstain, cfg
                 )
-                rows.extend(_metric_rows("lowdata", mode, size, str(r), report))
+                rows.extend(metric_rows("lowdata", mode, size, str(r), report.as_dict()))
     rows.extend(_aggregate_rows(rows))
     return rows
 
@@ -434,16 +433,7 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
         mean = float(defined.mean()) if defined.size else None
         std = float(defined.std()) if defined.size else None
         for stat, value in (("mean", mean), ("std", std)):
-            out.append(
-                {
-                    "experiment": experiment,
-                    "mode": mode,
-                    "size": size,
-                    "replicate": stat,
-                    "metric": metric,
-                    "value": value,
-                }
-            )
+            out.extend(metric_rows(experiment, mode, size, stat, {metric: value}))
     return out
 
 
@@ -481,7 +471,7 @@ def stability_sweep(
             _, report = _fit_and_score(
                 train, None, test, mode, strength, p, force_abstain, cfg
             )
-            rows.extend(_metric_rows("stability", mode, int(budget), "0", report))
+            rows.extend(metric_rows("stability", mode, int(budget), "0", report.as_dict()))
     return rows
 
 

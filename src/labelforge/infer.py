@@ -53,8 +53,8 @@ class Predictions:
 def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -> Predictions:
     """Most probable label per row under the model and label prior.
 
-    Majority-vote anchors for the class priors (and for forced abstention)
-    are always recomputed from the matrix being predicted.
+    Each row's class priors (and forced abstention) follow from its anchor,
+    the majority vote of its own votes in the matrix being predicted.
     """
     return predict_grouped(VoteRows.grouped(votes), params, label_prior or LabelPrior())
 
@@ -65,9 +65,9 @@ def predict_grouped(
     label_prior: LabelPrior,
 ) -> Predictions:
     """:func:`predict` over a matrix already grouped by
-    :meth:`VoteRows.grouped` with its own anchors. The rows carry only
-    anchors, and the class priors come from ``label_prior.p``, so one
-    grouping serves every model and ``p`` that label the same matrix."""
+    :meth:`VoteRows.grouped`. The rows carry their majority-vote anchors,
+    and the class priors come from ``label_prior.p``, so one grouping
+    serves every model and ``p`` that label the same matrix."""
     rows, inverse = grouped
     if rows.d.shape[1] != params.m:
         raise DataError(f"matrix has {rows.d.shape[1]} columns but params have {params.m}")

@@ -149,9 +149,10 @@ class ConcordanceReport:
     n_discordant: int
 
 
-def mv_concordance(predictions: Predictions, mv_votes, truth) -> ConcordanceReport:
-    """Partition scored rows by prediction == majority vote and score each side."""
-    mv = as_label_vector(mv_votes)
+def mv_concordance(predictions: Predictions, majority, truth) -> ConcordanceReport:
+    """Partition scored rows by prediction == majority vote (``majority``,
+    one label per row) and score each side."""
+    mv = as_label_vector(majority)
     truth = as_label_vector(truth, allow_abstain=False)
     labels = predictions.labels
     if not (labels.shape == mv.shape == truth.shape):

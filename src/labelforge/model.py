@@ -24,26 +24,27 @@ where the accuracy gradient starts, and the posterior log-odds are
 three are the kernel; there is no per-row form of the class
 log-likelihoods. Stacked (K, m) parameters, one row per cell of a grid,
 turn the mat-vecs into mat-mats with one column per cell.
-:meth:`VoteRows.of` is the one place a vote matrix and its rows' anchors
-are checked; every kernel function takes the converted rows and plain
-per-LF vectors.
+:meth:`VoteRows.of` and :meth:`VoteRows.grouped` are the one place a vote
+matrix is checked; every kernel function takes the converted rows and
+plain per-LF vectors.
 
-A row's label prior follows from its majority-vote anchor (-1, 0 or +1)
-and the cell's ``p``, so each converted row carries its anchor, and the
-kernel reads the class priors from one (3, K) table of log priors indexed
-by anchor (:func:`class_prior_table`). Rows with the same votes and anchor
-are therefore interchangeable. Each converted row carries a weight,
-and every sum over rows (the objective's log marginals, the gradient's
-vote masses, the vote counts) is weighted. :meth:`VoteRows.grouped` keeps
-one row per distinct (pattern, anchor) pair with its count as weight, so a
-full-batch pass costs O(patterns) rather than O(rows): at most 3^m
-patterns, about 12k in 100k rows of 10 LFs. It keys rows by a base-3 int64
-code, which fits up to MAX_PATTERN_LFS = 38 LFs; wider matrices keep one
-row per input row with weight 1. Training keeps accuracies and
-coverages inside [CLAMP_EPS, 1 - CLAMP_EPS] so every log stays finite;
-prediction uses the parameters as given, and a row that is impossible
-under both labels (only parameters at exactly 0 or 1 allow that) comes
-back as degenerate, never as NaN.
+A row's label prior follows from its anchor, the majority vote of its own
+votes (-1, 0 or +1), and the cell's ``p``. The anchor is computed where
+the rows are converted, so the label prior always anchors to the matrix
+being fitted or labelled. The kernel reads the class priors from one
+(3, K) table of log priors indexed by anchor (:func:`class_prior_table`).
+Rows with the same votes are therefore interchangeable. Each converted
+row carries a weight, and every sum over rows (the objective's log
+marginals, the gradient's vote masses, the vote counts) is weighted.
+:meth:`VoteRows.grouped` keeps one row per distinct vote pattern with its
+count as weight, so a full-batch pass costs O(patterns) rather than
+O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs. It keys
+rows by a base-3 int64 code, for up to MAX_PATTERN_LFS = 38 LFs; wider
+matrices keep one row per input row with weight 1. Training keeps
+accuracies and coverages inside [CLAMP_EPS, 1 - CLAMP_EPS] so every log
+stays finite; prediction uses the parameters as given, and a row that is
+impossible under both labels (only parameters at exactly 0 or 1 allow
+that) comes back as degenerate, never as NaN.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ CLAMP_EPS = 1e-6
 
 VALID_VOTES = (-1, 0, 1)
 
-# Widest matrix whose rows :meth:`VoteRows.grouped` keys by vote pattern: the
-# base-3 key of m votes and an anchor is below 3^(m + 1), and 3^39 < 2^63.
+# Widest matrix whose rows :meth:`VoteRows.grouped` keys by vote pattern. The
+# base-3 key of m votes is below 3^m, which an int64 holds up to m = 39
+# (3^39 < 2^63); the limit stays at 38, so a matrix of 39 LFs keeps the
+# row-by-row path it has always taken.
 MAX_PATTERN_LFS = 38
 
 # Entries of |d| that VoteRows.count holds at once: 256 KiB of float64.
@@ -189,23 +192,20 @@ class BetaPrior:
 
 @dataclass(frozen=True)
 class LabelPrior:
-    """Bernoulli prior over latent labels, anchored to majority-vote signals.
+    """Bernoulli prior over latent labels, anchored to each row's majority vote.
 
     ``p`` is the probability mass placed on the majority-vote label of each
-    row; rows where the vote vector abstains get the uninformative (0.5, 0.5)
-    pair. ``mv_votes`` of None means "recompute majority vote from whatever
-    matrix is being scored", which is always done at prediction time.
+    row of the matrix being fitted or labelled; rows whose majority vote
+    abstains get the uninformative (0.5, 0.5) pair. ``force_abstain`` makes
+    prediction abstain on those rows.
     """
 
     p: float = 0.5
-    mv_votes: np.ndarray | None = None
     force_abstain: bool = False
 
     def __post_init__(self):
         if not (0.5 <= self.p <= 1.0):
             raise DataError(f"label prior p must lie in [0.5, 1], got {self.p}")
-        if self.mv_votes is not None:
-            object.__setattr__(self, "mv_votes", as_label_vector(self.mv_votes))
 
 
 @dataclass(frozen=True)
@@ -260,19 +260,6 @@ def class_prior_table(p) -> np.ndarray:
         return np.log(np.stack([1.0 - p, np.full_like(p, 0.5), p]))
 
 
-def _checked_anchors(votes: np.ndarray, anchors) -> np.ndarray:
-    """The rows' anchors as int8 after checking them against the vote
-    matrix; each row's own majority vote when None."""
-    if anchors is None:
-        return row_majority(votes)
-    anchors = as_label_vector(anchors)
-    if anchors.shape[0] != votes.shape[0]:
-        raise DataError(
-            f"label prior covers {anchors.shape[0]} rows, matrix has {votes.shape[0]}"
-        )
-    return anchors
-
-
 @dataclass(frozen=True, eq=False)
 class VoteRows:
     """Rows of a vote matrix converted once for the log-joint kernel.
@@ -291,43 +278,35 @@ class VoteRows:
     anchor: np.ndarray
 
     @classmethod
-    def of(cls, votes, anchors=None) -> "VoteRows":
-        """Check a vote matrix and its rows' anchors (each row's own majority
-        vote when None), and convert them for the kernel with unit weights."""
+    def of(cls, votes) -> "VoteRows":
+        """Check a vote matrix and convert it for the kernel, each row with
+        unit weight and anchored to its own majority vote."""
         votes = as_lf_matrix(votes)
-        anchors = _checked_anchors(votes, anchors)
-        return cls(votes.astype(np.float64), np.ones(votes.shape[0]), anchors)
+        return cls(votes.astype(np.float64), np.ones(votes.shape[0]), row_majority(votes))
 
     @classmethod
-    def grouped(cls, votes, anchors=None) -> tuple["VoteRows", np.ndarray | None]:
-        """The distinct (row, anchor) pairs of a vote matrix, each weighted by
-        how often it occurs.
+    def grouped(cls, votes) -> tuple["VoteRows", np.ndarray | None]:
+        """The distinct rows (vote patterns) of a vote matrix, each weighted
+        by how often it occurs and anchored to its own majority vote.
 
-        ``anchors`` of None anchors each row to its own majority vote. Each
-        row is keyed by the base-3 code of its votes with the anchor as the
-        last digit, and the keys are made unique; that fits an int64 up to
-        MAX_PATTERN_LFS columns. Returns the rows and the index ``inverse``
-        that maps each input row to its pattern (``rows.d[inverse]`` is the
-        input, ``rows.anchor[inverse]`` its anchors). Wider matrices come
-        back as their own rows with unit weights, and ``inverse`` is None.
+        Each row is keyed by the base-3 code of its votes, and the keys are
+        made unique; that fits an int64 up to MAX_PATTERN_LFS columns.
+        Returns the patterns and the index ``inverse`` that maps each input
+        row to its pattern (``rows.d[inverse]`` is the input,
+        ``rows.anchor[inverse]`` its rows' anchors). Wider matrices come back
+        as their own rows with unit weights, and ``inverse`` is None.
         """
         votes = as_lf_matrix(votes)
         n, m = votes.shape
         if m > MAX_PATTERN_LFS:
-            return cls(votes.astype(np.float64), np.ones(n), _checked_anchors(votes, anchors)), None
-        if anchors is not None:
-            anchors = _checked_anchors(votes, anchors)
-
-        # digits v + 1 of the votes, then anchor + 1 (0 without anchors)
-        key = (votes + 1) @ 3 ** np.arange(m, 0, -1, dtype=np.int64)
-        if anchors is not None:
-            key += anchors + 1
+            return cls(votes.astype(np.float64), np.ones(n), row_majority(votes)), None
+        key = (votes + 1) @ 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
         _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
         one_row = np.empty(counts.shape[0], dtype=np.intp)
         one_row[inverse] = np.arange(n)  # the rows of a key are all alike
         patterns = votes[one_row]
-        anchors = row_majority(patterns) if anchors is None else anchors[one_row]
-        return cls(patterns.astype(np.float64), counts.astype(np.float64), anchors), inverse
+        weights = counts.astype(np.float64)
+        return cls(patterns.astype(np.float64), weights, row_majority(patterns)), inverse
 
     @property
     def n(self) -> int:

@@ -26,7 +26,10 @@ class PriorSpec:
     ``means`` records the requested accuracy-prior means before boundary
     shrinkage, so prior-quality reports can measure distances against what
     was asked for. ``strength`` is the pseudo-count mass u + v shared by
-    all LFs (None for user-supplied priors with uneven mass).
+    all LFs (None for user-supplied priors with uneven mass). A spec holds
+    per-LF values and the label prior's settings only, so one built on a
+    matrix can be fitted on any matrix with the same LFs (a split of it,
+    say): the label prior anchors to the rows being fitted.
     """
 
     accuracy_prior: BetaPrior
@@ -96,16 +99,11 @@ def reference_accuracies(votes, reference) -> np.ndarray:
 
 
 def _spec_from_means(
-    means: np.ndarray,
-    strength: float,
-    p: float,
-    mv_votes: np.ndarray | None,
-    force_abstain: bool,
-    source: str,
+    means: np.ndarray, strength: float, p: float, force_abstain: bool, source: str
 ) -> PriorSpec:
     return PriorSpec(
         accuracy_prior=BetaPrior(*beta_from_mean(means, strength)),
-        label_prior=LabelPrior(p=p, mv_votes=mv_votes, force_abstain=force_abstain),
+        label_prior=LabelPrior(p=p, force_abstain=force_abstain),
         strength=float(strength),
         source=source,
         means=means,
@@ -118,9 +116,8 @@ def build_mv_priors(
     """Priors whose accuracy means score each LF against the majority vote,
     used as a proxy for unavailable ground truth."""
     votes = as_lf_matrix(votes)
-    mv = majority_vote(votes)
-    means = reference_accuracies(votes, mv)
-    return _spec_from_means(means, strength, p, mv, force_abstain, "mv")
+    means = reference_accuracies(votes, majority_vote(votes))
+    return _spec_from_means(means, strength, p, force_abstain, "mv")
 
 
 def build_empirical_priors(
@@ -133,7 +130,7 @@ def build_empirical_priors(
     if truth.shape[0] != votes.shape[0]:
         raise DataError(f"truth length {truth.shape[0]} != row count {votes.shape[0]}")
     means = reference_accuracies(votes, truth)
-    return _spec_from_means(means, strength, p, majority_vote(votes), force_abstain, "empirical")
+    return _spec_from_means(means, strength, p, force_abstain, "empirical")
 
 
 def build_random_priors(
@@ -144,7 +141,7 @@ def build_random_priors(
         raise DataError(f"need at least one LF, got m={m}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.0, 1.0, size=m)
-    return _spec_from_means(means, strength, p, None, force_abstain, "random")
+    return _spec_from_means(means, strength, p, force_abstain, "random")
 
 
 def build_uniform_priors(m: int, p: float = 0.5, force_abstain: bool = False) -> PriorSpec:
@@ -155,23 +152,21 @@ def build_uniform_priors(m: int, p: float = 0.5, force_abstain: bool = False) ->
     ones = np.ones(m, dtype=np.float64)
     return PriorSpec(
         accuracy_prior=BetaPrior(ones, ones.copy()),
-        label_prior=LabelPrior(p=p, mv_votes=None, force_abstain=force_abstain),
+        label_prior=LabelPrior(p=p, force_abstain=force_abstain),
         strength=2.0,
         source="uniform",
         means=np.full(m, 0.5),
     )
 
 
-def build_user_priors(
-    u, v, p: float = 0.5, mv_votes=None, force_abstain: bool = False
-) -> PriorSpec:
+def build_user_priors(u, v, p: float = 0.5, force_abstain: bool = False) -> PriorSpec:
     """Pass-through for explicit (u, v, p) values supplied by the caller."""
     prior = BetaPrior(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
     mass = prior.u + prior.v
     strength = float(mass[0]) if np.all(mass == mass[0]) else None
     return PriorSpec(
         accuracy_prior=prior,
-        label_prior=LabelPrior(p=p, mv_votes=mv_votes, force_abstain=force_abstain),
+        label_prior=LabelPrior(p=p, force_abstain=force_abstain),
         strength=strength,
         source="user",
         means=prior.mean(),

@@ -11,19 +11,21 @@ full-objective gradient. Every step clamps the parameters into
 [CLAMP_EPS, 1 - CLAMP_EPS].
 
 One loop, :func:`fit_cells`, fits K cells at once: cells that share the
-epoch budget, batch size, patience, seed, ``learn_beta`` and the train
-rows' majority-vote anchors, and differ in learning rate, ``alpha_init``,
-beta priors and label-prior ``p``. Their parameters are (K, m) arrays, one
-row per cell and one column of the kernel's m x K mat-mats, so each
-minibatch is gathered once for all cells; columns never mix, so each cell
-equals its own fit up to rounding. Each cell stops early on its own, and a
-cell whose gradient or objective turns non-finite fails alone. A cell's
-label prior enters only through the cells' (3, K) table of log class
-priors (:func:`~labelforge.model.class_prior_table`), from which the
-gradient and the objectives read each row's priors by its majority-vote
-anchor as they need them, so no rows x cells prior array outlives a
-call. Grids too large for MAX_STACKED_ENTRIES run as several such loops.
-:func:`fit` is the one-cell call.
+epoch budget, batch size, patience, seed and ``learn_beta``, and differ in
+learning rate, ``alpha_init``, beta priors and label-prior ``p``. Their
+parameters are (K, m) arrays, one row per cell and one column of the
+kernel's m x K mat-mats, so each minibatch is gathered once for all cells;
+columns never mix, so each cell equals its own fit up to rounding. Each
+cell stops early on its own, and a cell whose gradient or objective turns
+non-finite fails alone. A cell's label prior enters only through the
+cells' (3, K) table of log class priors
+(:func:`~labelforge.model.class_prior_table`), from which the gradient and
+the objectives read each row's priors by its anchor, the majority vote of
+its own votes, as they need them, so no rows x cells prior array outlives
+a call. Every cell's label prior therefore anchors to the train matrix it
+is fitted on, whatever matrix its prior spec was built from. Grids too
+large for MAX_STACKED_ENTRIES run as several such loops. :func:`fit` is
+the one-cell call.
 
 The train and validation matrices are checked and converted to
 :class:`~labelforge.model.VoteRows` once. Sums over rows are weighted, and
@@ -67,7 +69,7 @@ from .model import (
     half_log_ratios,
     log_objectives,
 )
-from .priors import PriorSpec, beta_from_mean, majority_vote
+from .priors import PriorSpec, beta_from_mean
 
 # Cells fitted in one loop are capped so that the loop's rows x cells
 # arrays (the full-batch gradient and the objectives, about six alive at
@@ -202,12 +204,13 @@ def fit_cells(
 ) -> list[FitResult | NumericalError]:
     """Fit one model per (prior spec, config) cell, all in one training loop.
 
-    Cells must share ``max_epochs``, ``batch_size``, ``patience``, ``seed``,
-    ``learn_beta`` and their train anchors (``LabelPrior.mv_votes``, where
-    None stands for the train matrix's majority vote); anything else raises
-    DataError. Each cell gets the result :func:`fit` would give it, up to
-    rounding, or the NumericalError that ended it. Cells beyond
-    MAX_STACKED_ENTRIES / n run in further loops of that many.
+    Cells must share ``max_epochs``, ``batch_size``, ``patience``, ``seed``
+    and ``learn_beta``; anything else raises DataError. Each cell's label
+    prior anchors to the train matrix's own majority vote, so prior specs
+    built on any matrix with its LFs can share a loop. Each cell gets the
+    result :func:`fit` would give it, up to rounding, or the NumericalError
+    that ended it. Cells beyond MAX_STACKED_ENTRIES / n run in further loops
+    of that many.
     """
     priors, configs = list(priors), list(configs)
     if not configs or len(priors) != len(configs):
@@ -222,14 +225,6 @@ def fit_cells(
     k = len(configs)
     eps = CLAMP_EPS
 
-    label_priors = [LabelPrior() if spec is None else spec.label_prior for spec in priors]
-    anchor_sets = [lp.mv_votes for lp in label_priors]
-    if any(a is None for a in anchor_sets):
-        mv = majority_vote(votes)
-        anchor_sets = [mv if a is None else a for a in anchor_sets]
-    anchors = anchor_sets[0]
-    if any(a is not anchors and not np.array_equal(a, anchors) for a in anchor_sets):
-        raise DataError("stacked cells must share their label-prior anchors")
     block = max(1, MAX_STACKED_ENTRIES // n)
     if k > block:
         return [
@@ -240,11 +235,12 @@ def fit_cells(
             )
         ]
     acc_prior = _stacked_prior([None if s is None else s.accuracy_prior for s in priors], m)
+    label_priors = [LabelPrior() if spec is None else spec.label_prior for spec in priors]
     prior_table = class_prior_table([lp.p for lp in label_priors])
 
     # The objectives and a full batch sum over rows in any order, so they
-    # run over one weighted row per distinct (pattern, anchor) pair.
-    patterns, _ = VoteRows.grouped(votes, anchors)
+    # run over one weighted row per distinct vote pattern.
+    patterns, _ = VoteRows.grouped(votes)
     scored = [patterns]
     if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
         val = as_lf_matrix(val_votes)
@@ -253,7 +249,7 @@ def fit_cells(
         scored.append(VoteRows.grouped(val)[0])
     full_batch = config.batch_size is None or config.batch_size >= n
     if not full_batch:
-        unit_rows = VoteRows.of(votes, anchors)
+        unit_rows = VoteRows.of(votes)
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]

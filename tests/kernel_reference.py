@@ -11,7 +11,10 @@ row's class prior pair under a majority-vote anchor.
 
 Last, ``log_objective`` is the kernel's objective of one model with its
 inputs checked and its parameters clamped, the form the tests use where
-they need the objective itself (finite differences, bitwise comparisons).
+they need the objective itself (finite differences, bitwise comparisons),
+and ``anchored_rows`` converts votes with anchors of the caller's choosing,
+so that the kernel can be held to the reference under any pair of class
+priors, not only those of the rows' majority votes.
 """
 
 import math
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from labelforge.errors import DataError, NumericalError
-from labelforge.model import CLAMP_EPS, class_prior_table, log_objectives
+from labelforge.model import CLAMP_EPS, VoteRows, class_prior_table, log_objectives
 
 
 def factor(vote: int, label: int, acc: float, cov: float) -> float:
@@ -120,3 +123,14 @@ def log_objective(rows, p, accuracy, coverage, accuracy_prior=None, coverage_pri
     if not np.isfinite(total):
         raise NumericalError(f"log objective is non-finite ({total})")
     return total
+
+
+def anchored_rows(votes, anchors) -> VoteRows:
+    """Unit-weight rows of the kernel for ``votes``, each anchored to the
+    caller's entry of ``anchors`` (-1, 0 or +1) instead of its own majority
+    vote."""
+    votes = np.asarray(votes, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.int8)
+    assert votes.ndim == 2 and anchors.shape == votes.shape[:1]
+    assert np.isin(anchors, (-1, 0, 1)).all()
+    return VoteRows(votes, np.ones(votes.shape[0]), anchors)

@@ -69,7 +69,7 @@ def test_criterion_01_gradient_oracle():
         strength = float(rng.choice([10.0, 100.0]))
         prior = build_mv_priors(votes, strength, p=float(rng.choice([0.5, 0.7, 0.9])))
         p = prior.label_prior.p
-        rows = VoteRows.of(votes, prior.label_prior.mv_votes)
+        rows = VoteRows.of(votes)
         cov_prior = BetaPrior(*beta_from_mean(ref.coverage(votes), strength))
 
         def obj_acc(a):

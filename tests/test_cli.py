@@ -141,6 +141,36 @@ class TestExitCodes:
         assert run("predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv") == 2
         assert "'prior_u'" in capsys.readouterr().err
 
+    def test_duplicate_truth_column_is_data_error(self, tmp_path, capsys):
+        # the second y was read as an LF: train wrote m: 2, and evaluate
+        # --mode mv counted the truth column as a voter
+        data = tmp_path / "two_y.csv"
+        data.write_text("lf_0,y,y\n1,1,1\n-1,-1,-1\n1,1,1\n0,-1,-1\n")
+        model = tmp_path / "m.txt"
+        assert run("train", "--data", data, "--epochs", "2", "--val-frac", "0",
+                   "--out", model) == 2
+        assert not model.exists()
+        assert run("evaluate", "--mode", "mv", "--data", data) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{data}: truth column 'y' appears 2 times") == 2
+
+    def test_out_of_range_model_field_is_data_error(self, tmp_path, capsys):
+        # prior_u -1.0 loaded and predicted with exit 0; accuracy 1.5 and
+        # prior_p 0.3 exited 2 without naming the file or the field
+        data = make_synth(tmp_path, n=120)
+        model = tmp_path / "m.txt"
+        assert run("train", "--data", data, "--epochs", "2", "--out", model) == 0
+        text = model.read_text()
+        lines = dict(line.split(": ", 1) for line in text.splitlines())
+        preds = tmp_path / "p.csv"
+        for field, value in (("accuracy", "1.5,0.7,0.7,0.7"), ("prior_p", "0.3"),
+                             ("prior_u", "-1.0,1.0,1.0,1.0")):
+            model.write_text(text.replace(f"{field}: {lines[field]}", f"{field}: {value}"))
+            capsys.readouterr()
+            assert run("predict", "--model", model, "--data", data, "--out", preds) == 2
+            assert f"{model}: model field '{field}'" in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_malformed_grid_is_data_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         grid = tmp_path / "grid.json"

@@ -86,6 +86,16 @@ class TestReadDataset:
         ds = read_dataset(path, truth_col="gold")
         np.testing.assert_array_equal(ds.truth, [-1])
 
+    def test_duplicate_truth_column(self, tmp_path):
+        # the second y must not be read as an LF
+        path = tmp_path / "two_y.csv"
+        path.write_text("lf_0,y,y\n1,1,-1\n")
+        with pytest.raises(DataError, match=r"two_y\.csv: truth column 'y' appears 2 times"):
+            read_dataset(path)
+        path.write_text("gold,lf_0,gold\n1,1,-1\n")
+        with pytest.raises(DataError, match="truth column 'gold'"):
+            read_dataset(path, truth_col="gold")
+
     def test_roundtrip_identity(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(m=4, n=40, accuracy=0.8, coverage=0.5, seed=3))
         path = tmp_path / "roundtrip.csv"
@@ -284,6 +294,20 @@ class TestReaderMemory:
         assert self.peak_ratio(read_predictions, files[1]) <= 10.6 / 2
 
 
+def write_model_with(path, field, value):
+    """Write a two-LF map-mv model file to ``path`` with ``field`` set to the
+    text ``value``, and return the path."""
+    params = ModelParams([0.8, 0.7], [0.4, 0.5])
+    prior = build_mv_priors([[1, 0], [1, -1], [-1, -1]], 10.0)
+    save_model(path, model_file_from_fit(params, prior, "d4"))
+    lines = [
+        f"{field}: {value}" if line.startswith(f"{field}: ") else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestModelFile:
     def test_roundtrip_is_byte_identical(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.5, seed=5))
@@ -334,16 +358,29 @@ class TestModelFile:
         ],
     )
     def test_bad_field_names_it(self, tmp_path, field, value, message):
-        params = ModelParams([0.8, 0.7], [0.4, 0.5])
-        prior = build_mv_priors([[1, 0], [1, -1], [-1, -1]], 10.0)
-        path = tmp_path / "bad_model.txt"
-        save_model(path, model_file_from_fit(params, prior, "d4"))
-        lines = [
-            f"{field}: {value}" if line.startswith(f"{field}: ") else line
-            for line in path.read_text().splitlines()
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        path = write_model_with(tmp_path / "bad_model.txt", field, value)
         with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("accuracy", "1.5,0.7", "'accuracy', 'coverage': accuracy entries"),
+            ("coverage", "0.4,-0.5", "'accuracy', 'coverage': coverage entries"),
+            ("accuracy", "nan,0.7", "'accuracy', 'coverage': accuracy entries"),
+            ("prior_p", "0.3", "'prior_p': label prior p"),
+            ("prior_p", "1.5", "'prior_p': label prior p"),
+            ("prior_u", "-1.0,2.0", "'prior_u', 'prior_v': beta prior"),
+            ("prior_v", "3.0,0.0", "'prior_u', 'prior_v': beta prior"),
+            ("prior_u", "inf,2.0", "'prior_u', 'prior_v': beta prior"),
+            ("prior_u", "none", "'prior_u' and 'prior_v' must be both none or both set"),
+            ("prior_v", "none", "'prior_u' and 'prior_v' must be both none or both set"),
+        ],
+    )
+    def test_out_of_range_field_names_file_and_field(self, tmp_path, field, value, message):
+        path = write_model_with(tmp_path / "range_model.txt", field, value)
+        with pytest.raises(DataError, match=re.escape(f"{path}: model field") + ".*"
+                           + re.escape(message)):
             load_model(path)
 
     def test_unsupported_version(self, tmp_path):

@@ -3,11 +3,12 @@
 The kernel's posterior log-odds (parameters at 0 or 1 included), the
 objective and the accuracy gradient are checked against the linear-space
 row reference in ``kernel_reference``, for grouped and ungrouped rows,
-anchors of the rows' own or the caller's, and p = 1, whose class priors
-are -inf; then the symmetries of the model: negating every vote and every
-anchor swaps the posterior and keeps the objective, permuting LF columns
-permutes the gradient, and one epoch of minibatch gradients sums to the
-full-batch gradient. Then the
+and p = 1, whose class priors are -inf. Rows are anchored to their own
+majority votes, or, on the ungrouped path, to anchors of the caller's
+choosing, so any pair of class priors is covered. Then the symmetries of
+the model: negating every vote (and so every anchor) swaps the posterior
+and keeps the objective, permuting LF columns permutes the gradient, and
+one epoch of minibatch gradients sums to the full-batch gradient. Then the
 vote-pattern path (distinct rows weighted by their counts) is checked
 against the row path: the objective, both gradients, whole fits and
 predictions. Last, the factored objective, which takes the label-free part
@@ -15,7 +16,6 @@ of every row out of the log-sum-exp, is checked against the reference's
 sum of per-row log marginals.
 """
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -46,8 +46,10 @@ GRAD_ATOL = 1e-9
 class Case:
     """A random matrix with parameters, an accuracy prior and a label prior
     ``p`` anchored to the majority vote, or to caller-supplied ``anchors``
-    drawn independently of the votes. ``row_anchors`` holds the anchors in
-    use and ``pairs`` the rows' class priors from the reference."""
+    drawn independently of the votes, which only ungrouped rows can carry
+    (:func:`kernel_reference.anchored_rows`). ``row_anchors`` holds the
+    anchors in use and ``pairs`` the rows' class priors from the
+    reference."""
 
     def __init__(
         self, seed: int, n: int, m: int, p: float, boundary: bool = False, own_anchors=False
@@ -72,16 +74,19 @@ class Case:
         return ModelParams(self.acc, self.cov)
 
     def rows(self) -> VoteRows:
-        return VoteRows.of(self.votes, self.anchors)
+        if self.anchors is None:
+            return VoteRows.of(self.votes)
+        return ref.anchored_rows(self.votes, self.anchors)
 
     def patterns(self) -> VoteRows:
-        return VoteRows.grouped(self.votes, self.anchors)[0]
+        return self.both_paths(True)[0]
 
     def both_paths(self, grouped: bool) -> tuple[VoteRows, np.ndarray]:
         """The converted rows, grouped or not, and the index that maps each
         input row to its converted row."""
         if grouped:
-            return VoteRows.grouped(self.votes, self.anchors)
+            assert self.anchors is None, "patterns are anchored to their own majority votes"
+            return VoteRows.grouped(self.votes)
         return self.rows(), np.arange(self.votes.shape[0])
 
 
@@ -103,12 +108,23 @@ def cases(
     )
 
 
+def cases_and_paths(**kwargs):
+    """(case, grouped) pairs. Grouped rows are anchored to their own majority
+    votes, so caller-chosen anchors are drawn on the ungrouped path only."""
+    return st.booleans().flatmap(
+        lambda grouped: st.tuples(
+            cases(own_anchors=st.just(False) if grouped else st.booleans(), **kwargs),
+            st.just(grouped),
+        )
+    )
+
+
 # p = 1 puts all prior mass on the anchor's label: a class prior of -inf.
 certain_or_not = st.one_of(st.just(1.0), st.floats(0.5, 0.99))
 
 
 # Few LFs and up to 80 rows, so that most rows share their pattern.
-pattern_cases = cases(n=st.integers(1, 80), m=st.integers(1, 4), own_anchors=st.booleans())
+pattern_cases = cases(n=st.integers(1, 80), m=st.integers(1, 4))
 
 
 def row_path():
@@ -118,8 +134,9 @@ def row_path():
 
 
 @PROPERTY
-@given(cases(st.booleans(), own_anchors=st.booleans(), p=certain_or_not), st.booleans())
-def test_kernel_equals_row_reference(case, grouped):
+@given(cases_and_paths(boundary=st.booleans(), p=certain_or_not))
+def test_kernel_equals_row_reference(drawn):
+    case, grouped = drawn
     rows, inverse = case.both_paths(grouped)
     odds, degenerate = posterior_log_odds(rows, case.table, case.acc, case.cov)
     odds, degenerate = odds[inverse], degenerate[inverse]
@@ -145,8 +162,9 @@ def test_kernel_equals_row_reference(case, grouped):
 
 
 @PROPERTY
-@given(cases(own_anchors=st.booleans(), p=certain_or_not), st.booleans())
-def test_objective_equals_row_reference(case, grouped):
+@given(cases_and_paths(p=certain_or_not))
+def test_objective_equals_row_reference(drawn):
+    case, grouped = drawn
     rows, _ = case.both_paths(grouped)
     value = ref.log_objective(rows, case.p, case.acc, case.cov, case.prior)
     expected = ref.objective(case.votes, case.acc, case.cov, case.pairs, case.prior)
@@ -165,8 +183,10 @@ def test_gradient_equals_row_reference(case):
 @PROPERTY
 @given(cases(st.booleans()))
 def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
-    # negating a row's anchor swaps its pair of class priors
-    flipped = VoteRows.of(-case.votes, -case.row_anchors)
+    # negating a row's votes negates its majority-vote anchor, which swaps
+    # its pair of class priors
+    flipped = VoteRows.of(-case.votes)
+    np.testing.assert_array_equal(flipped.anchor, -case.row_anchors)
     assert ref.log_objective(flipped, case.p, case.acc, case.cov) == ref.log_objective(
         case.rows(), case.p, case.acc, case.cov
     )
@@ -193,7 +213,7 @@ def test_permuting_columns_permutes_gradient(case, random):
     perm = np.array(random.sample(range(m), m))
     grad = grad_accuracy(case.rows(), case.table, case.acc, case.cov, case.prior, 1.0)
     permuted = grad_accuracy(
-        VoteRows.of(case.votes[:, perm], case.row_anchors),
+        VoteRows.of(case.votes[:, perm]),
         case.table,
         case.acc[perm],
         case.cov[perm],
@@ -220,15 +240,14 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
 @PROPERTY
 @given(pattern_cases)
 def test_patterns_rebuild_the_rows(case):
-    rows, inverse = VoteRows.grouped(case.votes, case.anchors)
+    rows, inverse = VoteRows.grouped(case.votes)
     np.testing.assert_array_equal(rows.d[inverse], case.votes)
     np.testing.assert_array_equal(rows.anchor[inverse], case.row_anchors)
     assert rows.anchor.dtype == np.int8
     np.testing.assert_array_equal(rows.w, np.bincount(inverse))
     assert rows.total == case.votes.shape[0]
     np.testing.assert_array_equal(rows.count, np.abs(case.votes).sum(axis=0))
-    distinct = {(tuple(row), a) for row, a in zip(rows.d.tolist(), rows.anchor.tolist())}
-    assert len(distinct) == rows.n
+    assert len({tuple(row) for row in rows.d.tolist()}) == rows.n
 
 
 @PROPERTY
@@ -265,8 +284,6 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
 )
 def test_pattern_fit_equals_row_path(case, batch_size, learn_beta, with_val, lr):
     prior = build_mv_priors(case.votes, 10.0, case.p)
-    if case.anchors is not None:
-        prior = replace(prior, label_prior=LabelPrior(case.p, mv_votes=case.anchors))
     val = case.votes[::-1][: max(1, case.votes.shape[0] // 3)] if with_val else None
     config = TrainConfig(
         learning_rate=lr, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7,
@@ -306,17 +323,14 @@ def test_pattern_predict_equals_row_path(case, force_abstain):
 
 
 def test_widest_grouped_matrix_next_to_row_path():
-    # 38 votes and an anchor key below 3^39 < 2^63; 39 would overflow int64
+    # matrices of up to 38 LFs are grouped, wider ones take the row path
     rng = np.random.default_rng(38)
     for m in (38, 39):
         votes = rng.integers(-1, 2, size=(40, m)).astype(np.int8)
-        # the largest and smallest keys, each anchored both ways, and duplicates
-        votes[:4] = [[1] * m, [1] * m, [-1] * m, [-1] * m]
+        # the largest and smallest keys, and duplicates
+        votes[:2] = [[1] * m, [-1] * m]
         votes[20:] = votes[:20]
-        anchors = rng.integers(-1, 2, 40).astype(np.int8)
-        anchors[:4] = [1, -1, 1, -1]
-        anchors[20:] = anchors[:20]
-        rows, inverse = VoteRows.grouped(votes, anchors)
+        rows, inverse = VoteRows.grouped(votes)
         if m == 38:
             assert rows.n == 20
             np.testing.assert_array_equal(rows.d[inverse], votes)
@@ -324,7 +338,8 @@ def test_widest_grouped_matrix_next_to_row_path():
         else:
             assert inverse is None and rows.n == 40
             np.testing.assert_array_equal(rows.w, 1.0)
-        plain = VoteRows.of(votes, anchors)
+        np.testing.assert_array_equal(rows.anchor, majority_vote(rows.d))
+        plain = VoteRows.of(votes)
         acc, cov = rng.uniform(0.55, 0.95, m), ref.coverage(votes)
         np.testing.assert_allclose(
             ref.log_objective(rows, 0.8, acc, cov),

@@ -13,6 +13,7 @@ from labelforge.infer import predict_grouped
 from labelforge.model import (
     BetaPrior,
     VoteRows,
+    as_label_vector,
     as_lf_matrix,
     class_prior_table,
     log_objectives,
@@ -42,7 +43,7 @@ def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
     table = class_prior_table(p)
     marginals = []
     for row in as_lf_matrix(votes):
-        rows = VoteRows.of(row[None], [anchor])
+        rows = ref.anchored_rows(row[None], [anchor])
         marginals.append(log_objectives(rows, table, params.accuracy, params.coverage))
     return np.array(marginals, dtype=np.float64)
 
@@ -59,7 +60,7 @@ def kernel_posterior(row, params: ModelParams, pair, shift: float = 0.0) -> tupl
     """(P(+1 | row), P(-1 | row)) under the class prior ``pair``, with
     ``shift`` added to both log class priors."""
     anchor, p = anchored(pair)
-    rows = VoteRows.of([row], [anchor])
+    rows = ref.anchored_rows([row], [anchor])
     table = class_prior_table(p) + shift
     odds, degenerate = posterior_log_odds(rows, table, params.accuracy, params.coverage)
     assert not degenerate[0]
@@ -80,10 +81,11 @@ class TestLfFactor:
         assert np.exp(kernel_ll([[-1]], ModelParams([0.9], [0.4]))[0, 0]) == pytest.approx(0.04)
 
     def test_rejects_zero_label(self):
-        # the kernel's labels are +1 and -1 only, and an anchor is one of
-        # them or none (0): an anchor naming a third label is refused
-        with pytest.raises(DataError):
-            VoteRows.of([[1]], [2])
+        # the model's labels are +1 and -1 only: a true label of 0, or one
+        # naming a third label, is refused
+        for truth in ([0], [2]):
+            with pytest.raises(DataError):
+                as_label_vector(truth, allow_abstain=False)
 
     def test_branches_sum_to_one(self):
         rng = np.random.default_rng(42)
@@ -227,7 +229,8 @@ class TestLogObjective:
         assert value == pytest.approx(2 * math.log(0.5), abs=1e-5)
 
     def test_label_prior_pairs_construction(self):
-        rows = VoteRows.of([[1], [-1], [0]], [1, -1, 0])
+        rows = VoteRows.of([[1], [-1], [0]])
+        np.testing.assert_array_equal(rows.anchor, [1, -1, 0])
         pairs = np.exp(np.column_stack(rows.class_priors(class_prior_table(0.8))))
         np.testing.assert_allclose(pairs, [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
         np.testing.assert_allclose(pairs, ref.pairs([1, -1, 0], 0.8))
@@ -291,20 +294,12 @@ class TestValidation:
         assert as_lf_matrix([[1.0, -1.0]]).dtype == np.int8
         assert Dataset([[1, 0]], [1]).truth.dtype == np.int8
 
-    @pytest.mark.parametrize(
-        "votes, anchors",
-        [
-            ([[1, 2]], None),  # a non-vote entry
-            ([[1], [0]], [1]),  # one anchor for two rows
-            ([[1], [0]], [1, 2]),  # an anchor that is no label
-            ([[1], [0]], [1, 0.5]),  # must not truncate to 0
-        ],
-    )
-    def test_vote_rows_check_votes_and_priors(self, votes, anchors):
+    def test_vote_rows_check_votes(self):
+        # a non-vote entry
         with pytest.raises(DataError):
-            VoteRows.of(votes, anchors)
+            VoteRows.of([[1, 2]])
         with pytest.raises(DataError):
-            VoteRows.grouped(votes, anchors)
+            VoteRows.grouped([[1, 2]])
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(DataError):

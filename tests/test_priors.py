@@ -5,6 +5,7 @@ import pytest
 
 from labelforge import (
     DataError,
+    LabelPrior,
     build_empirical_priors,
     build_mv_priors,
     build_random_priors,
@@ -18,7 +19,16 @@ from labelforge.priors import (
     vote_fraction,
 )
 
+from labelforge.model import VoteRows, class_prior_table
+
 import kernel_reference as ref
+
+
+def spec_pairs(votes, spec) -> np.ndarray:
+    """Each row's class priors (P(+1), P(-1)) under the spec's label prior,
+    the row anchored to its own majority vote."""
+    table = class_prior_table(spec.label_prior.p)
+    return np.exp(np.column_stack(VoteRows.of(votes).class_priors(table)))
 
 
 class TestMajorityVote:
@@ -93,7 +103,7 @@ class TestBuilders:
     def test_mv_priors_toy_matrix(self):
         votes = [[1, 1, -1], [-1, -1, 1]]
         spec = build_mv_priors(votes, 10.0)
-        np.testing.assert_array_equal(spec.label_prior.mv_votes, [1, -1])
+        assert spec.label_prior == LabelPrior()  # no rows: it anchors to any matrix's own
         # first two LFs always match MV, third never does
         np.testing.assert_allclose(spec.means, [1.0, 1.0, 0.0])
         mean3 = spec.accuracy_prior.u[2] / (spec.accuracy_prior.u[2] + spec.accuracy_prior.v[2])
@@ -112,14 +122,14 @@ class TestBuilders:
     def test_p_half_gives_uninformative_pairs(self):
         votes = [[1, 1, -1], [-1, -1, 1]]
         spec = build_mv_priors(votes, 10.0, p=0.5)
-        pairs = ref.pairs(spec.label_prior.mv_votes, spec.label_prior.p)
-        np.testing.assert_allclose(pairs, 0.5)
+        np.testing.assert_allclose(spec_pairs(votes, spec), 0.5)
 
     def test_aligned_pairs(self):
         votes = [[1, 1], [-1, -1], [0, 0]]
         spec = build_mv_priors(votes, 10.0, p=0.9)
-        pairs = ref.pairs(spec.label_prior.mv_votes, spec.label_prior.p)
+        pairs = spec_pairs(votes, spec)
         np.testing.assert_allclose(pairs, [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        np.testing.assert_allclose(pairs, ref.pairs(majority_vote(votes), 0.9))
 
     def test_empirical_matches_mv_when_truth_is_mv(self):
         rng = np.random.default_rng(6)

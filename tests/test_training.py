@@ -24,7 +24,8 @@ from labelforge import (
     SyntheticSpec,
 )
 from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
-from labelforge.priors import beta_from_mean, build_uniform_priors, majority_vote
+from labelforge.experiments import holdout
+from labelforge.priors import beta_from_mean, build_uniform_priors
 import labelforge.train
 from labelforge.train import fit_cells, grad_accuracy, grad_coverage
 
@@ -101,7 +102,7 @@ class TestGradients:
             )
 
     def test_all_abstain_row_zero_gradient(self):
-        rows = VoteRows.of([[0, 0]], [0])
+        rows = VoteRows.of([[0, 0]])
         uniform = build_uniform_priors(2).accuracy_prior
         acc, cov = np.array([0.7, 0.6]), np.array([0.5, 0.5])
         grad = grad_accuracy(rows, class_prior_table(0.5), acc, cov, uniform, 1.0)
@@ -264,14 +265,13 @@ class TestFullBatchEpoch:
         result = fit(votes, None, prior, TrainConfig(learning_rate=lr, max_epochs=epochs,
                                                      alpha_init=0.7))
 
-        anchors = majority_vote(votes)
-        rows, _ = VoteRows.grouped(votes, anchors)
+        rows, _ = VoteRows.grouped(votes)
         assert (rows.n < n) == (m == 10)  # patterns, or one row per input row
         table = class_prior_table([p])  # one cell
         acc_prior = BetaPrior(prior.accuracy_prior.u[None], prior.accuracy_prior.v[None])
         acc = np.full((1, m), 0.7)
         cov = np.clip(rows.count / n, CLAMP_EPS, 1.0 - CLAMP_EPS)[None]
-        plain = VoteRows.of(votes, anchors)
+        plain = VoteRows.of(votes)
         for epoch in range(epochs):
             grad = grad_accuracy(rows, table, acc, cov, acc_prior, 1.0)
             acc = np.clip(acc + lr / rows.total * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -463,6 +463,30 @@ class TestFitCells:
         for got, want in zip(blocks, whole):
             assert_fits_equal(got, want)
 
+    def test_prior_spec_is_independent_of_the_rows(self):
+        # a spec built on the full matrix fits a holdout split of it: the
+        # label prior anchors to the split's own majority votes, as under a
+        # spec built from no matrix at all
+        data = generate_synthetic(SyntheticSpec(m=4, n=300, accuracy=0.8, coverage=0.6, seed=5))
+        train, val = holdout(data, 0.2, seed=2)
+        built = build_mv_priors(data.votes, 10.0, p=0.8, force_abstain=True)
+        plain = build_user_priors(
+            built.accuracy_prior.u, built.accuracy_prior.v, 0.8, force_abstain=True
+        )
+        assert plain.label_prior == LabelPrior(0.8, force_abstain=True) == built.label_prior
+        for batch_size in (None, 32):
+            config = TrainConfig(learning_rate=0.05, max_epochs=5, batch_size=batch_size,
+                                 alpha_init=0.7, seed=1)
+            want = fit(train.votes, val.votes, plain, config)
+            got = fit(train.votes, val.votes, built, config)
+            np.testing.assert_array_equal(got.params.accuracy, want.params.accuracy)
+            np.testing.assert_array_equal(got.params.coverage, want.params.coverage)
+            assert got.train_loss_history == want.train_loss_history
+            assert got.val_loss_history == want.val_loss_history
+            # and the two specs stack in one loop, each cell equal to its fit
+            for got in fit_cells(train.votes, val.votes, [built, plain], [config, config]):
+                assert_fits_equal(got, want)
+
     def test_cells_must_share_the_loop_settings(self):
         votes = np.array([[1, 0], [0, -1], [1, -1], [-1, -1]])
         base = TrainConfig(max_epochs=3)
@@ -475,8 +499,5 @@ class TestFitCells:
         ):
             with pytest.raises(DataError, match="share"):
                 fit_cells(votes, None, [None, None], [base, other])
-        anchored = build_user_priors([2, 2], [1, 1], mv_votes=[1, 1, 1, 1])
-        with pytest.raises(DataError, match="anchors"):
-            fit_cells(votes, None, [None, anchored], [base, base])
         with pytest.raises(DataError):
             fit_cells(votes, None, [None], [base, base])
