@@ -51,6 +51,7 @@ _EXPORTS = {
             "stability_sweep",
         ),
         "dataio": (
+            "ModelFile",
             "load_model",
             "read_dataset",
             "read_predictions",

@@ -2,9 +2,11 @@
 evaluation, and the experiment protocols together.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every run prints a reproducibility line with the package version, the
-resolved seed, and a digest of the resolved options. The LABELFORGE_SEED
-environment variable supplies the default seed; any --seed flag overrides.
+Before any command runs, :func:`cli_main` resolves the seed (the
+LABELFORGE_SEED environment variable supplies the default; any --seed flag
+overrides; a negative seed exits 2), prints a reproducibility line with
+the package version, the seed, and a digest of the resolved options, and
+hands the seed and the digest to the command.
 
 Threads: a command runs numpy's BLAS on one thread. At the sizes a command
 handles, OpenBLAS's second thread spins between calls, costing CPU time and
@@ -32,8 +34,8 @@ if _one_blas_thread:
 try:
     from . import __version__
     from .dataio import (
+        ModelFile,
         load_model,
-        model_file_from_fit,
         read_dataset,
         read_grid,
         read_predictions,
@@ -85,15 +87,17 @@ def _parse_list(text: str, flag: str, cast=float) -> list:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LABELFORGE_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise DataError(f"LABELFORGE_SEED must be an integer, got {env!r}") from None
+    """--seed, else LABELFORGE_SEED, else 0; a negative seed raises DataError."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        seed, source = os.environ.get("LABELFORGE_SEED", "0"), "LABELFORGE_SEED"
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise DataError(f"LABELFORGE_SEED must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DataError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 _PATH_ARGS = ("func", "data", "out", "model", "pred", "truth", "grid")
@@ -123,9 +127,7 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
-def _cmd_train(args) -> int:
-    seed = _resolve_seed(args)
-    digest = _announce(args, seed)
+def _cmd_train(args, seed: int, digest: str) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     train, val = holdout(dataset, args.val_frac, seed)
     if args.mode == "map-user":
@@ -145,7 +147,7 @@ def _cmd_train(args) -> int:
         )
     config = _train_config(args, seed)
     result = fit(train.votes, None if val is None else val.votes, prior, config)
-    save_model(args.out, model_file_from_fit(result.params, prior, digest))
+    save_model(args.out, ModelFile(result.params, prior, digest))
     print(f"trained mode={args.mode} epochs={result.stopped_epoch} best_epoch={result.best_epoch}")
     if result.train_loss_history:
         print(f"final_train_loss={result.train_loss_history[-1]!r}")
@@ -155,22 +157,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_predict(args, seed: int, digest: str) -> int:
     model = load_model(args.model)
     dataset = read_dataset(args.data, args.truth_col)
-    if dataset.m != model.m:
-        raise DataError(f"model expects {model.m} LF columns, data has {dataset.m}")
-    preds = predict(dataset.votes, model.params(), model.label_prior())
+    if dataset.m != model.params.m:
+        raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
+    preds = predict(dataset.votes, model.params, model.label_prior)
     write_predictions(args.out, preds)
     print(f"predictions written to {args.out}")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_evaluate(args, seed: int, digest: str) -> int:
     sources = [args.pred is not None, args.model is not None, args.mode == "mv"]
     if sum(sources) != 1:
         print(
@@ -190,9 +188,9 @@ def _cmd_evaluate(args) -> int:
             print("error: --model requires --data", file=sys.stderr)
             return 1
         model = load_model(args.model)
-        if dataset.m != model.m:
-            raise DataError(f"model expects {model.m} LF columns, data has {dataset.m}")
-        preds = predict(dataset.votes, model.params(), model.label_prior())
+        if dataset.m != model.params.m:
+            raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
+        preds = predict(dataset.votes, model.params, model.label_prior)
         row_tag = "model"
     else:
         if dataset is None:
@@ -222,9 +220,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_gridsearch(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_gridsearch(args, seed: int, digest: str) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     if dataset.truth is None:
         raise DataError("grid search needs a truth column for validation scoring")
@@ -249,9 +245,7 @@ def _cmd_gridsearch(args) -> int:
     return 0
 
 
-def _cmd_lowdata(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_lowdata(args, seed: int, digest: str) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     rows = low_data_sweep(
         dataset,
@@ -276,9 +270,7 @@ def _cmd_lowdata(args) -> int:
     return 0
 
 
-def _cmd_stability(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_stability(args, seed: int, digest: str) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     train, _, test = split(dataset, SplitSpec(seed=seed))
     rows = stability_sweep(
@@ -300,9 +292,7 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_synth(args, seed: int, digest: str) -> int:
     accuracy = _parse_list(args.alpha, "--alpha")
     coverage = _parse_list(args.beta, "--beta")
     spec = SyntheticSpec(
@@ -319,9 +309,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_priors_study(args) -> int:
-    seed = _resolve_seed(args)
-    _announce(args, seed)
+def _cmd_priors_study(args, seed: int, digest: str) -> int:
     dataset = read_dataset(args.data, args.truth_col)
     study = prior_quality_study(
         dataset,
@@ -460,7 +448,8 @@ def cli_main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; usage maps to 1
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        seed = _resolve_seed(args)
+        return args.func(args, seed, _announce(args, seed))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,8 @@ and the predictions writer formats each distinct (label, score, reason)
 tail once, to which each row adds only its index. A malformed file raises
 DataError naming the first bad row (and column). The model file is a
 human-diffable key-value record whose floats are written with repr, so a
-write -> read -> write round trip is byte-identical.
+write -> read -> write round trip is byte-identical. It is read into the
+types it stores (:class:`ModelFile`), whose own checks are its range checks.
 """
 
 from __future__ import annotations
@@ -532,45 +533,19 @@ def write_results_table(path, rows: list[dict]) -> None:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """Serializable snapshot of fitted parameters plus the prior used."""
+    """What a model file stores: the fitted params, the prior spec of the fit
+    (None for mle), the run's config digest, and the label prior, which
+    defaults to the spec's, or to ``LabelPrior()`` when there is none."""
 
-    m: int
-    accuracy: np.ndarray
-    coverage: np.ndarray
-    prior_source: str
-    prior_strength: float | None
-    prior_p: float
-    prior_force_abstain: bool
-    prior_u: np.ndarray | None
-    prior_v: np.ndarray | None
-    prior_means: np.ndarray | None
-    config_digest: str
+    params: ModelParams
+    prior: PriorSpec | None = None
+    config_digest: str = "none"
+    label_prior: LabelPrior | None = None
 
-    def params(self) -> ModelParams:
-        return ModelParams(self.accuracy, self.coverage)
-
-    def label_prior(self) -> LabelPrior:
-        return LabelPrior(p=self.prior_p, force_abstain=self.prior_force_abstain)
-
-
-def model_file_from_fit(
-    params: ModelParams, prior_spec: PriorSpec | None, config_digest: str
-) -> ModelFile:
-    none = prior_spec is None
-    label_prior = LabelPrior() if none else prior_spec.label_prior
-    return ModelFile(
-        m=params.m,
-        accuracy=params.accuracy,
-        coverage=params.coverage,
-        prior_source="none" if none else prior_spec.source,
-        prior_strength=None if none else prior_spec.strength,
-        prior_p=label_prior.p,
-        prior_force_abstain=label_prior.force_abstain,
-        prior_u=None if none else prior_spec.accuracy_prior.u,
-        prior_v=None if none else prior_spec.accuracy_prior.v,
-        prior_means=None if none else prior_spec.means,
-        config_digest=config_digest,
-    )
+    def __post_init__(self):
+        if self.label_prior is None:
+            default = LabelPrior() if self.prior is None else self.prior.label_prior
+            object.__setattr__(self, "label_prior", default)
 
 
 def _vector_text(vec: np.ndarray | None) -> str:
@@ -625,19 +600,22 @@ def _read_text(path) -> str:
 
 
 def save_model(path, model: ModelFile) -> None:
-    strength = "none" if model.prior_strength is None else repr(float(model.prior_strength))
+    """Write ``model`` as a model file, one ``key: value`` line per field."""
+    prior, label_prior = model.prior, model.label_prior
+    strength = None if prior is None else prior.strength
+    beta = None if prior is None else prior.accuracy_prior
     fields = {
         "format_version": str(MODEL_FORMAT_VERSION),
-        "m": str(model.m),
-        "accuracy": _vector_text(model.accuracy),
-        "coverage": _vector_text(model.coverage),
-        "prior_source": model.prior_source,
-        "prior_strength": strength,
-        "prior_p": repr(float(model.prior_p)),
-        "prior_force_abstain": "true" if model.prior_force_abstain else "false",
-        "prior_u": _vector_text(model.prior_u),
-        "prior_v": _vector_text(model.prior_v),
-        "prior_means": _vector_text(model.prior_means),
+        "m": str(model.params.m),
+        "accuracy": _vector_text(model.params.accuracy),
+        "coverage": _vector_text(model.params.coverage),
+        "prior_source": "none" if prior is None else prior.source,
+        "prior_strength": "none" if strength is None else repr(float(strength)),
+        "prior_p": repr(float(label_prior.p)),
+        "prior_force_abstain": "true" if label_prior.force_abstain else "false",
+        "prior_u": _vector_text(None if beta is None else beta.u),
+        "prior_v": _vector_text(None if beta is None else beta.v),
+        "prior_means": _vector_text(None if prior is None else prior.means),
         "config_digest": model.config_digest,
     }
     lines = [f"{key}: {fields[key]}" for key in _MODEL_KEYS]
@@ -646,8 +624,9 @@ def save_model(path, model: ModelFile) -> None:
 
 def load_model(path) -> ModelFile:
     """Parse a model file; any malformed, inconsistent or out-of-range field
-    raises DataError naming it. Values are range-checked by the types that
-    hold them in use: ModelParams, LabelPrior and BetaPrior."""
+    raises DataError naming the file and the field. Values are range-checked
+    by the types that hold them in use: ModelParams, LabelPrior, BetaPrior
+    and PriorSpec. Only a ``prior_source`` other than ``none`` has a prior."""
     fields: dict[str, str] = {}
     for line in _read_text(path).splitlines():
         if not line.strip():
@@ -676,22 +655,43 @@ def load_model(path) -> ModelFile:
             raise DataError(f"{path}: model field {key!r} is required")
         if vec is not None and vec.shape[0] != m:
             raise DataError(f"{path}: model field {key!r} has {vec.shape[0]} entries, m={m}")
-    if (parsed["prior_u"] is None) != (parsed["prior_v"] is None):
+    source, u, v = fields["prior_source"], parsed["prior_u"], parsed["prior_v"]
+    if (u is None) != (v is None):
         raise DataError(
             f"{path}: model fields 'prior_u' and 'prior_v' must be both none or both set"
         )
-    model = ModelFile(
-        prior_source=fields["prior_source"], config_digest=fields["config_digest"], **parsed
-    )
-    checks = [("'accuracy', 'coverage'", model.params), ("'prior_p'", model.label_prior)]
-    if model.prior_u is not None:
-        checks.append(("'prior_u', 'prior_v'", lambda: BetaPrior(model.prior_u, model.prior_v)))
-    for names, build in checks:
+    if source == "none":
+        prior_keys = ("prior_strength", "prior_u", "prior_v", "prior_means")
+        named = [key for key in prior_keys if parsed[key] is not None]
+        if named:
+            raise DataError(f"{path}: model fields {named} must be none when prior_source is none")
+    elif u is None:
+        raise DataError(
+            f"{path}: model fields 'prior_u' and 'prior_v' must be set when prior_source is "
+            f"{source!r}"
+        )
+
+    def checked(names: str, build):
         try:
-            build()
+            return build()
         except DataError as exc:
             raise DataError(f"{path}: model field {names}: {exc}") from None
-    return model
+
+    params = checked(
+        "'accuracy', 'coverage'", lambda: ModelParams(parsed["accuracy"], parsed["coverage"])
+    )
+    label_prior = checked(
+        "'prior_p'", lambda: LabelPrior(parsed["prior_p"], parsed["prior_force_abstain"])
+    )
+    prior = None
+    if source != "none":
+        beta = checked("'prior_u', 'prior_v'", lambda: BetaPrior(u, v))
+        prior = checked(
+            "'prior_source', 'prior_strength', 'prior_means'",
+            lambda: PriorSpec(beta, label_prior, parsed["prior_strength"], source,
+                              parsed["prior_means"]),
+        )
+    return ModelFile(params, prior, fields["config_digest"], label_prior)
 
 
 _GRID_KEYS = ("strengths", "learning_rates", "alpha_inits", "ps", "force_abstain")

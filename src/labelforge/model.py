@@ -69,7 +69,8 @@ VALID_VOTES = (-1, 0, 1)
 # row-by-row path it has always taken.
 MAX_PATTERN_LFS = 38
 
-# Entries of |d| that VoteRows.count holds at once: 256 KiB of float64.
+# Entries of |d| that VoteRows.count holds at once, 256 KiB of float64, and
+# of the int64 votes that VoteRows.grouped keys at once.
 _COUNT_BLOCK = 1 << 15
 
 
@@ -270,7 +271,9 @@ class VoteRows:
     which index the table of :func:`class_prior_table`. ``count`` is the
     weighted number of votes each LF cast and ``total`` the weight total;
     each is computed on first use, so prediction, which reads only ``d``
-    and ``anchor``, never builds them.
+    and ``anchor``, never builds them. :meth:`of` and :meth:`grouped` check
+    a vote matrix and convert it; training builds each minibatch's rows
+    straight from the checked int8 votes of the batch.
     """
 
     d: np.ndarray
@@ -300,7 +303,11 @@ class VoteRows:
         n, m = votes.shape
         if m > MAX_PATTERN_LFS:
             return cls(votes.astype(np.float64), np.ones(n), row_majority(votes)), None
-        key = (votes + 1) @ 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        key = np.empty(n, dtype=np.int64)
+        step = max(1, _COUNT_BLOCK // m)
+        for lo in range(0, n, step):  # no (n, m) int64 temporary
+            key[lo : lo + step] = (votes[lo : lo + step] + 1) @ powers
         _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
         one_row = np.empty(counts.shape[0], dtype=np.intp)
         one_row[inverse] = np.arange(n)  # the rows of a key are all alike
@@ -327,9 +334,6 @@ class VoteRows:
     @cached_property
     def total(self) -> float:
         return float(self.w.sum())
-
-    def take(self, idx: np.ndarray) -> "VoteRows":
-        return VoteRows(self.d[idx], self.w[idx], self.anchor[idx])
 
     def class_priors(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows' log class priors of label +1 and of label -1, read from a
@@ -436,9 +440,11 @@ def log_objectives(
     h, g, c, _ = _kernel(accuracy, coverage)
     if dh is None:
         dh = rows.d @ h.T
-    prior_pos, prior_neg = rows.class_priors(prior_table)
-    marginal = dh + prior_pos
-    np.logaddexp(marginal, prior_neg - dh, out=marginal)
+    # The two gathers are fresh arrays, so they hold the sums in place.
+    marginal, prior_neg = rows.class_priors(prior_table)
+    marginal += dh
+    np.subtract(prior_neg, dh, out=prior_neg)
+    np.logaddexp(marginal, prior_neg, out=marginal)
     total = rows.w @ marginal + (rows.total * c + g @ rows.count)
     for prior, x in ((accuracy_prior, accuracy), (coverage_prior, coverage)):
         if prior is not None:

@@ -29,7 +29,9 @@ class PriorSpec:
     all LFs (None for user-supplied priors with uneven mass). A spec holds
     per-LF values and the label prior's settings only, so one built on a
     matrix can be fitted on any matrix with the same LFs (a split of it,
-    say): the label prior anchors to the rows being fitted.
+    say): the label prior anchors to the rows being fitted. A spec read from
+    a model file is checked here too: its strength must be finite and > 0,
+    its means in [0, 1].
     """
 
     accuracy_prior: BetaPrior
@@ -41,10 +43,13 @@ class PriorSpec:
     def __post_init__(self):
         if self.source not in PRIOR_SOURCES:
             raise DataError(f"unknown prior source {self.source!r}")
-        if self.strength is not None and not self.strength > 0:
-            raise DataError(f"prior strength must be > 0, got {self.strength}")
+        if self.strength is not None and not 0 < self.strength < np.inf:
+            raise DataError(f"prior strength must be a finite number > 0, got {self.strength}")
         if self.means is not None:
-            object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
+            means = np.asarray(self.means, dtype=np.float64)
+            if not ((means >= 0) & (means <= 1)).all():
+                raise DataError("prior means must be finite and lie in [0, 1]")
+            object.__setattr__(self, "means", means)
 
 
 def majority_vote(votes) -> np.ndarray:

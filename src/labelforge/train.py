@@ -33,7 +33,9 @@ the step size and prior weight use the weight total (the number of rows a
 batch stands for), so a full batch and the per-epoch train and validation
 objectives run over distinct vote patterns
 (:meth:`~labelforge.model.VoteRows.grouped`, up to 38 LFs), while
-minibatches keep one unit-weight row per input row in the seeded order.
+minibatches keep one unit-weight row per input row in the seeded order,
+each converted from the checked int8 votes when it is drawn, so no float64
+copy of the whole matrix is made.
 
 A full-batch epoch makes two passes over the train votes. Its gradient
 needs ``d @ h`` and ``(w tanh) @ d``; its train objective needs ``d @ h``
@@ -68,12 +70,14 @@ from .model import (
     class_prior_table,
     half_log_ratios,
     log_objectives,
+    row_majority,
 )
 from .priors import PriorSpec, beta_from_mean
 
 # Cells fitted in one loop are capped so that the loop's rows x cells
-# arrays (the full-batch gradient and the objectives, about six alive at
-# once) hold at most this many float64 entries each: 16 MB.
+# arrays (the carried d @ h and the two class-prior gathers that the
+# gradient and the objectives work in, about three alive at once) hold at
+# most this many float64 entries each: 16 MB.
 MAX_STACKED_ENTRIES = 1 << 21
 
 
@@ -152,8 +156,12 @@ def grad_accuracy(
     acc = np.clip(accuracy, CLAMP_EPS, 1.0 - CLAMP_EPS)
     if dh is None:
         dh = half_log_ratios(rows, acc, np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS))
-    prior_odds = (0.5 * (prior_table - prior_table[::-1]))[rows.anchor + 1]
-    de = (rows.w * np.tanh(dh + prior_odds).T) @ rows.d
+    # e is built in place in the fresh gather of the half prior odds.
+    odds = (0.5 * (prior_table - prior_table[::-1]))[rows.anchor + 1]
+    odds += dh
+    e = np.tanh(odds, out=odds).T
+    e *= rows.w
+    de = e @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
     if accuracy_prior is not None:
         grad = grad + prior_weight * accuracy_prior.log_density_grad(acc)
@@ -249,7 +257,7 @@ def fit_cells(
         scored.append(VoteRows.grouped(val)[0])
     full_batch = config.batch_size is None or config.batch_size >= n
     if not full_batch:
-        unit_rows = VoteRows.of(votes)
+        anchors = row_majority(votes)
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]
@@ -294,7 +302,10 @@ def fit_cells(
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
             order = rng.permutation(n)
             size = config.batch_size
-            batches = (unit_rows.take(order[start : start + size]) for start in range(0, n, size))
+            batches = (
+                VoteRows(votes[idx].astype(np.float64), np.ones(idx.size), anchors[idx])
+                for idx in (order[start : start + size] for start in range(0, n, size))
+            )
         for batch in batches:
             weight = batch.total / n
             step = lr / batch.total

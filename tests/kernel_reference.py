@@ -12,9 +12,10 @@ row's class prior pair under a majority-vote anchor.
 Last, ``log_objective`` is the kernel's objective of one model with its
 inputs checked and its parameters clamped, the form the tests use where
 they need the objective itself (finite differences, bitwise comparisons),
-and ``anchored_rows`` converts votes with anchors of the caller's choosing,
+``anchored_rows`` converts votes with anchors of the caller's choosing,
 so that the kernel can be held to the reference under any pair of class
-priors, not only those of the rows' majority votes.
+priors, not only those of the rows' majority votes, and ``batch_rows``
+selects a minibatch of converted rows.
 """
 
 import math
@@ -134,3 +135,9 @@ def anchored_rows(votes, anchors) -> VoteRows:
     assert votes.ndim == 2 and anchors.shape == votes.shape[:1]
     assert np.isin(anchors, (-1, 0, 1)).all()
     return VoteRows(votes, np.ones(votes.shape[0]), anchors)
+
+
+def batch_rows(rows: VoteRows, idx) -> VoteRows:
+    """The rows of ``rows`` at ``idx``, with their weights and anchors: a
+    minibatch as training draws it."""
+    return VoteRows(rows.d[idx], rows.w[idx], rows.anchor[idx])

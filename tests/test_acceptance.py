@@ -31,7 +31,7 @@ from labelforge import (
     write_dataset,
 )
 from labelforge.cli import cli_main
-from labelforge.dataio import model_file_from_fit
+from labelforge.dataio import ModelFile
 from labelforge.experiments import collect_aggregates
 from labelforge.metrics import format_percent, metrics_from_confusion
 from labelforge.model import BetaPrior, VoteRows, class_prior_table
@@ -304,7 +304,7 @@ def test_criterion_10_roundtrip_and_determinism(tmp_path, monkeypatch):
     prior = build_mv_priors(data.votes, 10.0, p=0.7, force_abstain=True)
     result = fit(data.votes, None, prior, TrainConfig(learning_rate=0.05, max_epochs=10, seed=1))
     m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
-    save_model(m1, model_file_from_fit(result.params, prior, "digest"))
+    save_model(m1, ModelFile(result.params, prior, "digest"))
     save_model(m2, load_model(m1))
     model_ok = m1.read_bytes() == m2.read_bytes()
 

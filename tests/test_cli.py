@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from labelforge import majority_vote, read_dataset, read_predictions
 from labelforge.cli import cli_main
@@ -171,6 +172,32 @@ class TestExitCodes:
             assert f"{model}: model field '{field}'" in capsys.readouterr().err
         assert not preds.exists()
 
+    def test_bad_prior_model_field_is_data_error(self, tmp_path, capsys):
+        # each of these loaded, and predict and evaluate --model exited 0
+        data = make_synth(tmp_path, n=120)
+        model = tmp_path / "m.txt"
+        assert run("train", "--data", data, "--epochs", "2", "--out", model) == 0
+        lines = dict(line.split(": ", 1) for line in model.read_text().splitlines())
+        preds = tmp_path / "p.csv"
+        for edits, field in (
+            ({"prior_strength": "-5.0"}, "'prior_strength'"),
+            ({"prior_strength": "nan"}, "'prior_strength'"),
+            ({"prior_source": "bogus"}, "'prior_source'"),
+            ({"prior_means": "7.0,0.5,0.5,0.5"}, "'prior_means'"),
+            ({"prior_means": "nan,0.5,0.5,0.5"}, "'prior_means'"),
+            ({"prior_source": "none", "prior_strength": "none", "prior_means": "none"},
+             "'prior_u'"),
+            ({"prior_u": "none", "prior_v": "none"}, "'prior_u'"),
+        ):
+            model.write_text("".join(f"{key}: {edits.get(key, value)}\n"
+                                     for key, value in lines.items()))
+            for argv in (("predict", "--out", preds), ("evaluate",)):
+                capsys.readouterr()
+                assert run(*argv, "--model", model, "--data", data) == 2
+                err = capsys.readouterr().err
+                assert f"{model}: model field" in err and field in err
+        assert not preds.exists()
+
     def test_malformed_grid_is_data_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         grid = tmp_path / "grid.json"
@@ -291,6 +318,51 @@ class TestExitCodes:
         monkeypatch.setattr(labelforge.cli, "fit", broken_fit)
         data = make_synth(tmp_path, n=120)
         assert run("train", "--data", data, "--epochs", "2", "--out", tmp_path / "m.txt") == 3
+
+
+SEED_COMMANDS = {
+    "synth": ["--m", "2", "--n", "10", "--alpha", "0.9", "--beta", "0.5", "--out", "{out}"],
+    "train": ["--data", "{data}", "--epochs", "1", "--out", "{out}"],
+    "predict": ["--model", "{model}", "--data", "{data}", "--out", "{out}"],
+    "evaluate": ["--model", "{model}", "--data", "{data}", "--out", "{out}"],
+    "gridsearch": ["--data", "{data}", "--epochs", "1", "--out", "{out}"],
+    "lowdata": ["--data", "{data}", "--sizes", "20", "--replicates", "1", "--epochs", "1",
+                "--out", "{out}"],
+    "stability": ["--data", "{data}", "--epoch-grid", "0", "--out", "{out}"],
+    "priors-study": ["--data", "{data}", "--epochs", "1", "--out", "{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def seed_inputs(tmp_path_factory):
+    """A synth file and a model trained on it, shared by the seed tests."""
+    workdir = tmp_path_factory.mktemp("seed_inputs")
+    data = make_synth(workdir, n=120)
+    model = workdir / "model.txt"
+    assert run("train", "--data", data, "--epochs", "1", "--out", model) == 0
+    return {"data": data, "model": model}
+
+
+@pytest.mark.parametrize("source", ["--seed", "LABELFORGE_SEED"])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_negative_seed_is_data_error(
+    seed_inputs, tmp_path, monkeypatch, capsys, command, source
+):
+    # synth, train, gridsearch and stability ended in a numpy traceback
+    # (exit 1), predict and evaluate ran with exit 0
+    out = tmp_path / "out.txt"
+    argv = [a.format(out=out, **seed_inputs) for a in SEED_COMMANDS[command]]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("LABELFORGE_SEED", "-1")
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    captured = capsys.readouterr()
+    assert f"{source} must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # refused before the reproducibility line
+    assert not out.exists()
 
 
 class TestDeterminism:

@@ -10,8 +10,12 @@ from labelforge import (
     DataError,
     Dataset,
     LabelPrior,
+    ModelFile,
     ModelParams,
+    build_empirical_priors,
     build_mv_priors,
+    build_random_priors,
+    build_user_priors,
     generate_synthetic,
     load_model,
     predict,
@@ -23,7 +27,8 @@ from labelforge import (
     write_results_table,
     SyntheticSpec,
 )
-from labelforge.dataio import model_file_from_fit, read_grid
+from labelforge.dataio import read_grid
+from labelforge.priors import build_uniform_priors
 
 SAMPLE = """lf_0,lf_1,lf_2,lf_3,lf_4,lf_5,lf_6,lf_7,lf_8,lf_9,y
 0,0,0,0,0,1,0,0,0,0,1
@@ -294,16 +299,16 @@ class TestReaderMemory:
         assert self.peak_ratio(read_predictions, files[1]) <= 10.6 / 2
 
 
-def write_model_with(path, field, value):
-    """Write a two-LF map-mv model file to ``path`` with ``field`` set to the
-    text ``value``, and return the path."""
+def write_model_with(path, **fields):
+    """Write a two-LF map-mv model file to ``path`` with each field named in
+    ``fields`` set to its text, and return the path."""
     params = ModelParams([0.8, 0.7], [0.4, 0.5])
     prior = build_mv_priors([[1, 0], [1, -1], [-1, -1]], 10.0)
-    save_model(path, model_file_from_fit(params, prior, "d4"))
-    lines = [
-        f"{field}: {value}" if line.startswith(f"{field}: ") else line
-        for line in path.read_text().splitlines()
-    ]
+    save_model(path, ModelFile(params, prior, "d4"))
+    lines = []
+    for line in path.read_text().splitlines():
+        key = line.split(": ")[0]
+        lines.append(f"{key}: {fields[key]}" if key in fields else line)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -313,7 +318,7 @@ class TestModelFile:
         ds = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.5, seed=5))
         prior = build_mv_priors(ds.votes, 10.0, p=0.7, force_abstain=True)
         params = ModelParams([0.812345678901234, 0.7, 0.65], [0.5, 0.45, 0.6])
-        model = model_file_from_fit(params, prior, "abc123")
+        model = ModelFile(params, prior, "abc123")
         first = tmp_path / "model1.txt"
         second = tmp_path / "model2.txt"
         save_model(first, model)
@@ -325,21 +330,21 @@ class TestModelFile:
         prior = build_mv_priors(ds.votes, 10.0, p=0.8)
         params = ModelParams([0.91, 0.73, 0.58], [0.5, 0.4, 0.7])
         path = tmp_path / "model.txt"
-        save_model(path, model_file_from_fit(params, prior, "d1"))
+        save_model(path, ModelFile(params, prior, "d1"))
         loaded = load_model(path)
         a = predict(ds.votes, params, prior.label_prior)
-        b = predict(ds.votes, loaded.params(), loaded.label_prior())
+        b = predict(ds.votes, loaded.params, loaded.label_prior)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.score_pos, b.score_pos)
 
     def test_mle_model_file(self, tmp_path):
         params = ModelParams([0.8], [0.4])
         path = tmp_path / "mle.txt"
-        save_model(path, model_file_from_fit(params, None, "d2"))
+        save_model(path, ModelFile(params, None, "d2"))
+        assert "prior_source: none\nprior_strength: none\n" in path.read_text()
         loaded = load_model(path)
-        assert loaded.prior_source == "none"
-        assert loaded.prior_strength is None
-        assert loaded.label_prior().p == 0.5
+        assert loaded.prior is None
+        assert loaded.label_prior == LabelPrior()
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -358,7 +363,7 @@ class TestModelFile:
         ],
     )
     def test_bad_field_names_it(self, tmp_path, field, value, message):
-        path = write_model_with(tmp_path / "bad_model.txt", field, value)
+        path = write_model_with(tmp_path / "bad_model.txt", **{field: value})
         with pytest.raises(DataError, match=message):
             load_model(path)
 
@@ -378,15 +383,78 @@ class TestModelFile:
         ],
     )
     def test_out_of_range_field_names_file_and_field(self, tmp_path, field, value, message):
-        path = write_model_with(tmp_path / "range_model.txt", field, value)
+        path = write_model_with(tmp_path / "range_model.txt", **{field: value})
         with pytest.raises(DataError, match=re.escape(f"{path}: model field") + ".*"
                            + re.escape(message)):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"prior_strength": "-5.0"}, "'prior_strength', 'prior_means': prior strength must be"),
+            ({"prior_strength": "nan"}, "'prior_strength', 'prior_means': prior strength must be"),
+            ({"prior_strength": "inf"}, "'prior_strength', 'prior_means': prior strength must be"),
+            ({"prior_source": "bogus"}, "'prior_source', 'prior_strength', 'prior_means': unknown"),
+            ({"prior_means": "7.0,0.5"}, "'prior_means': prior means must be finite and lie in"),
+            ({"prior_means": "nan,0.5"}, "'prior_means': prior means must be finite and lie in"),
+            ({"prior_source": "none", "prior_strength": "none", "prior_means": "none"},
+             "['prior_u', 'prior_v'] must be none when prior_source is none"),
+            ({"prior_source": "none"}, "['prior_strength', 'prior_u', 'prior_v', 'prior_means']"
+             " must be none when prior_source is none"),
+            ({"prior_u": "none", "prior_v": "none"},
+             "'prior_u' and 'prior_v' must be set when prior_source is 'mv'"),
+        ],
+    )
+    def test_bad_prior_names_file_and_field(self, tmp_path, edits, message):
+        # each of these loaded, and predict labelled rows with it
+        path = write_model_with(tmp_path / "prior_model.txt", **edits)
+        with pytest.raises(DataError, match=re.escape(f"{path}: model field") + ".*"
+                           + re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "source", ["mle", "mv", "empirical", "random", "user", "user-uneven", "uniform"]
+    )
+    def test_every_prior_source_round_trips(self, tmp_path, source):
+        ds = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.5, seed=7))
+        label_prior = None
+        if source == "mle":
+            prior, label_prior = None, LabelPrior(p=0.8, force_abstain=True)
+        elif source == "mv":
+            prior = build_mv_priors(ds.votes, 10.0, p=0.7, force_abstain=True)
+        elif source == "empirical":
+            prior = build_empirical_priors(ds.votes, ds.truth, 20.0, p=0.9)
+        elif source == "random":
+            prior = build_random_priors(3, 5.0, seed=3, p=0.6)
+        elif source == "user":
+            prior = build_user_priors([8.0, 7.0, 6.0], [2.0, 3.0, 4.0], p=1.0)
+        elif source == "user-uneven":
+            prior = build_user_priors([8.0, 2.0, 6.5], [2.0, 3.0, 9.25])
+        else:
+            prior = build_uniform_priors(3, force_abstain=True)
+        params = ModelParams([0.812345678901234, 0.7, 1e-06], [0.5, 0.45, 1.0 - 1e-06])
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_model(first, ModelFile(params, prior, "abc123", label_prior))
+        loaded = load_model(first)
+        save_model(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+        np.testing.assert_array_equal(loaded.params.accuracy, params.accuracy)
+        np.testing.assert_array_equal(loaded.params.coverage, params.coverage)
+        assert loaded.label_prior == (prior.label_prior if label_prior is None else label_prior)
+        assert loaded.config_digest == "abc123"
+        if prior is None:
+            assert loaded.prior is None
+            return
+        assert (loaded.prior.source, loaded.prior.strength) == (prior.source, prior.strength)
+        assert loaded.prior.label_prior == prior.label_prior
+        np.testing.assert_array_equal(loaded.prior.accuracy_prior.u, prior.accuracy_prior.u)
+        np.testing.assert_array_equal(loaded.prior.accuracy_prior.v, prior.accuracy_prior.v)
+        np.testing.assert_array_equal(loaded.prior.means, prior.means)
+
     def test_unsupported_version(self, tmp_path):
         params = ModelParams([0.8], [0.4])
         path = tmp_path / "v.txt"
-        save_model(path, model_file_from_fit(params, None, "d3"))
+        save_model(path, ModelFile(params, None, "d3"))
         text = path.read_text().replace("format_version: 1", "format_version: 99")
         path.write_text(text)
         with pytest.raises(DataError, match="version"):

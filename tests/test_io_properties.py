@@ -32,7 +32,7 @@ from labelforge import (
 )
 from labelforge import dataio
 from labelforge.cli import cli_main
-from labelforge.dataio import model_file_from_fit, read_grid
+from labelforge.dataio import ModelFile, read_grid
 from labelforge.infer import Predictions
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -370,7 +370,7 @@ def fuzz_cases(scratch):
     preds = scratch / "valid_preds.csv"
     write_predictions(preds, predict(votes, params, LabelPrior(p=0.7, force_abstain=True)))
     model = scratch / "valid_model.txt"
-    save_model(model, model_file_from_fit(params, build_mv_priors(votes, 10.0, p=0.7), "d0"))
+    save_model(model, ModelFile(params, build_mv_priors(votes, 10.0, p=0.7), "d0"))
     grid = scratch / "valid_grid.json"
     grid.write_text(json.dumps({"strengths": [10.0, 100.0], "learning_rates": [0.01],
                                 "alpha_inits": [0.9], "ps": [0.5, 0.7],

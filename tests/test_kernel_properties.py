@@ -231,7 +231,7 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
     order = np.random.default_rng(seed).permutation(n)
     total = np.zeros(case.votes.shape[1])
     for start in range(0, n, batch_size):
-        batch = rows.take(order[start : start + batch_size])
+        batch = ref.batch_rows(rows, order[start : start + batch_size])
         total += grad_accuracy(batch, case.table, case.acc, case.cov, case.prior, batch.n / n)
     full = grad_accuracy(rows, case.table, case.acc, case.cov, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)

@@ -232,7 +232,8 @@ class TestFit:
             batches = [rows]
         else:
             order = np.random.default_rng(np.random.SeedSequence([3, 1])).permutation(45)
-            batches = [rows.take(order[i : i + batch_size]) for i in range(0, 45, batch_size)]
+            batches = [ref.batch_rows(rows, order[i : i + batch_size])
+                       for i in range(0, 45, batch_size)]
         for batch in batches:
             grad = grad_accuracy(batch, table, acc, cov, prior.accuracy_prior, batch.n / 45)
             acc = np.clip(acc + 0.2 / batch.n * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
