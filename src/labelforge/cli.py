@@ -115,6 +115,15 @@ def _announce(args, seed: int) -> str:
     return digest
 
 
+def _read(path, truth_col: str, need_truth: bool = False):
+    """The dataset at ``path``; a missing truth column is refused if needed or
+    named (only the default "y" may be absent: a misspelt name fits y as an LF)."""
+    dataset = read_dataset(path, truth_col)
+    if dataset.truth is None and (need_truth or truth_col != "y"):
+        raise DataError(f"{path}: no truth column {truth_col!r} in the header")
+    return dataset
+
+
 def _train_config(args, seed: int) -> TrainConfig:
     return TrainConfig(
         learning_rate=args.lr,
@@ -128,7 +137,7 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 
 def _cmd_train(args, seed: int, digest: str) -> int:
-    dataset = read_dataset(args.data, args.truth_col)
+    dataset = _read(args.data, args.truth_col)
     train, val = holdout(dataset, args.val_frac, seed)
     if args.mode == "map-user":
         if args.prior_u is None or args.prior_v is None:
@@ -159,7 +168,7 @@ def _cmd_train(args, seed: int, digest: str) -> int:
 
 def _cmd_predict(args, seed: int, digest: str) -> int:
     model = load_model(args.model)
-    dataset = read_dataset(args.data, args.truth_col)
+    dataset = _read(args.data, args.truth_col)
     if dataset.m != model.params.m:
         raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
     preds = predict(dataset.votes, model.params, model.label_prior)
@@ -179,7 +188,7 @@ def _cmd_evaluate(args, seed: int, digest: str) -> int:
 
     dataset = None
     if args.data is not None:
-        dataset = read_dataset(args.data, args.truth_col)
+        dataset = _read(args.data, args.truth_col, need_truth=args.truth is None)
     if args.pred is not None:
         preds = read_predictions(args.pred)
         row_tag = "pred"
@@ -200,11 +209,8 @@ def _cmd_evaluate(args, seed: int, digest: str) -> int:
         row_tag = "mv"
 
     if args.truth is not None:
-        truth_ds = read_dataset(args.truth, args.truth_col)
-        if truth_ds.truth is None:
-            raise DataError(f"{args.truth}: no {args.truth_col!r} column to evaluate against")
-        truth = truth_ds.truth
-    elif dataset is not None and dataset.truth is not None:
+        truth = _read(args.truth, args.truth_col, need_truth=True).truth
+    elif dataset is not None:
         truth = dataset.truth
     else:
         print("error: no ground truth (--truth file or truth column in --data)", file=sys.stderr)
@@ -221,9 +227,7 @@ def _cmd_evaluate(args, seed: int, digest: str) -> int:
 
 
 def _cmd_gridsearch(args, seed: int, digest: str) -> int:
-    dataset = read_dataset(args.data, args.truth_col)
-    if dataset.truth is None:
-        raise DataError("grid search needs a truth column for validation scoring")
+    dataset = _read(args.data, args.truth_col, need_truth=True)
     train, val, _ = split(dataset, SplitSpec(seed=seed))
     grid = GridSpec() if args.grid is None else read_grid(args.grid)
     base = TrainConfig(
@@ -246,7 +250,7 @@ def _cmd_gridsearch(args, seed: int, digest: str) -> int:
 
 
 def _cmd_lowdata(args, seed: int, digest: str) -> int:
-    dataset = read_dataset(args.data, args.truth_col)
+    dataset = _read(args.data, args.truth_col)
     rows = low_data_sweep(
         dataset,
         _parse_list(args.sizes, "--sizes", int),
@@ -271,7 +275,7 @@ def _cmd_lowdata(args, seed: int, digest: str) -> int:
 
 
 def _cmd_stability(args, seed: int, digest: str) -> int:
-    dataset = read_dataset(args.data, args.truth_col)
+    dataset = _read(args.data, args.truth_col)
     train, _, test = split(dataset, SplitSpec(seed=seed))
     rows = stability_sweep(
         train,
@@ -310,7 +314,7 @@ def _cmd_synth(args, seed: int, digest: str) -> int:
 
 
 def _cmd_priors_study(args, seed: int, digest: str) -> int:
-    dataset = read_dataset(args.data, args.truth_col)
+    dataset = _read(args.data, args.truth_col)
     study = prior_quality_study(
         dataset,
         strength=args.strength,

@@ -30,8 +30,8 @@ class PriorSpec:
     per-LF values and the label prior's settings only, so one built on a
     matrix can be fitted on any matrix with the same LFs (a split of it,
     say): the label prior anchors to the rows being fitted. A spec read from
-    a model file is checked here too: its strength must be finite and > 0,
-    its means in [0, 1].
+    a model file is checked here too: its strength must be finite, > 0 and
+    equal to each LF's u + v (up to rounding), its means in [0, 1].
     """
 
     accuracy_prior: BetaPrior
@@ -45,6 +45,9 @@ class PriorSpec:
             raise DataError(f"unknown prior source {self.source!r}")
         if self.strength is not None and not 0 < self.strength < np.inf:
             raise DataError(f"prior strength must be a finite number > 0, got {self.strength}")
+        mass = self.accuracy_prior.u + self.accuracy_prior.v  # the strength, up to rounding
+        if self.strength is not None and not np.allclose(mass, self.strength, rtol=1e-12, atol=0):
+            raise DataError(f"prior strength {self.strength!r} contradicts u + v = {mass.max():g}")
         if self.means is not None:
             means = np.asarray(self.means, dtype=np.float64)
             if not ((means >= 0) & (means <= 1)).all():

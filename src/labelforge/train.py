@@ -1,18 +1,18 @@
 """Model fitting by stochastic gradient ascent on the (regularized) log objective.
 
-Accuracies are learned; coverages are fixed to the observed per-column
-coverage rate (the train rows' vote counts over their number) unless
-``learn_beta`` is set, in which case they are learned under a beta prior
-whose means are the empirical coverages. Updates use
-the mean per-row gradient of each minibatch (so the learning rate is
-independent of dataset size), with the prior gradient weighted by
-|batch| / n so an epoch of summed minibatch gradients matches the
-full-objective gradient. Every step clamps the parameters into
+Accuracies are learned. A coverage cancels out of each row's log-likelihood
+ratio, so it never reaches the labels; it is set once, before the loop, in
+closed form: the train rows' per-column coverage rate, or with
+``learn_beta`` its MAP under a beta prior centered on that rate
+(:func:`beta_map`). Updates use the mean per-row gradient of each minibatch
+(so the learning rate is independent of dataset size), with the prior
+gradient weighted by |batch| / n so an epoch of summed minibatch gradients
+matches the full-objective gradient. Every step clamps the accuracies into
 [CLAMP_EPS, 1 - CLAMP_EPS].
 
 One loop, :func:`fit_cells`, fits K cells at once: cells that share the
-epoch budget, batch size, patience, seed and ``learn_beta``, and differ in
-learning rate, ``alpha_init``, beta priors and label-prior ``p``. Their
+epoch budget, batch size, patience and seed, and differ in learning rate,
+``alpha_init``, ``learn_beta``, beta priors and label-prior ``p``. Their
 parameters are (K, m) arrays, one row per cell and one column of the
 kernel's m x K mat-mats, so each minibatch is gathered once for all cells;
 columns never mix, so each cell equals its own fit up to rounding. Each
@@ -168,24 +168,20 @@ def grad_accuracy(
     return grad
 
 
-def grad_coverage(
-    rows: VoteRows,
-    coverage: np.ndarray,
-    coverage_prior: BetaPrior | None,
-    prior_weight: float,
-) -> np.ndarray:
-    """Gradient of the batch objective with respect to coverage, per cell
-    for (K, m) coverages.
-
-    The posterior label weights of each row sum to one and coverage enters
-    both class likelihoods identically, so the data term reduces to vote
-    counts: voted / cov - abstained / (1 - cov).
+def beta_map(hits, misses, prior: BetaPrior | None) -> np.ndarray:
+    """The mode of Beta(hits + u, misses + v), u = v = 1 for no prior: the b in
+    [CLAMP_EPS, 1 - CLAMP_EPS] that maximises A log b + B log(1 - b), with
+    A = hits + u - 1 and B = misses + v - 1, per cell for a (K, m) prior.
+    A / (A + B) lands on the wrong end when A or B is negative, so the sign
+    decides: CLAMP_EPS where A <= 0 and A <= B, else 1 - CLAMP_EPS where
+    B <= 0, else A / (A + B), clipped.
     """
-    cov = np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    grad = rows.count / cov - (rows.total - rows.count) / (1.0 - cov)
-    if coverage_prior is not None:
-        grad = grad + prior_weight * coverage_prior.log_density_grad(cov)
-    return grad
+    u, v = (1.0, 1.0) if prior is None else (prior.u, prior.v)
+    a = hits + u - 1.0
+    b = misses + v - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mode = np.clip(a / (a + b), CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return np.where((a <= 0) & (a <= b), CLAMP_EPS, np.where(b <= 0, 1.0 - CLAMP_EPS, mode))
 
 
 def _stacked_prior(priors: list[BetaPrior | None], m: int) -> BetaPrior:
@@ -201,7 +197,7 @@ def _stacked_prior(priors: list[BetaPrior | None], m: int) -> BetaPrior:
 
 
 def _shared(config: TrainConfig) -> tuple:
-    return (config.max_epochs, config.batch_size, config.patience, config.seed, config.learn_beta)
+    return (config.max_epochs, config.batch_size, config.patience, config.seed)
 
 
 def fit_cells(
@@ -212,10 +208,11 @@ def fit_cells(
 ) -> list[FitResult | NumericalError]:
     """Fit one model per (prior spec, config) cell, all in one training loop.
 
-    Cells must share ``max_epochs``, ``batch_size``, ``patience``, ``seed``
-    and ``learn_beta``; anything else raises DataError. Each cell's label
-    prior anchors to the train matrix's own majority vote, so prior specs
-    built on any matrix with its LFs can share a loop. Each cell gets the
+    Cells must share ``max_epochs``, ``batch_size``, ``patience`` and
+    ``seed``; anything else raises DataError. Each cell's label prior
+    anchors to the train matrix's own majority vote, so prior specs built on
+    any matrix with its LFs can share a loop, and so can cells with and
+    without ``learn_beta``: coverage is fixed before the loop. Each cell gets the
     result :func:`fit` would give it, up to rounding, or the NumericalError
     that ended it. Cells beyond MAX_STACKED_ENTRIES / n run in further loops
     of that many.
@@ -225,9 +222,7 @@ def fit_cells(
         raise DataError(f"need one prior per config, got {len(priors)} and {len(configs)}")
     config = configs[0]
     if any(_shared(c) != _shared(config) for c in configs):
-        raise DataError(
-            "stacked cells must share max_epochs, batch_size, patience, seed and learn_beta"
-        )
+        raise DataError("stacked cells must share max_epochs, batch_size, patience and seed")
     votes = as_lf_matrix(train_votes)
     n, m = votes.shape
     k = len(configs)
@@ -262,18 +257,20 @@ def fit_cells(
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]
     acc = np.clip(np.repeat(alpha, m, axis=1), eps, 1.0 - eps)
-    cov_emp = patterns.count / n
-    cov = np.tile(np.clip(cov_emp, eps, 1.0 - eps), (k, 1))
+    # Reported coverages: the train rows' rates, or a learning cell's MAP.
+    rate = patterns.count / n
+    coverage = np.tile(rate, (k, 1))
     coverage_prior = None
-    if config.learn_beta:
-        cov_priors = []
-        for spec in priors:
-            if spec is not None and spec.strength is None:
-                raise DataError("learned-coverage prior requires a scalar prior strength")
-            cov_priors.append(
-                None if spec is None else BetaPrior(*beta_from_mean(cov_emp, spec.strength))
-            )
+    learns = np.array([c.learn_beta for c in configs])
+    if learns.any():
+        learners = [spec if learn else None for spec, learn in zip(priors, learns)]
+        if any(spec is not None and spec.strength is None for spec in learners):
+            raise DataError("learned-coverage prior requires a scalar prior strength")
+        cov_priors = [None if s is None else BetaPrior(*beta_from_mean(rate, s.strength))
+                      for s in learners]
         coverage_prior = _stacked_prior(cov_priors, m)
+        coverage[learns] = beta_map(patterns.count, n - patterns.count, coverage_prior)[learns]
+    cov = np.clip(coverage, eps, 1.0 - eps)
 
     # The train rows' half_log_ratios at the current parameters, which the
     # last full-batch objective computed and the next gradient starts from.
@@ -283,7 +280,7 @@ def fit_cells(
     train_hist: list[list[float]] = [[] for _ in range(k)]
     val_hist: list[list[float]] = [[] for _ in range(k)]
     best_val = np.full(k, np.inf)
-    best_acc, best_cov = acc.copy(), cov.copy()
+    best_acc = acc.copy()
     best_epoch = np.zeros(k, dtype=int)
     bad_epochs = np.zeros(k, dtype=int)
     stop_after = max(config.patience, 1)
@@ -314,12 +311,6 @@ def fit_cells(
             g_acc = grad_accuracy(batch, prior_table, acc, cov, acc_prior, weight, train_dh)
             bad = running & ~np.isfinite(g_acc).all(axis=1)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
-            if config.learn_beta:
-                g_cov = grad_coverage(batch, cov, coverage_prior, weight)
-                cov = np.clip(cov + step * g_cov, eps, 1.0 - eps)
-                bad_cov = running & ~bad & ~np.isfinite(g_cov).all(axis=1)
-                if bad_cov.any():
-                    fail(bad_cov, "non-finite coverage gradient (parameter at a boundary?)")
             if bad.any():
                 fail(bad, "non-finite accuracy gradient (parameter at a boundary?)")
 
@@ -350,7 +341,7 @@ def fit_cells(
             bad_epochs[improved] = 0
             bad_epochs[worse] += 1
             running[worse & (bad_epochs >= stop_after)] = False
-        best_acc[improved], best_cov[improved] = acc[improved], cov[improved]
+        best_acc[improved] = acc[improved]
         best_epoch[improved] = epoch
 
     results: list[FitResult | NumericalError] = []
@@ -358,10 +349,9 @@ def fit_cells(
         if errors[cell] is not None:
             results.append(errors[cell])
             continue
-        final_cov = best_cov[cell].copy() if config.learn_beta else cov_emp
         results.append(
             FitResult(
-                params=ModelParams(best_acc[cell].copy(), final_cov),
+                params=ModelParams(best_acc[cell].copy(), coverage[cell]),
                 train_loss_history=train_hist[cell],
                 val_loss_history=val_hist[cell],
                 stopped_epoch=len(train_hist[cell]),
@@ -377,7 +367,7 @@ def fit(
     prior_spec: PriorSpec | None = None,
     config: TrainConfig | None = None,
 ) -> FitResult:
-    """Fit accuracies (and optionally coverages) by seeded SGD ascent.
+    """Fit accuracies by seeded SGD ascent (coverages are closed-form).
 
     ``prior_spec=None`` trains the plain-likelihood model under a symmetric
     label prior. Early stopping watches the validation negative objective

@@ -34,9 +34,9 @@ from labelforge.cli import cli_main
 from labelforge.dataio import ModelFile
 from labelforge.experiments import collect_aggregates
 from labelforge.metrics import format_percent, metrics_from_confusion
-from labelforge.model import BetaPrior, VoteRows, class_prior_table
+from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
 from labelforge.priors import beta_from_mean, build_uniform_priors, reference_accuracies
-from labelforge.train import grad_accuracy, grad_coverage
+from labelforge.train import beta_map, grad_accuracy
 
 import kernel_reference as ref
 
@@ -57,9 +57,14 @@ def central_difference(objective, x0, step=1e-5):
 
 
 def test_criterion_01_gradient_oracle():
+    # accuracy: the analytic gradient against central differences; coverage:
+    # the closed-form beta MAP, where the central difference vanishes, or,
+    # at a clamp, the one-sided difference points out of the interval
     start = time.time()
     rng = np.random.default_rng(1001)
     worst = 0.0
+    clamped, outward = 0, 0
+    step = 1e-5
     for _ in range(100):
         n = int(rng.integers(5, 51))
         m = int(rng.integers(1, 9))
@@ -81,17 +86,26 @@ def test_criterion_01_gradient_oracle():
         table = class_prior_table(p)
         g_acc = grad_accuracy(rows, table, acc, cov, prior.accuracy_prior, 1.0)
         fd_acc = central_difference(obj_acc, acc)
-        g_cov = grad_coverage(rows, cov, cov_prior, 1.0)
-        fd_cov = central_difference(obj_cov, cov)
-        for g, fd in ((g_acc, fd_acc), (g_cov, fd_cov)):
+        b = beta_map(rows.count, rows.total - rows.count, cov_prior)
+        inside = (b > CLAMP_EPS) & (b < 1.0 - CLAMP_EPS)
+        fd_cov = central_difference(obj_cov, b)[inside]
+        for g, fd in ((g_acc, fd_acc), (np.zeros_like(fd_cov), fd_cov)):
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)
-            worst = max(worst, float(rel.max()))
+            worst = max(worst, float(rel.max(initial=0.0)))
+        for j in np.flatnonzero(~inside):
+            inward = step if b[j] == CLAMP_EPS else -step
+            moved = b.copy()
+            moved[j] += inward
+            one_sided = (obj_cov(moved) - obj_cov(b)) / inward
+            clamped += 1
+            outward += bool(one_sided < 0) if inward > 0 else bool(one_sided > 0)
     elapsed = time.time() - start
     verdict(
         1,
-        worst < 1e-5 and elapsed < 10.0,
+        worst < 1e-5 and outward == clamped > 0 and elapsed < 10.0,
         f"gradient oracle over 100 configs: worst rel err {worst:.2e} "
-        f"(< 1e-5), {elapsed:.1f}s (< 10s)",
+        f"(< 1e-5), {outward}/{clamped} clamped coverage MAPs point out of the "
+        f"interval, {elapsed:.1f}s (< 10s)",
     )
 
 

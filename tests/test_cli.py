@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from labelforge import majority_vote, read_dataset, read_predictions
+from labelforge import load_model, majority_vote, read_dataset, read_predictions
 from labelforge.cli import cli_main
+from labelforge.model import BetaPrior
+from labelforge.priors import beta_from_mean
+from labelforge.train import beta_map
 
 
 def run(*argv):
@@ -103,6 +106,22 @@ class TestWorkflows:
         text = study_path.read_text()
         assert "map-emp,,0,prior_l2,0.0" in text
 
+    def test_train_learn_beta(self, tmp_path, capsys):
+        # coverages are set to their beta MAP under the prior strength; the
+        # model file carries them and labels the data
+        data = make_synth(tmp_path, n=300)
+        model, preds = tmp_path / "lb.txt", tmp_path / "lb.csv"
+        assert run("train", "--data", data, "--learn-beta", "--strength", "50",
+                   "--val-frac", "0", "--epochs", "3", "--seed", "7", "--out", model) == 0
+        assert run("predict", "--model", model, "--data", data, "--out", preds) == 0
+        votes = read_dataset(data).votes
+        count = (votes != 0).sum(axis=0).astype(np.float64)
+        prior = BetaPrior(*beta_from_mean(count / votes.shape[0], 50.0))
+        coverage = load_model(model).params.coverage
+        np.testing.assert_array_equal(coverage, beta_map(count, votes.shape[0] - count, prior))
+        assert not np.array_equal(coverage, count / votes.shape[0])
+        assert read_predictions(preds).labels.shape == (300,)
+
     def test_map_user_priors(self, tmp_path):
         data = make_synth(tmp_path, n=120)
         model = tmp_path / "user.txt"
@@ -155,6 +174,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count(f"{data}: truth column 'y' appears 2 times") == 2
 
+    def test_unknown_truth_column_is_data_error(self, tmp_path, capsys):
+        # train fitted the y column as a third LF (exit 0, m: 3), and
+        # evaluate --mode mv exited 1
+        data = tmp_path / "t.csv"
+        data.write_text("lf_0,lf_1,y\n1,1,1\n-1,0,-1\n1,-1,1\n0,-1,-1\n")
+        model = tmp_path / "m.txt"
+        assert run("train", "--data", data, "--truth-col", "nope", "--epochs", "2",
+                   "--out", model) == 2
+        assert not model.exists()
+        assert run("evaluate", "--mode", "mv", "--data", data, "--truth-col", "nope") == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{data}: no truth column 'nope'") == 2
+        # the default y may be absent, except where the truth is scored
+        bare = tmp_path / "bare.csv"
+        bare.write_text("lf_0,lf_1\n1,1\n-1,0\n1,-1\n0,-1\n")
+        assert run("train", "--data", bare, "--epochs", "2", "--val-frac", "0",
+                   "--out", model) == 0
+        assert run("evaluate", "--mode", "mv", "--data", bare) == 2
+        assert f"{bare}: no truth column 'y'" in capsys.readouterr().err
+
     def test_out_of_range_model_field_is_data_error(self, tmp_path, capsys):
         # prior_u -1.0 loaded and predicted with exit 0; accuracy 1.5 and
         # prior_p 0.3 exited 2 without naming the file or the field
@@ -182,6 +221,7 @@ class TestExitCodes:
         for edits, field in (
             ({"prior_strength": "-5.0"}, "'prior_strength'"),
             ({"prior_strength": "nan"}, "'prior_strength'"),
+            ({"prior_strength": "3.0"}, "'prior_strength'"),
             ({"prior_source": "bogus"}, "'prior_source'"),
             ({"prior_means": "7.0,0.5,0.5,0.5"}, "'prior_means'"),
             ({"prior_means": "nan,0.5,0.5,0.5"}, "'prior_means'"),

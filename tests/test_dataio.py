@@ -403,6 +403,8 @@ class TestModelFile:
              " must be none when prior_source is none"),
             ({"prior_u": "none", "prior_v": "none"},
              "'prior_u' and 'prior_v' must be set when prior_source is 'mv'"),
+            ({"prior_strength": "3.0"}, "'prior_strength', 'prior_means': prior strength 3.0 "
+             "contradicts u + v = 10"),
         ],
     )
     def test_bad_prior_names_file_and_field(self, tmp_path, edits, message):

@@ -10,8 +10,8 @@ the model: negating every vote (and so every anchor) swaps the posterior
 and keeps the objective, permuting LF columns permutes the gradient, and
 one epoch of minibatch gradients sums to the full-batch gradient. Then the
 vote-pattern path (distinct rows weighted by their counts) is checked
-against the row path: the objective, both gradients, whole fits and
-predictions. Last, the factored objective, which takes the label-free part
+against the row path: the objective, the accuracy gradient, the coverage
+MAP, whole fits and predictions. Last, the factored objective, which takes the label-free part
 of every row out of the log-sum-exp, is checked against the reference's
 sum of per-row log marginals.
 """
@@ -34,7 +34,7 @@ from labelforge.model import (
     posterior_log_odds,
 )
 from labelforge.priors import beta_from_mean, build_mv_priors, majority_vote
-from labelforge.train import grad_accuracy, grad_coverage
+from labelforge.train import beta_map, grad_accuracy
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -267,10 +267,9 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
-    np.testing.assert_allclose(
-        grad_coverage(patterns, case.cov, cov_prior, 0.3),
-        grad_coverage(rows, case.cov, cov_prior, 0.3),
-        rtol=RTOL,
+    np.testing.assert_array_equal(
+        beta_map(patterns.count, patterns.total - patterns.count, cov_prior),
+        beta_map(rows.count, rows.total - rows.count, cov_prior),
     )
 
 

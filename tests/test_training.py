@@ -27,7 +27,7 @@ from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
 from labelforge.experiments import holdout
 from labelforge.priors import beta_from_mean, build_uniform_priors
 import labelforge.train
-from labelforge.train import fit_cells, grad_accuracy, grad_coverage
+from labelforge.train import beta_map, fit_cells, grad_accuracy
 
 import kernel_reference as ref
 
@@ -95,11 +95,18 @@ class TestGradients:
             def objective(c):
                 return ref.log_objective(rows, 0.5, acc, c, prior.accuracy_prior, cov_prior)
 
-            analytic = grad_coverage(rows, cov, cov_prior, 1.0)
-            numeric = finite_difference(objective, cov)
+            # the coverage MAP is closed-form: the gradient vanishes there,
+            # or, at a clamp, the objective falls into the interval
+            best = beta_map(rows.count, rows.total - rows.count, cov_prior)
+            inside = (best > CLAMP_EPS) & (best < 1.0 - CLAMP_EPS)
+            numeric = finite_difference(objective, best)[inside]
             np.testing.assert_allclose(
-                analytic, numeric, rtol=1e-5, atol=1e-5 * max(1.0, np.abs(numeric).max())
+                0.0, numeric, atol=1e-5 * max(1.0, np.abs(numeric).max(initial=0.0))
             )
+            for j in np.flatnonzero(~inside):
+                inward = best.copy()
+                inward[j] += 1e-5 if best[j] == CLAMP_EPS else -1e-5
+                assert objective(inward) < objective(best)
 
     def test_all_abstain_row_zero_gradient(self):
         rows = VoteRows.of([[0, 0]])
@@ -317,23 +324,61 @@ class TestLearnBeta:
         assert np.abs(result.params.coverage - empirical).max() < 0.01
 
     def test_flag_steps_under_empirical_coverage_prior(self):
-        # one full-batch epoch moves coverage by one gradient step under the
-        # beta prior whose means are the empirical coverages
+        # the flag sets coverage to the mode of the beta posterior whose
+        # prior means are the empirical coverages, in closed form
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
         prior = build_mv_priors(data.votes, 10.0)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=1, seed=3)
         result = fit(data.votes, None, prior, replace(cfg, learn_beta=True))
         empirical = ref.coverage(data.votes)
-        cov_prior = BetaPrior(*beta_from_mean(empirical, 10.0))
-        step = grad_coverage(VoteRows.of(data.votes), empirical, cov_prior, 1.0)
-        expected = np.clip(empirical + 0.05 / 100 * step, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        u, v = beta_from_mean(empirical, 10.0)
+        votes = (data.votes != 0).sum(axis=0)
+        a, b = votes + u - 1.0, (100 - votes) + v - 1.0
+        expected = np.clip(a / (a + b), CLAMP_EPS, 1.0 - CLAMP_EPS)
+        assert ((a > 0) & (b > 0)).all()
         np.testing.assert_array_equal(result.params.coverage, expected)
+        assert not np.array_equal(expected, empirical)
 
     def test_fixed_coverage_path_untouched(self):
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
         cfg = TrainConfig(learning_rate=0.05, max_epochs=5, seed=3)
         result = fit(data.votes, None, None, cfg)
         np.testing.assert_array_equal(result.params.coverage, ref.coverage(data.votes))
+
+
+class TestBetaMap:
+    def test_sign_decides_at_the_clamps(self):
+        # (count + u - 1) / (total + u + v - 2) gives (1 - eps, eps) here:
+        # with u, v < 1 an LF that never or always votes makes it negative
+        votes = np.array([[0, 1]])
+        prior = build_mv_priors(votes, 0.5)
+        cfg = TrainConfig(max_epochs=1, learn_beta=True)
+        expected = [CLAMP_EPS, 1.0 - CLAMP_EPS]
+        np.testing.assert_array_equal(fit(votes, None, prior, cfg).params.coverage, expected)
+        cov_prior = BetaPrior(*beta_from_mean(np.array([0.0, 1.0]), 0.5))
+        np.testing.assert_array_equal(
+            beta_map(np.array([0.0, 1.0]), np.array([1.0, 0.0]), cov_prior), expected
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 1000),
+        st.integers(0, 1000),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+    def test_no_point_of_the_interval_is_higher(self, hits, misses, u, v):
+        best = float(beta_map(hits, misses, BetaPrior(np.array([u]), np.array([v])))[0])
+        assert CLAMP_EPS <= best <= 1.0 - CLAMP_EPS
+        a, b = hits + u - 1.0, misses + v - 1.0
+        ends = np.geomspace(CLAMP_EPS, 0.5, 2001)
+        grid = np.concatenate([np.linspace(CLAMP_EPS, 1.0 - CLAMP_EPS, 20001), ends, 1.0 - ends])
+
+        def objective(x):
+            return a * np.log(x) + b * np.log1p(-x)
+
+        top = objective(best)
+        assert objective(grid).max() <= top + 1e-12 * max(1.0, abs(top))
 
 
 class TestPredictAfterFit:
@@ -496,9 +541,21 @@ class TestFitCells:
             replace(base, batch_size=2),
             replace(base, patience=1),
             replace(base, seed=1),
-            replace(base, learn_beta=True),
         ):
             with pytest.raises(DataError, match="share"):
                 fit_cells(votes, None, [None, None], [base, other])
         with pytest.raises(DataError):
             fit_cells(votes, None, [None], [base, base])
+
+    def test_cells_with_and_without_learned_coverage_share_a_loop(self):
+        data = generate_synthetic(SyntheticSpec(m=3, n=200, accuracy=0.8, coverage=0.5, seed=4))
+        train, val = data.votes[:150], data.votes[150:]
+        prior = build_mv_priors(train, 10.0, 0.7)
+        fixed = TrainConfig(learning_rate=0.05, max_epochs=6, alpha_init=0.8, seed=2)
+        configs = [fixed, replace(fixed, learn_beta=True)]
+        stacked = fit_cells(train, val, [prior, prior], configs)
+        wants = [fit(train, val, prior, config) for config in configs]
+        for got, want in zip(stacked, wants):
+            assert_fits_equal(got, want)
+        np.testing.assert_array_equal(stacked[0].params.coverage, ref.coverage(train))
+        assert not np.array_equal(stacked[1].params.coverage, stacked[0].params.coverage)
