@@ -458,19 +458,20 @@ def stability_sweep(
 ) -> list[dict]:
     """Test metrics after training to each fixed epoch budget (no early
     stopping: the model is fit without a validation split and the final
-    parameters are used). Budget 0 scores the initialized model."""
+    parameters are used). Budget 0 scores the initialized model; a negative
+    one raises DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
-    base = config or TrainConfig()
-    rows: list[dict] = []
-    for budget in epoch_grid:
+    budgets = list(epoch_grid)
+    for budget in budgets:
         if budget < 0:
             raise DataError(f"epoch budget must be >= 0, got {budget}")
+    base = config or TrainConfig()
+    rows: list[dict] = []
+    for budget in budgets:
         cfg = replace(base, max_epochs=int(budget))
         for mode in modes:
-            _, report = _fit_and_score(
-                train, None, test, mode, strength, p, force_abstain, cfg
-            )
+            _, report = _fit_and_score(train, None, test, mode, strength, p, force_abstain, cfg)
             rows.extend(metric_rows("stability", mode, int(budget), "0", report.as_dict()))
     return rows
 

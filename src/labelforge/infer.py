@@ -8,9 +8,9 @@ the model posterior. Posteriors come from the log-domain kernel, so wide
 matrices do not underflow. Rows that are impossible under both labels
 (only parameters at exactly 0 or 1 allow that) abstain as degenerate
 rather than raising, so batch prediction never aborts. A row's prediction
-depends only on its votes, so matrices of up to 38 LFs are labelled once
-per distinct vote pattern (majority vote, posterior, tie, forced and
-degenerate masks included) and the results are copied back to the rows.
+depends only on its votes, so a matrix is labelled once per distinct vote
+pattern (majority vote, posterior, tie, forced and degenerate masks
+included) and the results are copied back to the rows.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def predict(votes, params: ModelParams, label_prior: LabelPrior | None = None) -
 
 
 def predict_grouped(
-    grouped: tuple[VoteRows, np.ndarray | None],
+    grouped: tuple[VoteRows, np.ndarray],
     params: ModelParams,
     label_prior: LabelPrior,
 ) -> Predictions:
@@ -93,9 +93,7 @@ def predict_grouped(
         labels[forced] = 0
         reasons[forced] = REASON_FORCED
 
-    if inverse is not None:
-        labels, score_pos, reasons = labels[inverse], score_pos[inverse], reasons[inverse]
-    return Predictions(labels=labels, score_pos=score_pos, abstain_reason=reasons)
+    return Predictions(labels[inverse], score_pos[inverse], reasons[inverse])
 
 
 def majority_vote_predictions(votes) -> Predictions:

@@ -38,13 +38,11 @@ row carries a weight, and every sum over rows (the objective's log
 marginals, the gradient's vote masses, the vote counts) is weighted.
 :meth:`VoteRows.grouped` keeps one row per distinct vote pattern with its
 count as weight, so a full-batch pass costs O(patterns) rather than
-O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs. It keys
-rows by a base-3 int64 code, for up to MAX_PATTERN_LFS = 38 LFs; wider
-matrices keep one row per input row with weight 1. Training keeps
-accuracies and coverages inside [CLAMP_EPS, 1 - CLAMP_EPS] so every log
-stays finite; prediction uses the parameters as given, and a row that is
-impossible under both labels (only parameters at exactly 0 or 1 allow
-that) comes back as degenerate, never as NaN.
+O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs.
+Training keeps accuracies and coverages inside [CLAMP_EPS, 1 - CLAMP_EPS]
+so every log stays finite; prediction uses the parameters as given, and a
+row that is impossible under both labels (only parameters at exactly 0 or
+1 allow that) comes back as degenerate, never as NaN.
 """
 
 from __future__ import annotations
@@ -63,14 +61,13 @@ CLAMP_EPS = 1e-6
 
 VALID_VOTES = (-1, 0, 1)
 
-# Widest matrix whose rows :meth:`VoteRows.grouped` keys by vote pattern. The
-# base-3 key of m votes is below 3^m, which an int64 holds up to m = 39
-# (3^39 < 2^63); the limit stays at 38, so a matrix of 39 LFs keeps the
-# row-by-row path it has always taken.
+# Widest matrix whose rows :meth:`VoteRows.grouped` keys by the base-3 code
+# of their votes, an int64 below 3^m (3^39 < 2^63). Wider rows are keyed by
+# their bytes, which groups them alike but sorts more slowly.
 MAX_PATTERN_LFS = 38
 
 # Entries of |d| that VoteRows.count holds at once, 256 KiB of float64, and
-# of the int64 votes that VoteRows.grouped keys at once.
+# of the int64 votes and float64 patterns that VoteRows.grouped builds at once.
 _COUNT_BLOCK = 1 << 15
 
 
@@ -241,8 +238,9 @@ class Dataset:
 
 
 def row_majority(votes: np.ndarray) -> np.ndarray:
-    """Per-row unweighted majority vote of a checked int8 vote matrix: the
-    sign of the vote sum, so ties and all-abstain rows yield 0."""
+    """Per-row unweighted majority vote of a checked vote matrix, int8 or its
+    float64 copy: the sign of the vote sum, so ties and all-abstain rows
+    yield 0."""
     return np.sign(votes.sum(axis=1)).astype(np.int8)
 
 
@@ -288,32 +286,34 @@ class VoteRows:
         return cls(votes.astype(np.float64), np.ones(votes.shape[0]), row_majority(votes))
 
     @classmethod
-    def grouped(cls, votes) -> tuple["VoteRows", np.ndarray | None]:
+    def grouped(cls, votes) -> tuple["VoteRows", np.ndarray]:
         """The distinct rows (vote patterns) of a vote matrix, each weighted
         by how often it occurs and anchored to its own majority vote.
 
-        Each row is keyed by the base-3 code of its votes, and the keys are
-        made unique; that fits an int64 up to MAX_PATTERN_LFS columns.
-        Returns the patterns and the index ``inverse`` that maps each input
-        row to its pattern (``rows.d[inverse]`` is the input,
-        ``rows.anchor[inverse]`` its rows' anchors). Wider matrices come back
-        as their own rows with unit weights, and ``inverse`` is None.
+        Each row is keyed by the base-3 code of its votes, an int64 up to
+        MAX_PATTERN_LFS columns, or by its bytes when wider, and the keys
+        are made unique. Returns the patterns and the index ``inverse`` that
+        maps each input row to its pattern (``rows.d[inverse]`` is the input,
+        ``rows.anchor[inverse]`` its rows' anchors).
         """
         votes = as_lf_matrix(votes)
         n, m = votes.shape
-        if m > MAX_PATTERN_LFS:
-            return cls(votes.astype(np.float64), np.ones(n), row_majority(votes)), None
-        powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        key = np.empty(n, dtype=np.int64)
         step = max(1, _COUNT_BLOCK // m)
-        for lo in range(0, n, step):  # no (n, m) int64 temporary
-            key[lo : lo + step] = (votes[lo : lo + step] + 1) @ powers
-        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+        if m <= MAX_PATTERN_LFS:
+            powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            key = np.empty(n, dtype=np.int64)
+            for lo in range(0, n, step):  # no (n, m) int64 temporary
+                key[lo : lo + step] = (votes[lo : lo + step] + 1) @ powers
+        else:
+            key = np.ascontiguousarray(votes).view(np.dtype((np.void, m))).ravel()
+        inverse, counts = np.unique(key, return_inverse=True, return_counts=True)[1:]
         one_row = np.empty(counts.shape[0], dtype=np.intp)
         one_row[inverse] = np.arange(n)  # the rows of a key are all alike
-        patterns = votes[one_row]
-        weights = counts.astype(np.float64)
-        return cls(patterns.astype(np.float64), weights, row_majority(patterns)), inverse
+        # gathered straight into float64, with no int8 copy of the patterns
+        d = np.empty((one_row.shape[0], m))
+        for lo in range(0, one_row.shape[0], step):
+            d[lo : lo + step] = votes[one_row[lo : lo + step]]
+        return cls(d, counts.astype(np.float64), row_majority(d)), inverse
 
     @property
     def n(self) -> int:

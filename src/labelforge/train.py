@@ -32,10 +32,10 @@ The train and validation matrices are checked and converted to
 the step size and prior weight use the weight total (the number of rows a
 batch stands for), so a full batch and the per-epoch train and validation
 objectives run over distinct vote patterns
-(:meth:`~labelforge.model.VoteRows.grouped`, up to 38 LFs), while
-minibatches keep one unit-weight row per input row in the seeded order,
-each converted from the checked int8 votes when it is drawn, so no float64
-copy of the whole matrix is made.
+(:meth:`~labelforge.model.VoteRows.grouped`), while minibatches keep one
+unit-weight row per input row in the seeded order, each converted from the
+checked int8 votes when it is drawn, so no float64 copy of the whole matrix
+is made.
 
 A full-batch epoch makes two passes over the train votes. Its gradient
 needs ``d @ h`` and ``(w tanh) @ d``; its train objective needs ``d @ h``

@@ -14,8 +14,9 @@ inputs checked and its parameters clamped, the form the tests use where
 they need the objective itself (finite differences, bitwise comparisons),
 ``anchored_rows`` converts votes with anchors of the caller's choosing,
 so that the kernel can be held to the reference under any pair of class
-priors, not only those of the rows' majority votes, and ``batch_rows``
-selects a minibatch of converted rows.
+priors, not only those of the rows' majority votes, ``ungrouped`` is the
+row path that grouped rows are held to (one unit-weight row per input
+row), and ``batch_rows`` selects a minibatch of converted rows.
 """
 
 import math
@@ -135,6 +136,13 @@ def anchored_rows(votes, anchors) -> VoteRows:
     assert votes.ndim == 2 and anchors.shape == votes.shape[:1]
     assert np.isin(anchors, (-1, 0, 1)).all()
     return VoteRows(votes, np.ones(votes.shape[0]), anchors)
+
+
+def ungrouped(votes) -> tuple[VoteRows, np.ndarray]:
+    """:meth:`VoteRows.grouped`'s result without the grouping: every input
+    row as its own unit-weight row, and the identity as ``inverse``."""
+    rows = VoteRows.of(votes)
+    return rows, np.arange(rows.n)
 
 
 def batch_rows(rows: VoteRows, idx) -> VoteRows:

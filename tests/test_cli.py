@@ -7,7 +7,7 @@ import pytest
 
 from labelforge import load_model, majority_vote, read_dataset, read_predictions
 from labelforge.cli import cli_main
-from labelforge.model import BetaPrior
+from labelforge.model import BetaPrior, VoteRows
 from labelforge.priors import beta_from_mean
 from labelforge.train import beta_map
 
@@ -121,6 +121,30 @@ class TestWorkflows:
         np.testing.assert_array_equal(coverage, beta_map(count, votes.shape[0] - count, prior))
         assert not np.array_equal(coverage, count / votes.shape[0])
         assert read_predictions(preds).labels.shape == (300,)
+
+    def test_wide_file_with_truth_between_lf_columns(self, tmp_path):
+        # More LFs than the int64 pattern key holds, so rows are keyed by
+        # their bytes. A truth column between LF columns makes the votes
+        # Fortran-ordered, which a byte view cannot take as they are.
+        data = make_synth(tmp_path, m=45, n=600, alpha="0.8", beta="0.05", seed=7)
+        mid = tmp_path / "mid.csv"
+        moved = []
+        for line in data.read_text().splitlines():
+            cells = line.split(",")
+            cells.insert(22, cells.pop())
+            moved.append(",".join(cells))
+        mid.write_text("\n".join(moved) + "\n")
+        votes = read_dataset(mid).votes
+        assert votes.flags.f_contiguous and not votes.flags.c_contiguous
+        assert VoteRows.grouped(votes)[0].n < votes.shape[0]  # rows repeat
+        outputs = []
+        for path in (data, mid):
+            model, preds = tmp_path / f"{path.stem}.txt", tmp_path / f"{path.stem}.pred.csv"
+            assert run("train", "--data", path, "--alpha-init", "0.8", "--epochs", "3",
+                       "--seed", "7", "--out", model) == 0
+            assert run("predict", "--model", model, "--data", path, "--out", preds) == 0
+            outputs.append((model.read_bytes(), preds.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_map_user_priors(self, tmp_path):
         data = make_synth(tmp_path, n=120)
@@ -343,6 +367,19 @@ class TestExitCodes:
         out = tmp_path / "st.csv"
         assert run("stability", "--data", data, "--epoch-grid", ",", "--out", out) == 2
         assert "--epoch-grid needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stability_negative_budget_is_data_error(self, tmp_path, monkeypatch, capsys):
+        import labelforge.experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(labelforge.experiments, "fit", no_fit)
+        data = make_synth(tmp_path, n=400)
+        out = tmp_path / "st.csv"
+        assert run("stability", "--data", data, "--epoch-grid", "3,-1", "--out", out) == 2
+        assert "epoch budget must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exits_zero(self):

@@ -7,13 +7,16 @@ and p = 1, whose class priors are -inf. Rows are anchored to their own
 majority votes, or, on the ungrouped path, to anchors of the caller's
 choosing, so any pair of class priors is covered. Then the symmetries of
 the model: negating every vote (and so every anchor) swaps the posterior
-and keeps the objective, permuting LF columns permutes the gradient, and
-one epoch of minibatch gradients sums to the full-batch gradient. Then the
-vote-pattern path (distinct rows weighted by their counts) is checked
-against the row path: the objective, the accuracy gradient, the coverage
-MAP, whole fits and predictions. Last, the factored objective, which takes the label-free part
-of every row out of the log-sum-exp, is checked against the reference's
-sum of per-row log marginals.
+and keeps the objective, permuting LF columns permutes the gradient and
+the fitted parameters, and one epoch of minibatch gradients sums to the
+full-batch gradient. Then the vote-pattern path (distinct rows weighted by
+their counts), at widths on both sides of MAX_PATTERN_LFS, is checked
+against the row path of ``kernel_reference.ungrouped``: the objective, the
+accuracy gradient, the coverage MAP, whole fits and predictions; and the
+byte key of wide rows is checked to group narrow rows as the int64 key
+does. Last, the factored objective, which takes the label-free part of
+every row out of the log-sum-exp, is checked against the reference's sum
+of per-row log marginals.
 """
 
 from unittest import mock
@@ -49,13 +52,23 @@ class Case:
     drawn independently of the votes, which only ungrouped rows can carry
     (:func:`kernel_reference.anchored_rows`). ``row_anchors`` holds the
     anchors in use and ``pairs`` the rows' class priors from the
-    reference."""
+    reference. With ``copies``, the rows are drawn from the first quarter
+    of them, so that wide rows repeat too."""
 
     def __init__(
-        self, seed: int, n: int, m: int, p: float, boundary: bool = False, own_anchors=False
+        self,
+        seed: int,
+        n: int,
+        m: int,
+        p: float,
+        boundary: bool = False,
+        own_anchors=False,
+        copies=False,
     ):
         rng = np.random.default_rng(seed)
         self.votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
+        if copies:
+            self.votes = self.votes[rng.integers(0, max(1, n // 4), n)]
         self.acc = rng.uniform(0.05, 0.95, m)
         self.cov = rng.uniform(0.05, 0.95, m)
         if boundary:
@@ -96,6 +109,7 @@ def cases(
     m=st.integers(1, 6),
     own_anchors=st.just(False),
     p=st.floats(0.5, 0.99),
+    copies=st.just(False),
 ):
     return st.builds(
         Case,
@@ -105,6 +119,7 @@ def cases(
         p=p,
         boundary=boundary,
         own_anchors=own_anchors,
+        copies=copies,
     )
 
 
@@ -123,13 +138,22 @@ def cases_and_paths(**kwargs):
 certain_or_not = st.one_of(st.just(1.0), st.floats(0.5, 0.99))
 
 
-# Few LFs and up to 80 rows, so that most rows share their pattern.
-pattern_cases = cases(n=st.integers(1, 80), m=st.integers(1, 4))
+# Few LFs, keyed by int64, or more than MAX_PATTERN_LFS, keyed by bytes.
+pattern_widths = st.one_of(
+    st.integers(1, 4), st.integers(MAX_PATTERN_LFS + 1, MAX_PATTERN_LFS + 8)
+)
+# Up to 80 rows, often drawn from a few, so that most rows share their pattern.
+pattern_cases = cases(n=st.integers(1, 80), m=pattern_widths, copies=st.booleans())
 
 
 def row_path():
-    """Context in which every matrix is too wide to group, so the kernel's
-    callers run over the rows themselves."""
+    """Context in which no matrix is grouped, so the kernel's callers run
+    over the rows themselves, each with unit weight."""
+    return mock.patch.object(VoteRows, "grouped", staticmethod(ref.ungrouped))
+
+
+def byte_key():
+    """Context in which every matrix is grouped by the bytes of its rows."""
     return mock.patch.object(model, "MAX_PATTERN_LFS", 0)
 
 
@@ -224,6 +248,33 @@ def test_permuting_columns_permutes_gradient(case, random):
 
 
 @PROPERTY
+@given(
+    pattern_cases, st.sampled_from([None, 7]), st.booleans(), st.randoms(use_true_random=False)
+)
+def test_permuting_columns_permutes_the_fit(case, batch_size, learn_beta, random):
+    # the patterns of the permuted matrix come in another order, which moves
+    # the fit by rounding only
+    m = case.votes.shape[1]
+    perm = np.array(random.sample(range(m), m))
+    config = TrainConfig(
+        learning_rate=0.05, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7,
+        learn_beta=learn_beta,
+    )
+    label_prior = LabelPrior(case.p)
+    fits, preds = [], []
+    for votes in (case.votes, case.votes[:, perm]):
+        fits.append(fit(votes, None, build_mv_priors(votes, 10.0, case.p), config).params)
+        preds.append(predict(votes, fits[-1], label_prior))
+    for field in ("accuracy", "coverage"):
+        np.testing.assert_allclose(
+            getattr(fits[1], field), getattr(fits[0], field)[perm], rtol=RTOL
+        )
+    np.testing.assert_array_equal(preds[1].labels, preds[0].labels)
+    np.testing.assert_array_equal(preds[1].abstain_reason, preds[0].abstain_reason)
+    np.testing.assert_allclose(preds[1].score_pos, preds[0].score_pos, rtol=RTOL)
+
+
+@PROPERTY
 @given(cases(), st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed):
     rows = case.rows()
@@ -248,6 +299,21 @@ def test_patterns_rebuild_the_rows(case):
     assert rows.total == case.votes.shape[0]
     np.testing.assert_array_equal(rows.count, np.abs(case.votes).sum(axis=0))
     assert len({tuple(row) for row in rows.d.tolist()}) == rows.n
+
+
+@PROPERTY
+@given(cases(n=st.integers(1, 80), m=st.integers(1, MAX_PATTERN_LFS), copies=st.booleans()))
+def test_byte_key_groups_like_int64_key(case):
+    # the same partition of the rows, with the patterns in another order
+    by_code, code_inverse = VoteRows.grouped(case.votes)
+    with byte_key():
+        by_bytes, bytes_inverse = VoteRows.grouped(case.votes)
+    assert by_bytes.n == by_code.n
+    np.testing.assert_array_equal(by_bytes.d[bytes_inverse], case.votes)
+    np.testing.assert_array_equal(by_bytes.w[bytes_inverse], by_code.w[code_inverse])
+    np.testing.assert_array_equal(by_bytes.anchor[bytes_inverse], by_code.anchor[code_inverse])
+    order = np.lexsort(by_bytes.d.T[::-1])  # the int64 key sorts by column 0 first
+    np.testing.assert_array_equal(by_bytes.d[order], by_code.d)
 
 
 @PROPERTY
@@ -301,7 +367,10 @@ def test_pattern_fit_equals_row_path(case, batch_size, learn_beta, with_val, lr)
 
 
 @PROPERTY
-@given(cases(st.booleans(), n=st.integers(1, 80), m=st.integers(1, 4)), st.booleans())
+@given(
+    cases(st.booleans(), n=st.integers(1, 80), m=pattern_widths, copies=st.booleans()),
+    st.booleans(),
+)
 def test_pattern_predict_equals_row_path(case, force_abstain):
     # an all-abstain row and, with equal parameters, a split row are ties
     votes = np.vstack([case.votes, np.zeros(case.votes.shape[1], np.int8)])
@@ -322,7 +391,8 @@ def test_pattern_predict_equals_row_path(case, force_abstain):
 
 
 def test_widest_grouped_matrix_next_to_row_path():
-    # matrices of up to 38 LFs are grouped, wider ones take the row path
+    # matrices of up to 38 LFs are keyed by int64, wider ones by bytes; both
+    # are grouped
     rng = np.random.default_rng(38)
     for m in (38, 39):
         votes = rng.integers(-1, 2, size=(40, m)).astype(np.int8)
@@ -330,13 +400,9 @@ def test_widest_grouped_matrix_next_to_row_path():
         votes[:2] = [[1] * m, [-1] * m]
         votes[20:] = votes[:20]
         rows, inverse = VoteRows.grouped(votes)
-        if m == 38:
-            assert rows.n == 20
-            np.testing.assert_array_equal(rows.d[inverse], votes)
-            np.testing.assert_array_equal(rows.w, 2.0)
-        else:
-            assert inverse is None and rows.n == 40
-            np.testing.assert_array_equal(rows.w, 1.0)
+        assert rows.n == 20
+        np.testing.assert_array_equal(rows.d[inverse], votes)
+        np.testing.assert_array_equal(rows.w, 2.0)
         np.testing.assert_array_equal(rows.anchor, majority_vote(rows.d))
         plain = VoteRows.of(votes)
         acc, cov = rng.uniform(0.55, 0.95, m), ref.coverage(votes)
@@ -367,9 +433,9 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     """log_objectives keeps only d @ h per row and adds the label-free
     c + |d| @ g of all rows as total * c + g @ count. The reference sums each
     input row's log marginal, one row and one factor at a time. For K
-    stacked cells, unit or pattern weights (wider matrices keep unit
-    weights), and p = 1, whose class priors are -inf; VoteRows.count runs
-    over row blocks of any size."""
+    stacked cells, unit or pattern weights (at widths on both sides of
+    MAX_PATTERN_LFS, with repeated rows), and p = 1, whose class priors are
+    -inf; VoteRows.count runs over row blocks of any size."""
     rng = np.random.default_rng(seed)
     votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
     votes[rng.random(n) < 0.3] = votes[0]  # repeated patterns
@@ -379,6 +445,7 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     with mock.patch.object(model, "_COUNT_BLOCK", block):
         rows = VoteRows.grouped(votes)[0] if grouped else VoteRows.of(votes)
         count = rows.count
+    assert rows.total == n
     np.testing.assert_array_equal(count, rows.w @ np.abs(rows.d))
     table = class_prior_table(ps)  # p = 1 gives log 0 = -inf
 
