@@ -204,15 +204,13 @@ class _Table:
     closed by the comma or line end after it. One pass over ``text``, a
     chunk at a time, finds those separators and reads the cells of
     ``vote_col`` (every cell when None) as votes from the three bytes before
-    each one's separator. With ``offsets`` the same pass keeps every cell's
-    offset, which text columns need, as int32 (int64 past 2 GiB); otherwise
-    they are found again on first use. Rows count the non-blank lines after
-    the header. The grid holds the rows before the first one whose field
-    count differs from the header's; ``ragged_fields`` is that row's count
-    (None if every row matches).
+    each one's separator; text columns find the cells' offsets on first
+    use. Rows count the non-blank lines after the header. The grid holds
+    the rows before the first one whose field count differs from the
+    header's; ``ragged_fields`` is that row's count (None if all match).
     """
 
-    def __init__(self, path, vote_col: int | None = None, offsets: bool = False):
+    def __init__(self, path, vote_col: int | None = None):
         self.path = path
         data = _read_padded(path)
         begin = _LEADING_BLANK_LINES.match(data).end()
@@ -241,13 +239,9 @@ class _Table:
         self._value = np.empty(voted, dtype=np.int8)
         self._bad = np.empty(voted, dtype=bool)
         ends_line = np.empty(self.cells, dtype=bool)
-        if offsets:
-            self._closers = self._offset_array()
         for found, at in self._separators():
             cut = slice(found, found + at.size)
             ends_line[cut] = self.text[at] == _NL
-            if offsets:
-                self._closers[1 + found : 1 + found + at.size] = at
             skip = first - found if found < first else (first - found) % step
             at = at[skip::step]
             lo = (found + skip - first) // step
@@ -288,18 +282,13 @@ class _Table:
             return self._grid(self._value), self._grid(self._bad)
         return self._value[: self.rows], self._bad[: self.rows]
 
-    def _offset_array(self) -> np.ndarray:
-        small = self.text.size <= np.iinfo(np.int32).max
-        closers = np.empty(1 + self.cells, dtype=np.int32 if small else np.int64)
-        closers[0] = 0
-        return closers
-
     @cached_property
     def _closers(self) -> np.ndarray:
         """Offsets into ``text`` of the header's line end, then of each cell's
-        closing separator; set by the first pass when the table was read with
-        ``offsets``."""
-        closers = self._offset_array()
+        closing separator, as int32 (int64 past 2 GiB)."""
+        small = self.text.size <= np.iinfo(np.int32).max
+        closers = np.empty(1 + self.cells, dtype=np.int32 if small else np.int64)
+        closers[0] = 0
         for found, at in self._separators():
             closers[1 + found : 1 + found + at.size] = at
         return closers
@@ -493,8 +482,8 @@ def read_predictions(path) -> Predictions:
     """Parse a predictions file. Each row must carry its own row number as
     index, a label in {-1, 0, 1}, a score in [0, 1] and a known abstain
     reason. Each distinct score text is cast to float once. One pass over
-    the text reads the labels and the offsets of the other cells."""
-    table = _Table(path, vote_col=1, offsets=True)
+    the text reads the labels; a second finds the offsets of the other cells."""
+    table = _Table(path, vote_col=1)
     if ",".join(table.header) != PREDICTIONS_HEADER:
         raise DataError(f"{path}: unexpected predictions header {','.join(table.header)!r}")
     index_bad = table.row_numbers(0)

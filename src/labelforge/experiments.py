@@ -183,6 +183,13 @@ def build_mode_priors(
     raise DataError(f"unknown mode {mode!r}")
 
 
+def _check_modes(modes) -> None:
+    """DataError naming the first of ``modes`` that is not one of MODES."""
+    unknown = [mode for mode in modes if mode not in MODES]
+    if unknown:
+        raise DataError(f"unknown mode {unknown[0]!r}")
+
+
 def _fit_and_score(
     train: Dataset,
     val_votes: np.ndarray | None,
@@ -379,13 +386,15 @@ def low_data_sweep(
 
     Subsets are prefix-nested across sizes within a replicate (see
     :func:`low_data_indices`). Sizes and the replicate count must be at
-    least 1, or DataError names the bad value before anything is fitted.
+    least 1 and each mode one of MODES, or DataError names the bad value
+    before anything is fitted.
     Sizes larger than the train split are skipped with a warning. Aggregate
     rows (mean and population standard deviation over replicates, ignoring
     undefined values) are appended with replicate = 'mean' / 'std'.
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
+    _check_modes(modes)
     sizes = list(sizes)
     if replicates < 1:
         raise DataError(f"low-data sweep needs at least 1 replicate, got {replicates}")
@@ -459,9 +468,10 @@ def stability_sweep(
     """Test metrics after training to each fixed epoch budget (no early
     stopping: the model is fit without a validation split and the final
     parameters are used). Budget 0 scores the initialized model; a negative
-    one raises DataError before anything is fitted."""
+    one, or a mode not in MODES, raises DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
+    _check_modes(modes)
     budgets = list(epoch_grid)
     for budget in budgets:
         if budget < 0:
@@ -494,6 +504,7 @@ def prior_quality_study(
     """
     if dataset.truth is None:
         raise DataError("prior-quality study requires ground-truth labels")
+    _check_modes(modes)
     split_spec = split_spec or SplitSpec()
     config = config or TrainConfig()
     train, val, _ = split(dataset, split_spec)

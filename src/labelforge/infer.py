@@ -5,12 +5,13 @@ Each row gets the more probable label under its posterior; exact ties
 prior carries ``force_abstain``, rows where the majority vote of the
 matrix being predicted abstains are forced to abstain too, regardless of
 the model posterior. Posteriors come from the log-domain kernel, so wide
-matrices do not underflow. Rows that are impossible under both labels
-(only parameters at exactly 0 or 1 allow that) abstain as degenerate
-rather than raising, so batch prediction never aborts. A row's prediction
-depends only on its votes, so a matrix is labelled once per distinct vote
-pattern (majority vote, posterior, tie, forced and degenerate masks
-included) and the results are copied back to the rows.
+matrices do not underflow, and read only the accuracies: coverage is the
+same under both labels. Rows that are impossible under both labels (only
+votes against accuracies of exactly 0 or 1 allow that) abstain as
+degenerate rather than raising, so batch prediction never aborts. A row's
+prediction depends only on its votes, so a matrix is labelled once per
+distinct vote pattern (majority vote, posterior, tie, forced and
+degenerate masks included) and the results are copied back to the rows.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def predict_grouped(
     # Rows with the same votes get the same prediction: label each distinct
     # pattern once, then copy its prediction to its rows.
     table = class_prior_table(label_prior.p)
-    odds, degenerate = posterior_log_odds(rows, table, params.accuracy, params.coverage)
+    odds, degenerate = posterior_log_odds(rows, table, params.accuracy)
     score_pos = np.exp(-np.logaddexp(0.0, -odds))
     score_neg = 1.0 - score_pos
 

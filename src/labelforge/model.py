@@ -9,24 +9,25 @@ joints over both labels. Beta priors over per-LF accuracies (and
 optionally coverages) turn the log objective from plain likelihood into
 a regularized one.
 
-Every probability is computed in the log domain. The model factorises
-per LF, so a row's two class log-likelihoods are linear in its votes: with
-d the votes as float64, they are ``c + |d| @ g +- d @ h`` for per-LF
-vectors h, g and a constant c, which one function builds from the
-parameters. The label-free term ``c + |d| @ g`` is the same under both
-labels, so it leaves the log-sum-exp of the row marginal, and its weighted
-sum over rows is ``W c + count @ g`` for the weight total W and the per-LF
-vote counts. The objective (:func:`log_objectives`) is therefore one
-mat-vec ``d @ h`` plus O(m) work, and never builds |d|. ``d @ h``, half of
-each row's vote log-likelihood ratio (:func:`half_log_ratios`), is also
-where the accuracy gradient starts, and the posterior log-odds are
-``2 d @ h`` plus the prior log-odds (:func:`posterior_log_odds`). These
-three are the kernel; there is no per-row form of the class
-log-likelihoods. Stacked (K, m) parameters, one row per cell of a grid,
-turn the mat-vecs into mat-mats with one column per cell.
-:meth:`VoteRows.of` and :meth:`VoteRows.grouped` are the one place a vote
-matrix is checked; every kernel function takes the converted rows and
-plain per-LF vectors.
+Every probability is computed in the log domain. An entry's probability
+is a coverage factor (the LF votes, with probability b) times, for a vote,
+an accuracy factor (the vote is right, with probability a). The coverage
+factor is the same under both labels, so it cancels from every posterior
+and from the accuracy gradient, and the kernel reads accuracies only.
+With d the votes as float64, a row's class log-likelihoods are
+``|d| @ g +- d @ h`` plus its coverage term, for per-LF vectors h and g
+that one function builds. Label-free terms leave the log-sum-exp of the
+row marginal, and the weighted sum of ``|d| @ g`` over rows is
+``count @ g`` for the per-LF vote counts, so the objective
+(:func:`log_objectives`) is one mat-vec ``d @ h`` plus O(m) work; its
+coverage half is :func:`coverage_objectives`. ``d @ h``, half of each
+row's vote log-likelihood ratio (:func:`half_log_ratios`), is also where
+the accuracy gradient starts, and the posterior log-odds are ``2 d @ h``
+plus the prior log-odds (:func:`posterior_log_odds`). These three are the
+kernel. Stacked (K, m) parameters, one row per cell of a grid, turn the
+mat-vecs into mat-mats. :meth:`VoteRows.of` and :meth:`VoteRows.grouped`
+are the one place a vote matrix is checked; every kernel function takes
+the converted rows and plain per-LF vectors.
 
 A row's label prior follows from its anchor, the majority vote of its own
 votes (-1, 0 or +1), and the cell's ``p``. The anchor is computed where
@@ -40,8 +41,8 @@ marginals, the gradient's vote masses, the vote counts) is weighted.
 count as weight, so a full-batch pass costs O(patterns) rather than
 O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs.
 Training keeps accuracies and coverages inside [CLAMP_EPS, 1 - CLAMP_EPS]
-so every log stays finite; prediction uses the parameters as given, and a
-row that is impossible under both labels (only parameters at exactly 0 or
+so every log stays finite; prediction uses the accuracies as given, and a
+row that is impossible under both labels (only accuracies at exactly 0 or
 1 allow that) comes back as degenerate, never as NaN.
 """
 
@@ -343,30 +344,41 @@ class VoteRows:
         return table[idx], table[2 - idx]
 
 
-def _kernel(accuracy: np.ndarray, coverage: np.ndarray):
-    """Per-LF vectors (h, g, c) of the log-joint kernel and the (3, m) mask
-    ``zero`` of votes that have probability 0. For (K, m) parameters, one row
-    per cell, h and g are (K, m), c is a K-vector and ``zero`` is (3, K, m).
+def _kernel(accuracy: np.ndarray):
+    """Per-LF vectors (h, g) of the log-joint kernel and the (3, m) mask
+    ``zero`` of votes that have probability 0; (K, m) and (3, K, m) for
+    (K, m) accuracies, one row per cell.
 
-    Under label +1, vote v of LF j has log probability ``logf[v + 1, j]``:
-    log((1-a) b), log(1-b) and log(a b) for v = -1, 0, +1, with a the
-    accuracy and b the coverage. Under label -1 the vote is negated. So with
-    d the float votes, the class log-likelihoods are ``c + |d| @ g + d @ h``
-    (+1) and ``c + |d| @ g - d @ h`` (-1). A factor of 0 (a parameter at
-    exactly 0 or 1, which a model file can hold) is left out of h, g and c
-    and marked in ``zero``, so no 0 * -inf makes a NaN. Every kernel
-    function takes h from here, so all of them agree on it bit for bit.
+    Under label +1, vote v of LF j has the log accuracy factor
+    ``logf[v + 1, j]``: log(1 - a), 0 and log a for v = -1, 0, +1; under
+    label -1 the vote is negated. So the class log-likelihoods are
+    ``|d| @ g +- d @ h`` plus the label-free coverage term. A factor of 0
+    (an accuracy of exactly 0 or 1, which a model file can hold) is left
+    out of h and g and marked in ``zero``, so no 0 * -inf makes a NaN.
+    Every kernel function takes h from here, so all agree on it bit for bit.
     """
     with np.errstate(divide="ignore"):
-        log_cov = np.log(coverage)
-        logf = np.array(
-            [np.log1p(-accuracy) + log_cov, np.log1p(-coverage), np.log(accuracy) + log_cov]
-        )
+        logf = np.array([np.log1p(-accuracy), np.zeros_like(accuracy), np.log(accuracy)])
     zero = logf == -np.inf
     logf[zero] = 0.0
-    h = 0.5 * (logf[2] - logf[0])
-    g = 0.5 * (logf[2] + logf[0]) - logf[1]
-    return h, g, logf[1].sum(axis=-1), zero
+    return 0.5 * (logf[2] - logf[0]), 0.5 * (logf[2] + logf[0]), zero
+
+
+def coverage_objectives(
+    rows: VoteRows, coverage: np.ndarray, coverage_prior: BetaPrior | None = None
+) -> np.ndarray:
+    """The coverage half of the log objective, which :func:`log_objectives`
+    leaves out as it is the same under both labels: ``count @ log b +
+    (total - count) @ log(1 - b)``, plus the coverage prior's log density
+    where given, shaped as :func:`log_objectives`. A coverage of exactly 0
+    or 1 adds 0 where the rows agree with it and -inf where they do not."""
+    with np.errstate(divide="ignore"):
+        log_b = np.where(rows.count > 0, np.log(coverage), 0.0)
+        log_not_b = np.where(rows.count < rows.total, np.log1p(-coverage), 0.0)
+    total = log_b @ rows.count + log_not_b @ (rows.total - rows.count)
+    if coverage_prior is not None:
+        total = total + coverage_prior.log_density(coverage).sum(axis=-1)
+    return total
 
 
 def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -377,31 +389,28 @@ def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return np.stack([zero[v + 1, cols].any(axis=1), zero[1 - v, cols].any(axis=1)], axis=1)
 
 
-def half_log_ratios(rows: VoteRows, accuracy: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+def half_log_ratios(rows: VoteRows, accuracy: np.ndarray) -> np.ndarray:
     """``d @ h``: half of each row's vote log-likelihood ratio
-    log P(votes | +1) - log P(votes | -1), for parameters strictly inside
-    (0, 1). An n-vector for m-vector parameters, (n, K) for stacked (K, m)
-    ones.
-
-    The objective and the accuracy gradient both start from this mat-vec
-    over the same h, so a value computed for one equals, bit for bit, the
-    one the other would compute at the same parameters.
+    log P(votes | +1) - log P(votes | -1), for accuracies strictly inside
+    (0, 1): an n-vector for an m-vector, (n, K) for stacked (K, m) ones.
+    The objective and the accuracy gradient both start from it, so a value
+    computed for one equals the other's at the same accuracies bit for bit.
     """
-    return rows.d @ _kernel(accuracy, coverage)[0].T
+    return rows.d @ _kernel(accuracy)[0].T
 
 
 def posterior_log_odds(
-    rows: VoteRows, prior_table: np.ndarray, accuracy: np.ndarray, coverage: np.ndarray
+    rows: VoteRows, prior_table: np.ndarray, accuracy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log P(+1 | row) - log P(-1 | row) under the class priors of
     the one-cell ``prior_table`` (:func:`class_prior_table` of a scalar p),
     and the mask of degenerate rows, which are impossible under both labels
     (their log-odds are 0).
 
-    Parameters are used as given, so they may sit at exactly 0 or 1; a row
+    Accuracies are used as given, so they may sit at exactly 0 or 1; a row
     impossible under one label only gets log-odds -inf or +inf.
     """
-    h, _, _, zero = _kernel(accuracy, coverage)
+    h, _, zero = _kernel(accuracy)
     log_w = np.stack(rows.class_priors(prior_table), axis=1)
     if zero.any():
         log_w[_impossible(rows.d, zero)] = -np.inf
@@ -416,28 +425,27 @@ def log_objectives(
     rows: VoteRows,
     prior_table: np.ndarray,
     accuracy: np.ndarray,
-    coverage: np.ndarray,
     accuracy_prior: BetaPrior | None = None,
-    coverage_prior: BetaPrior | None = None,
     dh: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Log objective of K cells at once: the weighted sum of the rows' log
-    marginals under each cell's class priors, plus the cells' beta log
-    densities where given.
+    """Log objective of K cells at once, less its coverage half
+    (:func:`coverage_objectives`): the weighted sum of the rows' log
+    marginals under each cell's class priors, plus the cells' accuracy-prior
+    log densities where given.
 
-    ``accuracy`` and ``coverage`` are (K, m), one row per cell, inside the
-    clamp; ``prior_table`` is the cells' (3, K) :func:`class_prior_table`.
+    ``accuracy`` is (K, m), one row per cell, inside the clamp;
+    ``prior_table`` is the cells' (3, K) :func:`class_prior_table`.
     Returns a K-vector, non-finite for a cell whose objective is; nothing is
-    checked, so a cell that fails leaves the others alone. With m-vectors
+    checked, so a cell that fails leaves the others alone. With an m-vector
     and the (3,) table of a scalar p it returns the one objective as a 0-d
-    array. ``dh`` is the rows' :func:`half_log_ratios` at these parameters,
+    array. ``dh`` is the rows' :func:`half_log_ratios` at these accuracies,
     computed here when None.
 
     A row's marginal is ``logaddexp(dh + lp+, lp- - dh)`` plus the label-free
-    ``c + |d| @ g``, and the weighted sum of the latter over the rows is
-    ``total * c + g @ count``: one mat-vec over the votes in all.
+    ``|d| @ g``, and the weighted sum of the latter over the rows is
+    ``g @ count``: one mat-vec over the votes in all.
     """
-    h, g, c, _ = _kernel(accuracy, coverage)
+    h, g, _ = _kernel(accuracy)
     if dh is None:
         dh = rows.d @ h.T
     # The two gathers are fresh arrays, so they hold the sums in place.
@@ -445,8 +453,7 @@ def log_objectives(
     marginal += dh
     np.subtract(prior_neg, dh, out=prior_neg)
     np.logaddexp(marginal, prior_neg, out=marginal)
-    total = rows.w @ marginal + (rows.total * c + g @ rows.count)
-    for prior, x in ((accuracy_prior, accuracy), (coverage_prior, coverage)):
-        if prior is not None:
-            total = total + prior.log_density(x).sum(axis=-1)
+    total = rows.w @ marginal + g @ rows.count
+    if accuracy_prior is not None:
+        total = total + accuracy_prior.log_density(accuracy).sum(axis=-1)
     return total

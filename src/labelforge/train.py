@@ -1,14 +1,16 @@
 """Model fitting by stochastic gradient ascent on the (regularized) log objective.
 
-Accuracies are learned. A coverage cancels out of each row's log-likelihood
-ratio, so it never reaches the labels; it is set once, before the loop, in
-closed form: the train rows' per-column coverage rate, or with
-``learn_beta`` its MAP under a beta prior centered on that rate
-(:func:`beta_map`). Updates use the mean per-row gradient of each minibatch
-(so the learning rate is independent of dataset size), with the prior
-gradient weighted by |batch| / n so an epoch of summed minibatch gradients
-matches the full-objective gradient. Every step clamps the accuracies into
-[CLAMP_EPS, 1 - CLAMP_EPS].
+Accuracies are learned. Coverage cancels out of each row's log-likelihood
+ratio, so neither the labels nor the accuracy gradient read it. It is set
+once, before the loop, in closed form: the train rows' per-column coverage
+rate, or with ``learn_beta`` its MAP under a beta prior centered on that
+rate (:func:`beta_map`). The objective's coverage half is then a constant
+per scored matrix, added to every epoch's objective so the loss histories
+stay the negative log posterior. Updates use the mean per-row gradient of
+each minibatch (so the learning rate is independent of dataset size), with
+the prior gradient weighted by |batch| / n so an epoch of summed minibatch
+gradients matches the full-objective gradient. Every step clamps the
+accuracies into [CLAMP_EPS, 1 - CLAMP_EPS].
 
 One loop, :func:`fit_cells`, fits K cells at once: cells that share the
 epoch budget, batch size, patience and seed, and differ in learning rate,
@@ -37,15 +39,13 @@ unit-weight row per input row in the seeded order, each converted from the
 checked int8 votes when it is drawn, so no float64 copy of the whole matrix
 is made.
 
-A full-batch epoch makes two passes over the train votes. Its gradient
-needs ``d @ h`` and ``(w tanh) @ d``; its train objective needs ``d @ h``
-at the stepped parameters (:func:`~labelforge.model.log_objectives`
-factors everything else out of the rows). Those parameters are where the
-next epoch's gradient starts, so the objective's ``d @ h`` is handed to
-that gradient instead of being computed again. Both come from
-:func:`~labelforge.model.half_log_ratios`, so the handed-over value equals
-a fresh one bit for bit. Minibatches carry nothing over: the objective
-runs over other rows than the next batch.
+A full-batch epoch makes two passes over the train votes: its gradient
+needs ``d @ h`` and ``(w tanh) @ d``, its train objective ``d @ h`` at the
+stepped parameters, where the next epoch's gradient starts. So the
+objective's ``d @ h`` is handed to that gradient; both come from
+:func:`~labelforge.model.half_log_ratios`, so it equals a fresh one bit
+for bit. Minibatches carry nothing over: the objective runs over other
+rows than the next batch.
 
 Everything is seeded and single-threaded: identical inputs produce
 identical results, including loss histories.
@@ -63,11 +63,11 @@ from .errors import DataError, NumericalError
 from .model import (
     CLAMP_EPS,
     BetaPrior,
-    LabelPrior,
     ModelParams,
     VoteRows,
     as_lf_matrix,
     class_prior_table,
+    coverage_objectives,
     half_log_ratios,
     log_objectives,
     row_majority,
@@ -132,7 +132,6 @@ def grad_accuracy(
     rows: VoteRows,
     prior_table: np.ndarray,
     accuracy: np.ndarray,
-    coverage: np.ndarray,
     accuracy_prior: BetaPrior | None,
     prior_weight: float,
     dh: np.ndarray | None = None,
@@ -140,22 +139,21 @@ def grad_accuracy(
     """Gradient of the batch objective (sum of log marginals over the batch
     plus prior_weight * accuracy-prior log density) with respect to accuracy.
 
-    ``accuracy`` and ``coverage`` are (K, m), one row per cell, and
-    ``prior_table`` is the cells' (3, K)
-    :func:`~labelforge.model.class_prior_table`; m-vectors with the (3,)
-    table of a scalar p give one cell's m-vector. Each row's half prior
-    log-odds (log P(+1) - log P(-1)) / 2 is read by its anchor from
-    ``0.5 * (t - t[::-1])``. With e = w * tanh(r / 2) for the rows' weights
+    ``accuracy`` is (K, m), one row per cell, and ``prior_table`` is the
+    cells' (3, K) :func:`~labelforge.model.class_prior_table`; an m-vector
+    with the (3,) table of a scalar p gives one cell's m-vector. Each row's
+    half prior log-odds (log P(+1) - log P(-1)) / 2 is read by its anchor
+    from ``0.5 * (t - t[::-1])``. With e = w * tanh(r / 2) for the rows' weights
     w and posterior log-odds r = 2 (d @ h + half prior log-odds), the
     posterior mass of LF j's agreeing votes is (count_j + d_j . e) / 2 and
     that of its disagreeing votes (count_j - d_j . e) / 2. ``dh`` is the
     rows' :func:`~labelforge.model.half_log_ratios` at the clamped
-    parameters, computed here when None. Parameters are clamped; nothing is
+    accuracies, computed here when None. Accuracies are clamped; nothing is
     checked, so a non-finite entry shows only in its cell's row.
     """
     acc = np.clip(accuracy, CLAMP_EPS, 1.0 - CLAMP_EPS)
     if dh is None:
-        dh = half_log_ratios(rows, acc, np.clip(coverage, CLAMP_EPS, 1.0 - CLAMP_EPS))
+        dh = half_log_ratios(rows, acc)
     # e is built in place in the fresh gather of the half prior odds.
     odds = (0.5 * (prior_table - prior_table[::-1]))[rows.anchor + 1]
     odds += dh
@@ -238,8 +236,7 @@ def fit_cells(
             )
         ]
     acc_prior = _stacked_prior([None if s is None else s.accuracy_prior for s in priors], m)
-    label_priors = [LabelPrior() if spec is None else spec.label_prior for spec in priors]
-    prior_table = class_prior_table([lp.p for lp in label_priors])
+    prior_table = class_prior_table([0.5 if s is None else s.label_prior.p for s in priors])
 
     # The objectives and a full batch sum over rows in any order, so they
     # run over one weighted row per distinct vote pattern.
@@ -270,7 +267,9 @@ def fit_cells(
                       for s in learners]
         coverage_prior = _stacked_prior(cov_priors, m)
         coverage[learns] = beta_map(patterns.count, n - patterns.count, coverage_prior)[learns]
+    # The objective's coverage half, constant over the loop, per scored matrix.
     cov = np.clip(coverage, eps, 1.0 - eps)
+    cov_terms = [coverage_objectives(rows, cov, coverage_prior) for rows in scored]
 
     # The train rows' half_log_ratios at the current parameters, which the
     # last full-batch objective computed and the next gradient starts from.
@@ -308,20 +307,17 @@ def fit_cells(
             step = lr / batch.total
             # A stopped or failed cell is still stepped (a NaN stays in its
             # own row) but no longer recorded.
-            g_acc = grad_accuracy(batch, prior_table, acc, cov, acc_prior, weight, train_dh)
+            g_acc = grad_accuracy(batch, prior_table, acc, acc_prior, weight, train_dh)
             bad = running & ~np.isfinite(g_acc).all(axis=1)
             acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
             if bad.any():
                 fail(bad, "non-finite accuracy gradient (parameter at a boundary?)")
 
         if full_batch:
-            train_dh = half_log_ratios(patterns, acc, cov)
+            train_dh = half_log_ratios(patterns, acc)
         losses = [
-            -log_objectives(
-                rows, prior_table, acc, cov, acc_prior, coverage_prior,
-                train_dh if rows is patterns else None,
-            )
-            for rows in scored
+            -(log_objectives(rows, prior_table, acc, acc_prior, dh) + cov_term)
+            for rows, cov_term, dh in zip(scored, cov_terms, (train_dh, None))
         ]
         finite = np.isfinite(losses).all(axis=0)
         if (running & ~finite).any():
@@ -344,21 +340,17 @@ def fit_cells(
         best_acc[improved] = acc[improved]
         best_epoch[improved] = epoch
 
-    results: list[FitResult | NumericalError] = []
-    for cell in range(k):
-        if errors[cell] is not None:
-            results.append(errors[cell])
-            continue
-        results.append(
-            FitResult(
-                params=ModelParams(best_acc[cell].copy(), coverage[cell]),
-                train_loss_history=train_hist[cell],
-                val_loss_history=val_hist[cell],
-                stopped_epoch=len(train_hist[cell]),
-                best_epoch=int(best_epoch[cell]),
-            )
+    return [
+        errors[cell]
+        or FitResult(
+            params=ModelParams(best_acc[cell].copy(), coverage[cell]),
+            train_loss_history=train_hist[cell],
+            val_loss_history=val_hist[cell],
+            stopped_epoch=len(train_hist[cell]),
+            best_epoch=int(best_epoch[cell]),
         )
-    return results
+        for cell in range(k)
+    ]
 
 
 def fit(

@@ -9,8 +9,9 @@ statistics the model is built from, each LF's coverage and its accuracy
 against a reference vote, are given per column here too, and so are each
 row's class prior pair under a majority-vote anchor.
 
-Last, ``log_objective`` is the kernel's objective of one model with its
-inputs checked and its parameters clamped, the form the tests use where
+Last, ``log_objective`` is the kernel's objective of one model (its
+accuracy half plus its coverage half) with its inputs checked and its
+parameters clamped, the form the tests use where
 they need the objective itself (finite differences, bitwise comparisons),
 ``anchored_rows`` converts votes with anchors of the caller's choosing,
 so that the kernel can be held to the reference under any pair of class
@@ -24,7 +25,13 @@ import math
 import numpy as np
 
 from labelforge.errors import DataError, NumericalError
-from labelforge.model import CLAMP_EPS, VoteRows, class_prior_table, log_objectives
+from labelforge.model import (
+    CLAMP_EPS,
+    VoteRows,
+    class_prior_table,
+    coverage_objectives,
+    log_objectives,
+)
 
 
 def factor(vote: int, label: int, acc: float, cov: float) -> float:
@@ -121,7 +128,8 @@ def log_objective(rows, p, accuracy, coverage, accuracy_prior=None, coverage_pri
         if prior is not None and prior.m != m:
             raise DataError(f"beta prior has {prior.m} entries, params have {m}")
     table = class_prior_table(p)
-    total = float(log_objectives(rows, table, acc, cov, accuracy_prior, coverage_prior))
+    accuracy_half = log_objectives(rows, table, acc, accuracy_prior)
+    total = float(accuracy_half + coverage_objectives(rows, cov, coverage_prior))
     if not np.isfinite(total):
         raise NumericalError(f"log objective is non-finite ({total})")
     return total

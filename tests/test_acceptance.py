@@ -84,7 +84,7 @@ def test_criterion_01_gradient_oracle():
             return ref.log_objective(rows, p, acc, c, prior.accuracy_prior, cov_prior)
 
         table = class_prior_table(p)
-        g_acc = grad_accuracy(rows, table, acc, cov, prior.accuracy_prior, 1.0)
+        g_acc = grad_accuracy(rows, table, acc, prior.accuracy_prior, 1.0)
         fd_acc = central_difference(obj_acc, acc)
         b = beta_map(rows.count, rows.total - rows.count, cov_prior)
         inside = (b > CLAMP_EPS) & (b < 1.0 - CLAMP_EPS)
@@ -129,8 +129,8 @@ def test_criterion_02_mle_map_reduction():
         mle_acc, mle_cov = mle_res.params.accuracy, mle_res.params.coverage
         obj_map = ref.log_objective(rows, 0.5, map_acc, map_cov, uniform.accuracy_prior)
         obj_mle = ref.log_objective(rows, 0.5, mle_acc, mle_cov)
-        g_map = grad_accuracy(rows, table, map_acc, map_cov, uniform.accuracy_prior, 1.0)
-        g_mle = grad_accuracy(rows, table, mle_acc, mle_cov, None, 1.0)
+        g_map = grad_accuracy(rows, table, map_acc, uniform.accuracy_prior, 1.0)
+        g_mle = grad_accuracy(rows, table, mle_acc, None, 1.0)
         p_map = predict(votes, map_res.params, uniform.label_prior)
         p_mle = predict(votes, mle_res.params, LabelPrior())
         same = (

@@ -146,6 +146,23 @@ class TestWorkflows:
             outputs.append((model.read_bytes(), preds.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("train_beta, votes_at", [("1.0", 0), ("0.0", 1)])
+    def test_coverage_at_0_or_1_never_degenerates_a_row(self, tmp_path, train_beta, votes_at):
+        # LF 0 always votes (or never votes) on the train file, so the model
+        # file stores its coverage as exactly 1 (or 0); on the predicted file
+        # it abstains (or votes) on many rows. Coverage is the same under both
+        # labels, so those rows are labelled like any other.
+        data = make_synth(tmp_path, n=400, beta=f"{train_beta},0.5,0.5,0.5", seed=3)
+        other = make_synth(tmp_path, "other.csv", n=400, beta="0.5", seed=4)
+        model, preds = tmp_path / "model.txt", tmp_path / "preds.csv"
+        assert run("train", "--data", data, "--epochs", "5", "--seed", "1", "--out", model) == 0
+        assert load_model(model).params.coverage[0] == float(train_beta)
+        assert run("predict", "--model", model, "--data", other, "--out", preds) == 0
+        votes = read_dataset(other).votes
+        assert ((votes[:, 0] != 0) == votes_at).sum() > 100
+        reasons = read_predictions(preds).abstain_reason
+        assert not (reasons == "degenerate").any()
+
     def test_map_user_priors(self, tmp_path):
         data = make_synth(tmp_path, n=120)
         model = tmp_path / "user.txt"

@@ -294,6 +294,24 @@ class TestStabilitySweep:
         assert map_range < mle_range
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda ds, modes: low_data_sweep(ds, [50], 1, modes=modes),
+        lambda ds, modes: stability_sweep(*split(ds)[::2], [1], modes=modes),
+        lambda ds, modes: prior_quality_study(ds, modes=modes),
+    ],
+    ids=["lowdata", "stability", "study"],
+)
+def test_sweeps_reject_unknown_mode_before_fitting(sweep, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(labelforge.experiments, "fit", no_fit)
+    with pytest.raises(DataError, match="unknown mode 'bogus'"):
+        sweep(toy_dataset(200), ("map-mv", "bogus"))
+
+
 class TestPriorQualityStudy:
     def test_empirical_prior_distance_is_zero(self):
         ds = toy_dataset(300)

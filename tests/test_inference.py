@@ -49,9 +49,9 @@ class TestPredict:
         assert free.labels[0] == 1
 
     def test_degenerate_row_abstains(self):
-        # abstention on a full-coverage LF has probability zero under both labels
-        params = ModelParams([0.7, 0.8], [1.0, 0.5])
-        preds = predict([[0, 1]], params, LabelPrior())
+        # two always-right LFs that disagree: probability zero under both labels
+        params = ModelParams([1.0, 1.0], [0.5, 0.5])
+        preds = predict([[1, -1]], params, LabelPrior())
         assert preds.labels[0] == 0
         assert preds.abstain_reason[0] == REASON_DEGENERATE
         assert preds.score_pos[0] == pytest.approx(0.5)
@@ -148,15 +148,18 @@ class TestWideAndBoundary:
         np.testing.assert_array_equal(preds.labels, [1, -1, 1])
         assert (preds.abstain_reason == REASON_NONE).all()
 
-    def test_full_coverage_lf_that_abstains_is_degenerate(self):
-        # empirical coverage 1, as fit stores it for an LF that always voted
-        params = ModelParams([0.8, 0.7], [1.0, 0.4])
-        preds = predict([[0, 1], [1, 0], [0, 0]], params, LabelPrior())
-        np.testing.assert_array_equal(
-            preds.abstain_reason, [REASON_DEGENERATE, REASON_NONE, REASON_DEGENERATE]
-        )
-        np.testing.assert_array_equal(preds.score_pos[[0, 2]], [0.5, 0.5])
-        assert not np.isnan(preds.score_pos).any()
+    def test_full_coverage_lf_that_abstains_is_labelled(self):
+        # empirical coverage 1 (or 0), as fit stores it for an LF that always
+        # (or never) voted. Coverage is the same under both labels, so a row
+        # that contradicts it is labelled by its votes like any other.
+        votes = [[0, 1], [1, 0], [0, 0]]
+        for coverage in ([1.0, 0.4], [0.0, 0.0]):
+            preds = predict(votes, ModelParams([0.8, 0.7], coverage), LabelPrior())
+            np.testing.assert_array_equal(preds.labels, [1, 1, 0])
+            np.testing.assert_array_equal(
+                preds.abstain_reason, [REASON_NONE, REASON_NONE, REASON_TIE]
+            )
+            np.testing.assert_allclose(preds.score_pos, [0.7, 0.8, 0.5], rtol=1e-15)
 
     def test_certain_prior_follows_majority_vote(self):
         # p = 1 gives the class against a row's MV label prior probability 0,

@@ -8,15 +8,16 @@ majority votes, or, on the ungrouped path, to anchors of the caller's
 choosing, so any pair of class priors is covered. Then the symmetries of
 the model: negating every vote (and so every anchor) swaps the posterior
 and keeps the objective, permuting LF columns permutes the gradient and
-the fitted parameters, and one epoch of minibatch gradients sums to the
-full-batch gradient. Then the vote-pattern path (distinct rows weighted by
-their counts), at widths on both sides of MAX_PATTERN_LFS, is checked
-against the row path of ``kernel_reference.ungrouped``: the objective, the
-accuracy gradient, the coverage MAP, whole fits and predictions; and the
-byte key of wide rows is checked to group narrow rows as the int64 key
-does. Last, the factored objective, which takes the label-free part of
-every row out of the log-sum-exp, is checked against the reference's sum
-of per-row log marginals.
+the fitted parameters, one epoch of minibatch gradients sums to the
+full-batch gradient, and predictions do not depend on coverage. Then the
+vote-pattern path (distinct rows weighted by their counts), at widths on
+both sides of MAX_PATTERN_LFS, is checked against the row path of
+``kernel_reference.ungrouped``: the objective, the accuracy gradient, the
+coverage MAP, whole fits and predictions; and the byte key of wide rows is
+checked to group narrow rows as the int64 key does. Last, the factored
+objective, which takes the label-free part of every row out of the
+log-sum-exp, is checked against the reference's sum of per-row log
+marginals.
 """
 
 from unittest import mock
@@ -33,6 +34,7 @@ from labelforge.model import (
     BetaPrior,
     VoteRows,
     class_prior_table,
+    coverage_objectives,
     log_objectives,
     posterior_log_odds,
 )
@@ -53,7 +55,9 @@ class Case:
     (:func:`kernel_reference.anchored_rows`). ``row_anchors`` holds the
     anchors in use and ``pairs`` the rows' class priors from the
     reference. With ``copies``, the rows are drawn from the first quarter
-    of them, so that wide rows repeat too."""
+    of them, so that wide rows repeat too. With ``boundary``, some
+    parameters are set to exactly 0 or 1; ``interior_cov`` keeps the
+    coverages drawn before that."""
 
     def __init__(
         self,
@@ -71,6 +75,7 @@ class Case:
             self.votes = self.votes[rng.integers(0, max(1, n // 4), n)]
         self.acc = rng.uniform(0.05, 0.95, m)
         self.cov = rng.uniform(0.05, 0.95, m)
+        self.interior_cov = self.cov.copy()
         if boundary:
             # parameters a model file can hold: exactly 0 or 1
             self.acc[rng.random(m) < 0.3] = rng.choice([0.0, 1.0])
@@ -162,10 +167,12 @@ def byte_key():
 def test_kernel_equals_row_reference(drawn):
     case, grouped = drawn
     rows, inverse = case.both_paths(grouped)
-    odds, degenerate = posterior_log_odds(rows, case.table, case.acc, case.cov)
+    odds, degenerate = posterior_log_odds(rows, case.table, case.acc)
     odds, degenerate = odds[inverse], degenerate[inverse]
+    # coverage cancels from the posterior, so the reference may take the
+    # interior coverages drawn before the boundary ones replaced them
     joints = np.array(
-        [[ref.class_joint(row, label, case.acc, case.cov, prior)
+        [[ref.class_joint(row, label, case.acc, case.interior_cov, prior)
           for label, prior in zip((1, -1), pair)]
          for row, pair in zip(case.votes, case.pairs)]
     )
@@ -176,7 +183,8 @@ def test_kernel_equals_row_reference(drawn):
         expected = np.where(degenerate, 0.0, log_joints[:, 0] - log_joints[:, 1])
     np.testing.assert_allclose(odds, expected, rtol=RTOL, atol=GRAD_ATOL)
 
-    # predict_grouped reads the same anchors from the rows
+    # predict_grouped reads the same anchors from the rows, and the
+    # coverages at 0 or 1 do not reach it
     preds = predict_grouped((rows, inverse), case.params, LabelPrior(case.p))
     live = ~degenerate
     with np.errstate(invalid="ignore"):  # 0 / 0 on degenerate rows
@@ -199,7 +207,7 @@ def test_objective_equals_row_reference(drawn):
 @given(cases())
 def test_gradient_equals_row_reference(case):
     rows = case.rows()
-    grad = grad_accuracy(rows, case.table, case.acc, case.cov, case.prior, 1.0)
+    grad = grad_accuracy(rows, case.table, case.acc, case.prior, 1.0)
     expected = ref.grad_accuracy(case.votes, case.acc, case.cov, case.pairs, case.prior)
     np.testing.assert_allclose(grad, expected, rtol=RTOL, atol=GRAD_ATOL)
 
@@ -215,8 +223,8 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
         case.rows(), case.p, case.acc, case.cov
     )
 
-    odds, degenerate = posterior_log_odds(case.rows(), case.table, case.acc, case.cov)
-    odds_flip, degenerate_flip = posterior_log_odds(flipped, case.table, case.acc, case.cov)
+    odds, degenerate = posterior_log_odds(case.rows(), case.table, case.acc)
+    odds_flip, degenerate_flip = posterior_log_odds(flipped, case.table, case.acc)
     np.testing.assert_array_equal(odds_flip, -odds)
     np.testing.assert_array_equal(degenerate_flip, degenerate)
 
@@ -235,12 +243,11 @@ def test_flipping_votes_and_swapping_priors_swaps_posterior(case):
 def test_permuting_columns_permutes_gradient(case, random):
     m = case.votes.shape[1]
     perm = np.array(random.sample(range(m), m))
-    grad = grad_accuracy(case.rows(), case.table, case.acc, case.cov, case.prior, 1.0)
+    grad = grad_accuracy(case.rows(), case.table, case.acc, case.prior, 1.0)
     permuted = grad_accuracy(
         VoteRows.of(case.votes[:, perm]),
         case.table,
         case.acc[perm],
-        case.cov[perm],
         BetaPrior(case.prior.u[perm], case.prior.v[perm]),
         1.0,
     )
@@ -283,8 +290,8 @@ def test_epoch_of_minibatch_gradients_sums_to_full_batch(case, batch_size, seed)
     total = np.zeros(case.votes.shape[1])
     for start in range(0, n, batch_size):
         batch = ref.batch_rows(rows, order[start : start + batch_size])
-        total += grad_accuracy(batch, case.table, case.acc, case.cov, case.prior, batch.n / n)
-    full = grad_accuracy(rows, case.table, case.acc, case.cov, case.prior, 1.0)
+        total += grad_accuracy(batch, case.table, case.acc, case.prior, batch.n / n)
+    full = grad_accuracy(rows, case.table, case.acc, case.prior, 1.0)
     np.testing.assert_allclose(total, full, rtol=RTOL, atol=GRAD_ATOL)
 
 
@@ -328,8 +335,8 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
             rtol=RTOL,
         )
         np.testing.assert_allclose(
-            grad_accuracy(patterns, case.table, case.acc, case.cov, prior, weight),
-            grad_accuracy(rows, case.table, case.acc, case.cov, prior, weight),
+            grad_accuracy(patterns, case.table, case.acc, prior, weight),
+            grad_accuracy(rows, case.table, case.acc, prior, weight),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -390,6 +397,28 @@ def test_pattern_predict_equals_row_path(case, force_abstain):
     assert rows.abstain_reason[case.votes.shape[0]] in ("tie", "forced", "degenerate")
 
 
+@PROPERTY
+@given(
+    cases(st.booleans(), n=st.integers(1, 80), m=pattern_widths, copies=st.booleans()),
+    st.booleans(),
+    st.data(),
+)
+def test_predictions_ignore_coverage(case, force_abstain, data):
+    # coverage is the same under both labels, so any two coverage vectors,
+    # entries at exactly 0 or 1 included, label the rows bit for bit alike
+    m = case.votes.shape[1]
+    entries = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    vectors = st.lists(entries, min_size=m, max_size=m)
+    label_prior = LabelPrior(case.p, force_abstain=force_abstain)
+    first, second = (
+        predict(case.votes, ModelParams(case.acc, data.draw(vectors)), label_prior)
+        for _ in range(2)
+    )
+    np.testing.assert_array_equal(first.labels, second.labels)
+    np.testing.assert_array_equal(first.score_pos, second.score_pos)
+    np.testing.assert_array_equal(first.abstain_reason, second.abstain_reason)
+
+
 def test_widest_grouped_matrix_next_to_row_path():
     # matrices of up to 38 LFs are keyed by int64, wider ones by bytes; both
     # are grouped
@@ -413,8 +442,8 @@ def test_widest_grouped_matrix_next_to_row_path():
         )
         table = class_prior_table(0.8)
         np.testing.assert_allclose(
-            grad_accuracy(rows, table, acc, cov, None, 1.0),
-            grad_accuracy(plain, table, acc, cov, None, 1.0),
+            grad_accuracy(rows, table, acc, None, 1.0),
+            grad_accuracy(plain, table, acc, None, 1.0),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -431,8 +460,10 @@ def test_widest_grouped_matrix_next_to_row_path():
 )
 def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     """log_objectives keeps only d @ h per row and adds the label-free
-    c + |d| @ g of all rows as total * c + g @ count. The reference sums each
-    input row's log marginal, one row and one factor at a time. For K
+    |d| @ g of all rows as g @ count, and coverage_objectives adds the
+    coverage half count @ log b + (total - count) @ log(1 - b). The
+    reference sums each input row's log marginal, one row and one factor at
+    a time. For K
     stacked cells, unit or pattern weights (at widths on both sides of
     MAX_PATTERN_LFS, with repeated rows), and p = 1, whose class priors are
     -inf; VoteRows.count runs over row blocks of any size."""
@@ -449,7 +480,7 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     np.testing.assert_array_equal(count, rows.w @ np.abs(rows.d))
     table = class_prior_table(ps)  # p = 1 gives log 0 = -inf
 
-    value = log_objectives(rows, table, acc, cov, prior)
+    value = log_objectives(rows, table, acc, prior) + coverage_objectives(rows, cov)
     row_anchors = majority_vote(votes)
     per_row = np.array([
         ref.objective(votes, acc[cell], cov[cell], ref.pairs(row_anchors, p))
@@ -460,7 +491,8 @@ def test_factored_objective_equals_per_row_form(seed, n, m, ps, grouped, block):
     np.testing.assert_allclose(value, expected, rtol=1e-12)
     for cell in range(k):  # each cell alone, as m-vectors and its (3,) table
         np.testing.assert_allclose(
-            log_objectives(rows, table[:, cell], acc[cell], cov[cell]),
+            log_objectives(rows, table[:, cell], acc[cell])
+            + coverage_objectives(rows, cov[cell]),
             per_row[cell],
             rtol=1e-12,
         )

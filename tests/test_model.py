@@ -16,6 +16,7 @@ from labelforge.model import (
     as_label_vector,
     as_lf_matrix,
     class_prior_table,
+    coverage_objectives,
     log_objectives,
     posterior_log_odds,
 )
@@ -38,13 +39,17 @@ def anchored(pair) -> tuple[int, float]:
 
 def kernel_log_marginals(votes, params: ModelParams, pair) -> np.ndarray:
     """Each row's log marginal under the class prior ``pair``: the kernel's
-    log objective of that row alone, parameters used as given."""
+    log objective of that row alone, its accuracy half plus its coverage
+    half, parameters used as given."""
     anchor, p = anchored(pair)
     table = class_prior_table(p)
     marginals = []
     for row in as_lf_matrix(votes):
         rows = ref.anchored_rows(row[None], [anchor])
-        marginals.append(log_objectives(rows, table, params.accuracy, params.coverage))
+        marginals.append(
+            log_objectives(rows, table, params.accuracy)
+            + coverage_objectives(rows, params.coverage)
+        )
     return np.array(marginals, dtype=np.float64)
 
 
@@ -58,11 +63,12 @@ def kernel_ll(votes, params: ModelParams) -> np.ndarray:
 
 def kernel_posterior(row, params: ModelParams, pair, shift: float = 0.0) -> tuple[float, float]:
     """(P(+1 | row), P(-1 | row)) under the class prior ``pair``, with
-    ``shift`` added to both log class priors."""
+    ``shift`` added to both log class priors. The kernel reads the
+    accuracies only: coverage cancels from the posterior."""
     anchor, p = anchored(pair)
     rows = ref.anchored_rows([row], [anchor])
     table = class_prior_table(p) + shift
-    odds, degenerate = posterior_log_odds(rows, table, params.accuracy, params.coverage)
+    odds, degenerate = posterior_log_odds(rows, table, params.accuracy)
     assert not degenerate[0]
     return float(np.exp(-np.logaddexp(0.0, -odds[0]))), float(np.exp(-np.logaddexp(0.0, odds[0])))
 
@@ -192,13 +198,21 @@ class TestPosterior:
             assert (p_pos, p_neg) == pytest.approx(expected, rel=1e-10)
 
     def test_impossible_row_is_degenerate(self):
-        # full-coverage column cannot abstain: zero probability under both labels
+        # two always-right LFs that disagree: zero probability under both labels
         odds, degenerate = posterior_log_odds(
-            VoteRows.of([[0]]), class_prior_table(0.5), np.array([0.7]), np.array([1.0])
+            VoteRows.of([[1, -1]]), class_prior_table(0.5), np.array([1.0, 1.0])
         )
         assert degenerate[0]
         assert odds[0] == 0.0
+        assert ref.marginal([1, -1], [1.0, 1.0], [0.5, 0.5], (0.5, 0.5)) == 0.0
+        # a full-coverage LF that abstains has marginal 0, but its coverage
+        # factor is the same under both labels, so the labels never read it:
+        # the row casts no vote and is a tie
         assert ref.marginal([0], [0.7], [1.0], (0.5, 0.5)) == 0.0
+        preds = predict_grouped(
+            VoteRows.grouped([[0]]), ModelParams([0.7], [1.0]), LabelPrior()
+        )
+        assert preds.abstain_reason[0] == "tie"
 
     def test_scaling_priors_leaves_posterior_unchanged(self):
         # halving both class priors shifts the whole log table by log 0.5

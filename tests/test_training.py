@@ -73,7 +73,7 @@ class TestGradients:
                 return ref.log_objective(rows, 0.7, a, cov, prior.accuracy_prior)
 
             analytic = grad_accuracy(
-                rows, class_prior_table(0.7), acc, cov, prior.accuracy_prior, 1.0
+                rows, class_prior_table(0.7), acc, prior.accuracy_prior, 1.0
             )
             numeric = finite_difference(objective, acc)
             np.testing.assert_allclose(
@@ -111,17 +111,16 @@ class TestGradients:
     def test_all_abstain_row_zero_gradient(self):
         rows = VoteRows.of([[0, 0]])
         uniform = build_uniform_priors(2).accuracy_prior
-        acc, cov = np.array([0.7, 0.6]), np.array([0.5, 0.5])
-        grad = grad_accuracy(rows, class_prior_table(0.5), acc, cov, uniform, 1.0)
+        acc = np.array([0.7, 0.6])
+        grad = grad_accuracy(rows, class_prior_table(0.5), acc, uniform, 1.0)
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_strong_prior_dominates_sign(self):
         rows = VoteRows.of([[1, 1], [-1, -1], [1, -1]])
         prior = build_user_priors([0.7e6, 0.7e6], [0.3e6, 0.3e6]).accuracy_prior
-        cov = np.array([0.9, 0.9])
         table = class_prior_table(0.5)
-        low = grad_accuracy(rows, table, np.array([0.5, 0.5]), cov, prior, 1.0)
-        high = grad_accuracy(rows, table, np.array([0.9, 0.9]), cov, prior, 1.0)
+        low = grad_accuracy(rows, table, np.array([0.5, 0.5]), prior, 1.0)
+        high = grad_accuracy(rows, table, np.array([0.9, 0.9]), prior, 1.0)
         assert (low > 0).all()
         assert (high < 0).all()
 
@@ -242,7 +241,7 @@ class TestFit:
             batches = [ref.batch_rows(rows, order[i : i + batch_size])
                        for i in range(0, 45, batch_size)]
         for batch in batches:
-            grad = grad_accuracy(batch, table, acc, cov, prior.accuracy_prior, batch.n / 45)
+            grad = grad_accuracy(batch, table, acc, prior.accuracy_prior, batch.n / 45)
             acc = np.clip(acc + 0.2 / batch.n * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
         np.testing.assert_allclose(result.params.accuracy, acc, rtol=1e-12)
         val_rows = VoteRows.of(val)
@@ -281,7 +280,7 @@ class TestFullBatchEpoch:
         cov = np.clip(rows.count / n, CLAMP_EPS, 1.0 - CLAMP_EPS)[None]
         plain = VoteRows.of(votes)
         for epoch in range(epochs):
-            grad = grad_accuracy(rows, table, acc, cov, acc_prior, 1.0)
+            grad = grad_accuracy(rows, table, acc, acc_prior, 1.0)
             acc = np.clip(acc + lr / rows.total * grad, CLAMP_EPS, 1.0 - CLAMP_EPS)
             expected = -ref.log_objective(plain, p, acc[0], cov[0], prior.accuracy_prior)
             np.testing.assert_allclose(result.train_loss_history[epoch], expected, rtol=1e-12)
