@@ -234,6 +234,9 @@ def _cmd_gridsearch(args, seed: int, digest: str) -> int:
         max_epochs=args.epochs, batch_size=args.batch, patience=args.patience, seed=seed
     )
     result = grid_search(train, val, grid, args.mode, base)
+    for cell in result.cells:
+        if cell.error is not None:
+            print(f"cell #{cell.index} failed: {cell.error}", file=sys.stderr)
     print(f"best cell #{result.best.index} wins={result.best.wins}: {result.best.settings}")
     if args.out:
         rows = [

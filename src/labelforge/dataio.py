@@ -25,7 +25,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+import dataclasses
 from functools import cached_property
 from pathlib import Path
 
@@ -520,7 +520,7 @@ def write_results_table(path, rows: list[dict]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModelFile:
     """What a model file stores: the fitted params, the prior spec of the fit
     (None for mle), the run's config digest, and the label prior, which
@@ -683,9 +683,6 @@ def load_model(path) -> ModelFile:
     return ModelFile(params, prior, fields["config_digest"], label_prior)
 
 
-_GRID_KEYS = ("strengths", "learning_rates", "alpha_inits", "ps", "force_abstain")
-
-
 def _grid_value_ok(key: str, value) -> bool:
     if key == "force_abstain":
         return isinstance(value, bool)
@@ -707,7 +704,7 @@ def read_grid(path) -> GridSpec:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: grid must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - set(_GRID_KEYS)
+    unknown = set(raw) - {grid_field.name for grid_field in dataclasses.fields(GridSpec)}
     if unknown:
         raise DataError(f"{path}: unknown grid keys {sorted(unknown)}")
     for key, values in raw.items():

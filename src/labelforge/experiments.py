@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import DataError, LabelForgeError
+from .errors import DataError, NumericalError
 from .infer import predict, predict_grouped
 from .metrics import MetricsReport, l2_distance, score
 from .model import Dataset, LabelPrior, VoteRows
@@ -67,9 +67,9 @@ class GridSpec:
     force_abstain: tuple = (True, False)
 
     def __post_init__(self):
-        for name in ("strengths", "learning_rates", "alpha_inits", "ps", "force_abstain"):
-            if len(getattr(self, name)) == 0:
-                raise DataError(f"grid value list {name} must be nonempty")
+        for grid_field in fields(self):
+            if len(getattr(self, grid_field.name)) == 0:
+                raise DataError(f"grid value list {grid_field.name} must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -258,68 +258,61 @@ def grid_search(
     """Fit one model per grid cell and pick the cell winning the most
     validation metrics; ties break on fewer epochs to best, then cell index.
 
-    The priors are built once per strength, and every cell is fitted in one
-    stacked :func:`~labelforge.train.fit_cells` pass; each cell equals a
-    stand-alone :func:`~labelforge.train.fit` up to rounding. The validation
-    split is grouped into vote patterns once, and each cell labels the
-    patterns (:func:`~labelforge.infer.predict_grouped`). A cell whose
-    priors, config or fit fail is recorded with its error, scores zero wins
-    and ranks after every cell that succeeded.
+    Every cell's priors and config are built before anything is fitted, so a
+    grid value that ``train`` would refuse (a strength of 0, an alpha_init
+    outside [0, 1]) raises its DataError for the whole search. The priors are
+    built once per strength, and every cell is fitted in one stacked
+    :func:`~labelforge.train.fit_cells` pass; each cell equals a stand-alone
+    :func:`~labelforge.train.fit` up to rounding. The validation split is
+    grouped into vote patterns once, and each cell labels the patterns
+    (:func:`~labelforge.infer.predict_grouped`). A cell whose fit fails is
+    recorded with its NumericalError, scores zero wins and ranks after every
+    cell that succeeded; if every cell fails, the first error is raised.
     """
     if val.truth is None:
         raise DataError("grid search requires ground truth on the validation split")
     grid = grid or GridSpec()
     base = config or TrainConfig()
+    cells = [
+        GridCellResult(index, settings, None, 0)
+        for index, settings in enumerate(_grid_cells(grid, mode))
+    ]
     # p and force_abstain only set the label prior, so the priors built for
-    # one strength (or the error building them) serve all its cells
+    # one strength serve all its cells
     built: dict = {}
-    cells: list[GridCellResult] = []
-    stacked: list[tuple[GridCellResult, PriorSpec | None, TrainConfig]] = []
-    for index, settings in enumerate(_grid_cells(grid, mode)):
-        cell = GridCellResult(index, settings, None, 0)
-        cells.append(cell)
+    priors: list[PriorSpec | None] = []
+    configs: list[TrainConfig] = []
+    for cell in cells:
+        settings = cell.settings
         strength = settings.get("strength")
         if strength not in built:
-            try:
-                built[strength] = build_mode_priors(
-                    mode, train.votes, train.truth, strength, 0.5, False, base.seed
-                )
-            except LabelForgeError as exc:
-                built[strength] = exc
-        try:
-            cfg = replace(
-                base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
+            built[strength] = build_mode_priors(
+                mode, train.votes, train.truth, strength, 0.5, False, base.seed
             )
-            prior = built[strength]
-            if isinstance(prior, LabelForgeError):
-                raise prior
-            if prior is not None:
-                label_prior = replace(
-                    prior.label_prior, p=settings["p"], force_abstain=settings["force_abstain"]
-                )
-                prior = replace(prior, label_prior=label_prior)
-        except LabelForgeError as exc:
-            cell.error = str(exc)
-            continue
-        stacked.append((cell, prior, cfg))
+        prior = built[strength]
+        if prior is not None:
+            label_prior = replace(
+                prior.label_prior, p=settings["p"], force_abstain=settings["force_abstain"]
+            )
+            prior = replace(prior, label_prior=label_prior)
+        priors.append(prior)
+        configs.append(replace(
+            base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
+        ))
 
-    if stacked:
-        fitted, priors, configs = zip(*stacked)
-        try:
-            results = fit_cells(train.votes, val.votes, priors, configs)
-        except LabelForgeError as exc:
-            results = [exc] * len(stacked)
-        val_grouped = VoteRows.grouped(val.votes)
-        for cell, prior, result in zip(fitted, priors, results):
-            try:
-                if isinstance(result, LabelForgeError):
-                    raise result
-                label_prior = prior.label_prior if prior is not None else LabelPrior()
-                preds = predict_grouped(val_grouped, result.params, label_prior)
-                cell.report = score(preds, val.truth)
-                cell.best_epoch = result.best_epoch
-            except LabelForgeError as exc:
-                cell.error = str(exc)
+    results = fit_cells(train.votes, val.votes, priors, configs)
+    failed = [result for result in results if isinstance(result, NumericalError)]
+    if len(failed) == len(results):
+        raise failed[0]
+    val_grouped = VoteRows.grouped(val.votes)
+    for cell, prior, result in zip(cells, priors, results):
+        if isinstance(result, NumericalError):
+            cell.error = str(result)
+            continue
+        label_prior = prior.label_prior if prior is not None else LabelPrior()
+        preds = predict_grouped(val_grouped, result.params, label_prior)
+        cell.report = score(preds, val.truth)
+        cell.best_epoch = result.best_epoch
 
     for metric in WIN_METRICS:
         values = [
@@ -386,11 +379,11 @@ def low_data_sweep(
 
     Subsets are prefix-nested across sizes within a replicate (see
     :func:`low_data_indices`). Sizes and the replicate count must be at
-    least 1 and each mode one of MODES, or DataError names the bad value
-    before anything is fitted.
-    Sizes larger than the train split are skipped with a warning. Aggregate
-    rows (mean and population standard deviation over replicates, ignoring
-    undefined values) are appended with replicate = 'mean' / 'std'.
+    least 1, each mode one of MODES and some size no larger than the train
+    split, or DataError names the bad value before anything is fitted.
+    Other sizes larger than the train split are skipped with a warning.
+    Aggregate rows (mean and population standard deviation over replicates,
+    ignoring undefined values) are appended with replicate = 'mean' / 'std'.
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
@@ -407,13 +400,16 @@ def low_data_sweep(
     for r in range(replicates):
         sp = replace(split_spec, seed=split_spec.seed + r)
         train, val, test = split(dataset, sp)
+        if r == 0:  # every replicate's train split has the same size
+            too_big = [size for size in sizes if size > train.n]
+            if len(too_big) == len(sizes):
+                raise DataError(f"no low-data size in {sizes} fits the {train.n} training rows")
+            for size in too_big:
+                warnings.warn(
+                    f"skipping low-data size {size}: only {train.n} training rows", stacklevel=2
+                )
         for size in sizes:
             if size > train.n:
-                if r == 0:
-                    warnings.warn(
-                        f"skipping low-data size {size}: only {train.n} training rows",
-                        stacklevel=2,
-                    )
                 continue
             train_idx, val_idx = low_data_indices(
                 train.n, val.n, size, split_spec.val_frac_of_train, base.seed, r

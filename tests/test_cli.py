@@ -287,6 +287,49 @@ class TestExitCodes:
             assert run("gridsearch", "--data", data, "--grid", grid) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, code, refusal", [
+        ({"strengths": [0]}, 2, "data error: strength must be > 0, got 0"),
+        ({"alpha_inits": [2.0]}, 2, "data error: alpha_init must lie in [0, 1], got 2.0"),
+        ({"strengths": [1e303], "learning_rates": [0.01], "alpha_inits": [0.8], "ps": [0.5],
+          "force_abstain": [False]}, 3, "numerical failure: non-finite accuracy gradient"),
+    ], ids=["zero-strength", "alpha-init", "overflowing-strength"])
+    def test_grid_no_cell_can_use_exits_nonzero(self, tmp_path, capsys, values, code, refusal):
+        # each exited 0 with a header-only table and a failed cell as "best"
+        data = make_synth(tmp_path, n=400)
+        grid, out = tmp_path / "grid.json", tmp_path / "cells.csv"
+        grid.write_text(json.dumps(values))
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # the 1e303 prior's gradient overflows
+            assert run("gridsearch", "--data", data, "--grid", grid, "--epochs", "3",
+                       "--out", out) == code
+        assert refusal in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gridsearch_names_failed_cells(self, tmp_path, monkeypatch, capsys):
+        import labelforge.experiments
+        from labelforge import NumericalError
+
+        real_fit_cells = labelforge.experiments.fit_cells
+
+        def second_cell_fails(votes, val_votes, priors, configs):
+            results = real_fit_cells(votes, val_votes, priors, configs)
+            return [results[0], NumericalError("synthetic blow-up"), *results[2:]]
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", second_cell_fails)
+        data = make_synth(tmp_path, n=300)
+        grid, out = tmp_path / "grid.json", tmp_path / "cells.csv"
+        grid.write_text(json.dumps({"strengths": [10.0], "learning_rates": [0.05],
+                                    "alpha_inits": [0.9, 0.8, 0.7], "ps": [0.5],
+                                    "force_abstain": [False]}))
+        capsys.readouterr()
+        assert run("gridsearch", "--data", data, "--grid", grid, "--epochs", "2",
+                   "--out", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "cell #1 failed: synthetic blow-up\n"
+        assert "cell #1" not in captured.out
+        cells = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
+        assert cells == {"0", "2"}
+
     def test_non_finite_learning_rate_is_data_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
         model = tmp_path / "m.txt"
@@ -374,6 +417,11 @@ class TestExitCodes:
             tmp_path, monkeypatch, capsys, "--sizes", "50", "--replicates", "-2"
         )
         assert "at least 1 replicate, got -2" in err
+
+    def test_lowdata_no_size_that_fits_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # exited 0 with a header-only table
+        err = self.lowdata_refused(tmp_path, monkeypatch, capsys, "--sizes", "100000,500")
+        assert "no low-data size in [100000, 500] fits the 288 training rows" in err
 
     def test_lowdata_empty_sizes_is_data_error(self, tmp_path, monkeypatch, capsys):
         err = self.lowdata_refused(tmp_path, monkeypatch, capsys, "--sizes", ",")

@@ -159,29 +159,52 @@ class TestGridSearch:
         result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
         assert sorted(c.settings["p"] for c in result.cells) == [0.5, 0.8]
 
-    def test_zero_strength_cell_records_error(self):
+    def test_zero_strength_cell_records_error(self, monkeypatch):
+        # a strength that train refuses fails the whole search before any fit
+        def no_fit_cells(*args):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit_cells)
         ds = toy_dataset(120)
         train, val, _ = split(ds, SplitSpec(seed=2))
-        grid = GridSpec(strengths=(0.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
+        grid = GridSpec(strengths=(10.0, 0.0), learning_rates=(0.05,), alpha_inits=(0.9,),
                         ps=(0.5,), force_abstain=(False,))
-        result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
-        zero, ten = result.cells
-        assert zero.report is None and "strength" in zero.error
-        assert ten.error is None and result.best is ten
+        with pytest.raises(DataError, match="strength must be > 0, got 0.0"):
+            grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
 
-    def test_failed_cell_never_best(self):
+    def test_failed_cell_never_best(self, monkeypatch):
         # an all-abstain validation matrix scores no metric, so no cell wins
         # one; the failed cell's best_epoch of 0 must not rank it first
+        real_fit_cells = labelforge.experiments.fit_cells
+
+        def first_cell_fails(votes, val_votes, priors, configs):
+            results = real_fit_cells(votes, val_votes, priors, configs)
+            return [NumericalError("synthetic failure"), *results[1:]]
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", first_cell_fails)
         ds = toy_dataset(120)
         train, _, _ = split(ds, SplitSpec(seed=2))
         val = Dataset(np.zeros((10, 4), dtype=np.int8), np.ones(10, dtype=np.int8))
-        grid = GridSpec(strengths=(0.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
+        grid = GridSpec(strengths=(1.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
                         ps=(0.5,), force_abstain=(True,))
         result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
-        zero, ten = result.cells
-        assert zero.error is not None and ten.error is None
-        assert zero.wins == ten.wins == 0
+        failed, ten = result.cells
+        assert failed.error == "synthetic failure" and failed.report is None
+        assert ten.error is None and ten.best_epoch > 0
+        assert failed.wins == ten.wins == 0
         assert result.best is ten
+
+    def test_every_cell_failing_raises_the_first_error(self, monkeypatch):
+        def all_fail(votes, val_votes, priors, configs):
+            return [NumericalError(f"cell {i} blew up") for i in range(len(configs))]
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", all_fail)
+        ds = toy_dataset(120)
+        train, val, _ = split(ds, SplitSpec(seed=2))
+        grid = GridSpec(strengths=(10.0,), learning_rates=(0.05,), alpha_inits=(0.9, 0.8),
+                        ps=(0.5,), force_abstain=(False,))
+        with pytest.raises(NumericalError, match="^cell 0 blew up$"):
+            grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
 
     def test_default_map_grid_size(self):
         assert min(GridSpec().ps) == 0.5
