@@ -322,7 +322,6 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
         dataset,
         strength=args.strength,
         p=args.p,
-        force_abstain=args.force_abstain,
         split_spec=SplitSpec(seed=seed),
         config=_train_config(args, seed),
     )
@@ -338,18 +337,19 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
 
 
 def _add_train_flags(sub, with_init: bool = True) -> None:
-    sub.add_argument("--lr", type=float, default=0.01)
     sub.add_argument("--epochs", type=int, default=100)
     sub.add_argument("--batch", type=int, default=None)
     sub.add_argument("--patience", type=int, default=5)
     if with_init:
+        sub.add_argument("--lr", type=float, default=0.01)
         sub.add_argument("--alpha-init", type=float, default=1.0)
 
 
-def _add_prior_flags(sub) -> None:
+def _add_prior_flags(sub, with_abstain: bool = True) -> None:
     sub.add_argument("--strength", type=float, default=10.0)
     sub.add_argument("--p", type=float, default=0.5)
-    sub.add_argument("--force-abstain", action="store_true")
+    if with_abstain:
+        sub.add_argument("--force-abstain", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--mode", choices=MODES, default="map-mv")
     gs.add_argument("--seed", type=int, default=None)
     gs.add_argument("--out", default=None)
-    _add_train_flags(gs, with_init=False)
+    _add_train_flags(gs, with_init=False)  # the grid sets --lr and --alpha-init
     gs.set_defaults(func=_cmd_gridsearch)
 
     ld = sub.add_parser("lowdata", help="training-set-size sweep")
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--truth-col", default="y")
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out", default=None)
-    _add_prior_flags(ps)
+    _add_prior_flags(ps, with_abstain=False)
     _add_train_flags(ps)
     ps.set_defaults(func=_cmd_priors_study)
 

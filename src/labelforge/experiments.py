@@ -3,12 +3,13 @@ sweeps, prior-quality comparison, and the synthetic-data generator that
 serves as the model's sampling oracle.
 
 Every protocol is a pure function of (data, spec, seeds); reruns produce
-identical tables. Grid search builds the priors once per strength and fits
-all its cells in one stacked training pass (:func:`~labelforge.train.fit_cells`),
-since every cell shares the seeded minibatch order; each cell's result
-equals a stand-alone fit up to rounding. Sweep results are returned as flat rows with keys
-(experiment, mode, size, replicate, metric, value) so they can be written
-straight to the results-table format.
+identical tables. Each protocol fits the models of one split as the cells
+of one stacked training pass (:func:`~labelforge.train.fit_cells`), since
+they share the seeded minibatch order: one cell per mode in the sweeps,
+one per distinct setting in grid search. Each cell's result equals a
+stand-alone fit up to rounding. Sweep results are returned as flat rows
+with keys (experiment, mode, size, replicate, metric, value) so they can
+be written straight to the results-table format.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .infer import predict, predict_grouped
+from .infer import predict_grouped
 from .metrics import MetricsReport, l2_distance, score
 from .model import Dataset, LabelPrior, VoteRows
 from .priors import (
@@ -31,7 +32,7 @@ from .priors import (
     build_random_priors,
     reference_accuracies,
 )
-from .train import FitResult, TrainConfig, fit, fit_cells
+from .train import FitResult, TrainConfig, fit_cells
 
 MODES = ("mle", "map-mv", "map-emp", "map-rand")
 
@@ -183,30 +184,26 @@ def build_mode_priors(
     raise DataError(f"unknown mode {mode!r}")
 
 
-def _check_modes(modes) -> None:
-    """DataError naming the first of ``modes`` that is not one of MODES."""
-    unknown = [mode for mode in modes if mode not in MODES]
-    if unknown:
-        raise DataError(f"unknown mode {unknown[0]!r}")
+def _fit_modes(
+    train: Dataset, val_votes, modes, strength, p, force_abstain, config: TrainConfig
+) -> tuple[list[PriorSpec | None], list[FitResult]]:
+    """Every mode's prior (so an unknown mode raises before any fit), then one
+    stacked fit of all modes under ``config``; a failed cell's error is raised."""
+    priors = [
+        build_mode_priors(mode, train.votes, train.truth, strength, p, force_abstain, config.seed)
+        for mode in modes
+    ]
+    results = fit_cells(train.votes, val_votes, priors, [config] * len(priors))
+    for result in results:
+        if isinstance(result, NumericalError):
+            raise result
+    return priors, results
 
 
-def _fit_and_score(
-    train: Dataset,
-    val_votes: np.ndarray | None,
-    test: Dataset,
-    mode: str,
-    strength: float,
-    p: float,
-    force_abstain: bool,
-    config: TrainConfig,
-) -> tuple[FitResult, MetricsReport]:
-    prior = build_mode_priors(
-        mode, train.votes, train.truth, strength, p, force_abstain, config.seed
-    )
-    result = fit(train.votes, val_votes, prior, config)
+def _score_labels(grouped, truth, prior: PriorSpec | None, result: FitResult) -> MetricsReport:
+    """Score a fit's labels of a grouped matrix under its prior's label prior."""
     label_prior = prior.label_prior if prior is not None else LabelPrior()
-    preds = predict(test.votes, result.params, label_prior)
-    return result, score(preds, test.truth)
+    return score(predict_grouped(grouped, result.params, label_prior), truth)
 
 
 @dataclass
@@ -255,19 +252,20 @@ def grid_search(
     mode: str = "map-mv",
     config: TrainConfig | None = None,
 ) -> GridSearchResult:
-    """Fit one model per grid cell and pick the cell winning the most
-    validation metrics; ties break on fewer epochs to best, then cell index.
+    """Fit each distinct model of the grid once and pick the cell winning the
+    most validation metrics; ties break on fewer epochs to best, then index.
 
     Every cell's priors and config are built before anything is fitted, so a
     grid value that ``train`` would refuse (a strength of 0, an alpha_init
     outside [0, 1]) raises its DataError for the whole search. The priors are
-    built once per strength, and every cell is fitted in one stacked
-    :func:`~labelforge.train.fit_cells` pass; each cell equals a stand-alone
-    :func:`~labelforge.train.fit` up to rounding. The validation split is
-    grouped into vote patterns once, and each cell labels the patterns
-    (:func:`~labelforge.infer.predict_grouped`). A cell whose fit fails is
-    recorded with its NumericalError, scores zero wins and ranks after every
-    cell that succeeded; if every cell fails, the first error is raised.
+    built once per strength. Cells that differ only in ``force_abstain``
+    share a fit, and every fit runs in one stacked
+    :func:`~labelforge.train.fit_cells` pass, equal to a stand-alone
+    :func:`~labelforge.train.fit` up to rounding. Each cell labels the
+    validation split, grouped into vote patterns once, with its own label
+    prior. A cell whose fit fails is recorded with its NumericalError,
+    scores zero wins and ranks after every cell that succeeded; if every
+    fit fails, the first error is raised.
     """
     if val.truth is None:
         raise DataError("grid search requires ground truth on the validation split")
@@ -300,18 +298,19 @@ def grid_search(
             base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
         ))
 
-    results = fit_cells(train.votes, val.votes, priors, configs)
+    # force_abstain, the grid's innermost axis, only labels: neighbours share a fit
+    per_fit = 1 if mode == "mle" else len(grid.force_abstain)
+    results = fit_cells(train.votes, val.votes, priors[::per_fit], configs[::per_fit])
     failed = [result for result in results if isinstance(result, NumericalError)]
     if len(failed) == len(results):
         raise failed[0]
     val_grouped = VoteRows.grouped(val.votes)
-    for cell, prior, result in zip(cells, priors, results):
+    for cell, prior in zip(cells, priors):
+        result = results[cell.index // per_fit]
         if isinstance(result, NumericalError):
             cell.error = str(result)
             continue
-        label_prior = prior.label_prior if prior is not None else LabelPrior()
-        preds = predict_grouped(val_grouped, result.params, label_prior)
-        cell.report = score(preds, val.truth)
+        cell.report = _score_labels(val_grouped, val.truth, prior, result)
         cell.best_epoch = result.best_epoch
 
     for metric in WIN_METRICS:
@@ -374,8 +373,8 @@ def low_data_sweep(
     force_abstain: bool = False,
 ) -> list[dict]:
     """Training-set-size sweep: per replicate, re-split the dataset, subsample
-    train and validation, rebuild priors from the subset, fit, and score on
-    that replicate's full test split.
+    train and validation, rebuild priors from the subset, fit all modes in
+    one stacked pass, and score on that replicate's full test split.
 
     Subsets are prefix-nested across sizes within a replicate (see
     :func:`low_data_indices`). Sizes and the replicate count must be at
@@ -387,7 +386,6 @@ def low_data_sweep(
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
-    _check_modes(modes)
     sizes = list(sizes)
     if replicates < 1:
         raise DataError(f"low-data sweep needs at least 1 replicate, got {replicates}")
@@ -408,6 +406,7 @@ def low_data_sweep(
                 warnings.warn(
                     f"skipping low-data size {size}: only {train.n} training rows", stacklevel=2
                 )
+        test_grouped = VoteRows.grouped(test.votes)
         for size in sizes:
             if size > train.n:
                 continue
@@ -415,12 +414,12 @@ def low_data_sweep(
                 train.n, val.n, size, split_spec.val_frac_of_train, base.seed, r
             )
             sub_train = train.subset(train_idx)
-            sub_val = val.subset(val_idx)
             cfg = replace(base, seed=base.seed + r)
-            for mode in modes:
-                _, report = _fit_and_score(
-                    sub_train, sub_val.votes, test, mode, strength, p, force_abstain, cfg
-                )
+            priors, results = _fit_modes(
+                sub_train, val.votes[val_idx], modes, strength, p, force_abstain, cfg
+            )
+            for mode, prior, result in zip(modes, priors, results):
+                report = _score_labels(test_grouped, test.truth, prior, result)
                 rows.extend(metric_rows("lowdata", mode, size, str(r), report.as_dict()))
     rows.extend(_aggregate_rows(rows))
     return rows
@@ -462,22 +461,24 @@ def stability_sweep(
     force_abstain: bool = False,
 ) -> list[dict]:
     """Test metrics after training to each fixed epoch budget (no early
-    stopping: the model is fit without a validation split and the final
-    parameters are used). Budget 0 scores the initialized model; a negative
-    one, or a mode not in MODES, raises DataError before anything is fitted."""
+    stopping: the models are fit without a validation split, all modes in one
+    stacked pass per budget, and the final parameters are used). Budget 0
+    scores the initialized model; a negative one, or a mode not in MODES,
+    raises DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
-    _check_modes(modes)
     budgets = list(epoch_grid)
     for budget in budgets:
         if budget < 0:
             raise DataError(f"epoch budget must be >= 0, got {budget}")
     base = config or TrainConfig()
+    test_grouped = VoteRows.grouped(test.votes)
     rows: list[dict] = []
     for budget in budgets:
         cfg = replace(base, max_epochs=int(budget))
-        for mode in modes:
-            _, report = _fit_and_score(train, None, test, mode, strength, p, force_abstain, cfg)
+        priors, results = _fit_modes(train, None, modes, strength, p, force_abstain, cfg)
+        for mode, prior, result in zip(modes, priors, results):
+            report = _score_labels(test_grouped, test.truth, prior, result)
             rows.extend(metric_rows("stability", mode, int(budget), "0", report.as_dict()))
     return rows
 
@@ -486,13 +487,12 @@ def prior_quality_study(
     dataset: Dataset,
     strength: float = 100.0,
     p: float = 0.5,
-    force_abstain: bool = False,
     split_spec: SplitSpec | None = None,
     config: TrainConfig | None = None,
     modes=("map-mv", "map-rand", "map-emp", "mle"),
 ) -> dict[str, dict[str, float | None]]:
     """Distance of prior means and fitted accuracies from the empirical LF
-    accuracies, per training mode.
+    accuracies, per training mode, all modes fitted in one stacked pass.
 
     ``prior_l2`` compares the requested prior means (before boundary
     shrinkage) against the empirical accuracies, so the empirical-prior
@@ -500,17 +500,13 @@ def prior_quality_study(
     """
     if dataset.truth is None:
         raise DataError("prior-quality study requires ground-truth labels")
-    _check_modes(modes)
     split_spec = split_spec or SplitSpec()
     config = config or TrainConfig()
     train, val, _ = split(dataset, split_spec)
     alpha_star = reference_accuracies(train.votes, train.truth)
+    priors, results = _fit_modes(train, val.votes, modes, strength, p, False, config)
     out: dict[str, dict[str, float | None]] = {}
-    for mode in modes:
-        prior = build_mode_priors(
-            mode, train.votes, train.truth, strength, p, force_abstain, config.seed
-        )
-        result = fit(train.votes, val.votes, prior, config)
+    for mode, prior, result in zip(modes, priors, results):
         prior_l2 = None
         if prior is not None and prior.means is not None:
             prior_l2 = l2_distance(alpha_star, prior.means)

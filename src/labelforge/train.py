@@ -289,56 +289,58 @@ def fit_cells(
             errors[cell] = NumericalError(f"{what} at epoch {epoch}")
         running[cells] = False
 
-    for epoch in range(1, config.max_epochs + 1):
-        if not running.any():
-            break
-        if full_batch:
-            batches = (patterns,)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
-            order = rng.permutation(n)
-            size = config.batch_size
-            batches = (
-                VoteRows(votes[idx].astype(np.float64), np.ones(idx.size), anchors[idx])
-                for idx in (order[start : start + size] for start in range(0, n, size))
-            )
-        for batch in batches:
-            weight = batch.total / n
-            step = lr / batch.total
-            # A stopped or failed cell is still stepped (a NaN stays in its
-            # own row) but no longer recorded.
-            g_acc = grad_accuracy(batch, prior_table, acc, acc_prior, weight, train_dh)
-            bad = running & ~np.isfinite(g_acc).all(axis=1)
-            acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
-            if bad.any():
-                fail(bad, "non-finite accuracy gradient (parameter at a boundary?)")
+    # non-finite gradients and objectives become NumericalErrors, not warnings
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            if not running.any():
+                break
+            if full_batch:
+                batches = (patterns,)
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
+                order = rng.permutation(n)
+                size = config.batch_size
+                batches = (
+                    VoteRows(votes[idx].astype(np.float64), np.ones(idx.size), anchors[idx])
+                    for idx in (order[start : start + size] for start in range(0, n, size))
+                )
+            for batch in batches:
+                weight = batch.total / n
+                step = lr / batch.total
+                # A stopped or failed cell is still stepped (a NaN stays in its
+                # own row) but no longer recorded.
+                g_acc = grad_accuracy(batch, prior_table, acc, acc_prior, weight, train_dh)
+                bad = running & ~np.isfinite(g_acc).all(axis=1)
+                acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
+                if bad.any():
+                    fail(bad, "non-finite accuracy gradient (parameter at a boundary?)")
 
-        if full_batch:
-            train_dh = half_log_ratios(patterns, acc)
-        losses = [
-            -(log_objectives(rows, prior_table, acc, acc_prior, dh) + cov_term)
-            for rows, cov_term, dh in zip(scored, cov_terms, (train_dh, None))
-        ]
-        finite = np.isfinite(losses).all(axis=0)
-        if (running & ~finite).any():
-            fail(running & ~finite, "non-finite objective")
-        live = np.flatnonzero(running)
-        for cell in live:
-            train_hist[cell].append(float(losses[0][cell]))
-        if len(scored) == 1:
-            improved = running
-        else:
-            val_loss = losses[1]
+            if full_batch:
+                train_dh = half_log_ratios(patterns, acc)
+            losses = [
+                -(log_objectives(rows, prior_table, acc, acc_prior, dh) + cov_term)
+                for rows, cov_term, dh in zip(scored, cov_terms, (train_dh, None))
+            ]
+            finite = np.isfinite(losses).all(axis=0)
+            if (running & ~finite).any():
+                fail(running & ~finite, "non-finite objective")
+            live = np.flatnonzero(running)
             for cell in live:
-                val_hist[cell].append(float(val_loss[cell]))
-            improved = running & (val_loss < best_val)
-            best_val[improved] = val_loss[improved]
-            worse = running & ~improved
-            bad_epochs[improved] = 0
-            bad_epochs[worse] += 1
-            running[worse & (bad_epochs >= stop_after)] = False
-        best_acc[improved] = acc[improved]
-        best_epoch[improved] = epoch
+                train_hist[cell].append(float(losses[0][cell]))
+            if len(scored) == 1:
+                improved = running
+            else:
+                val_loss = losses[1]
+                for cell in live:
+                    val_hist[cell].append(float(val_loss[cell]))
+                improved = running & (val_loss < best_val)
+                best_val[improved] = val_loss[improved]
+                worse = running & ~improved
+                bad_epochs[improved] = 0
+                bad_epochs[worse] += 1
+                running[worse & (bad_epochs >= stop_after)] = False
+            best_acc[improved] = acc[improved]
+            best_epoch[improved] = epoch
 
     return [
         errors[cell]

@@ -1,6 +1,7 @@
 """End-to-end CLI workflows, exit codes, and run-to-run determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1
+
+    @pytest.mark.parametrize("flags", [("gridsearch", "--lr", "0.5"),
+                                       ("priors-study", "--force-abstain")],
+                             ids=["gridsearch-lr", "priors-study-force-abstain"])
+    def test_removed_dead_flag_is_usage_error(self, tmp_path, capsys, flags):
+        # each was accepted and changed no output: a grid sets each cell's
+        # learning rate, and labelling moves neither distance of the study
+        data = make_synth(tmp_path, n=120)
+        assert run(*flags, "--data", data, "--epochs", "1") == 1
+        assert f"unrecognized arguments: {' '.join(flags[1:])}" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("predict", "--model", tmp_path / "no.txt",
@@ -397,7 +408,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a cell was fitted")
 
-        monkeypatch.setattr(labelforge.experiments, "_fit_and_score", no_fit)
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit)
         data = make_synth(tmp_path, n=400)
         out = tmp_path / "low.csv"
         assert run("lowdata", "--data", data, *flags, "--out", out) == 2
@@ -440,7 +451,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted")
 
-        monkeypatch.setattr(labelforge.experiments, "fit", no_fit)
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit)
         data = make_synth(tmp_path, n=400)
         out = tmp_path / "st.csv"
         assert run("stability", "--data", data, "--epoch-grid", "3,-1", "--out", out) == 2
@@ -449,6 +460,17 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    def test_overflowing_prior_prints_only_the_failure(self, tmp_path, capsys):
+        # numpy's overflow RuntimeWarning reached stderr ahead of the message
+        data = make_synth(tmp_path, n=400)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("train", "--data", data, "--strength", "1e303", "--alpha-init", "0.8",
+                       "--out", tmp_path / "m.txt") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import labelforge.cli

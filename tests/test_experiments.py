@@ -1,6 +1,8 @@
 """Experiment protocols: splits, the synthetic generator as sampling oracle,
 grid search selection, and the sweep harnesses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,19 @@ def toy_dataset(n=300, seed=0):
     return generate_synthetic(
         SyntheticSpec(m=4, n=n, accuracy=(0.9, 0.8, 0.7, 0.6), coverage=0.6, seed=seed)
     )
+
+
+def count_fit_cells(monkeypatch) -> list[int]:
+    """Wrap experiments.fit_cells; the returned list gets each call's cell count."""
+    calls = []
+    real_fit_cells = labelforge.experiments.fit_cells
+
+    def counting(votes, val_votes, priors, configs):
+        calls.append(len(configs))
+        return real_fit_cells(votes, val_votes, priors, configs)
+
+    monkeypatch.setattr(labelforge.experiments, "fit_cells", counting)
+    return calls
 
 
 class TestSplit:
@@ -206,6 +221,27 @@ class TestGridSearch:
         with pytest.raises(NumericalError, match="^cell 0 blew up$"):
             grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
 
+    @pytest.mark.parametrize("grid, fits", [
+        # the benchmark's grid-minibatch grid, fitted at batch 64
+        (GridSpec(strengths=(10.0, 100.0), learning_rates=(0.01,), alpha_inits=(0.8, 1.0),
+                  ps=(0.5, 0.7, 0.9)), 12),
+        (GridSpec(), 72),
+    ], ids=["grid-minibatch", "default"])
+    def test_force_abstain_cells_share_a_fit(self, monkeypatch, grid, fits):
+        ds = toy_dataset(300)
+        train, val, _ = split(ds, SplitSpec(seed=2))
+        config = TrainConfig(max_epochs=2, batch_size=64, seed=1)
+        calls = count_fit_cells(monkeypatch)
+        result = grid_search(train, val, grid, "map-mv", config)
+        assert calls == [fits] and len(result.cells) == 2 * fits
+        for force in grid.force_abstain:
+            alone = grid_search(train, val, replace(grid, force_abstain=(force,)), "map-mv",
+                                config)
+            cells = [cell for cell in result.cells if cell.settings["force_abstain"] == force]
+            assert [(c.settings, c.report, c.best_epoch) for c in cells] == [
+                (c.settings, c.report, c.best_epoch) for c in alone.cells
+            ]
+
     def test_default_map_grid_size(self):
         assert min(GridSpec().ps) == 0.5
         assert len(_grid_cells(GridSpec(), "map-mv")) == 144
@@ -232,22 +268,28 @@ class TestGridSearch:
 
 
 class TestLowDataSweep:
-    def test_full_size_single_replicate_matches_plain_run(self):
+    @pytest.mark.parametrize("modes", [("mle",), ("map-mv", "mle", "map-emp")],
+                             ids=["mle", "three-modes"])
+    def test_full_size_single_replicate_matches_plain_run(self, modes):
         ds = toy_dataset(200)
         spec = SplitSpec(seed=3)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=8, seed=7)
         train, val, test = split(ds, SplitSpec(seed=spec.seed + 0))
-        rows = low_data_sweep(ds, [train.n], 1, modes=("mle",), split_spec=spec, config=cfg)
+        rows = low_data_sweep(ds, [train.n], 1, modes=modes, split_spec=spec, config=cfg)
         agg = collect_aggregates(rows)
 
         train_idx, val_idx = low_data_indices(train.n, val.n, train.n, 0.1, cfg.seed, 0)
         sub_train, sub_val = train.subset(train_idx), val.subset(val_idx)
-        prior = build_mode_priors("mle", sub_train.votes, sub_train.truth, 10.0, 0.5, False, cfg.seed)
         from labelforge import fit
-        result = fit(sub_train.votes, sub_val.votes, prior, cfg)
-        report = score(predict(test.votes, result.params, LabelPrior()), test.truth)
-        assert agg[("mle", train.n, "f1", "mean")] == report.f1
-        assert agg[("mle", train.n, "f1", "std")] == 0.0
+        for mode in modes:
+            prior = build_mode_priors(
+                mode, sub_train.votes, sub_train.truth, 10.0, 0.5, False, cfg.seed
+            )
+            result = fit(sub_train.votes, sub_val.votes, prior, cfg)
+            label_prior = LabelPrior() if prior is None else prior.label_prior
+            report = score(predict(test.votes, result.params, label_prior), test.truth)
+            assert agg[(mode, train.n, "f1", "mean")] == pytest.approx(report.f1, rel=1e-12)
+            assert agg[(mode, train.n, "f1", "std")] == 0.0
 
     def test_reproducible(self):
         ds = toy_dataset(200)
@@ -330,9 +372,29 @@ def test_sweeps_reject_unknown_mode_before_fitting(sweep, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a model was fitted")
 
-    monkeypatch.setattr(labelforge.experiments, "fit", no_fit)
+    monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit)
     with pytest.raises(DataError, match="unknown mode 'bogus'"):
         sweep(toy_dataset(200), ("map-mv", "bogus"))
+
+
+THREE_MODES = ("map-mv", "mle", "map-emp")
+
+
+@pytest.mark.parametrize(
+    "sweep, cells",
+    [
+        (lambda ds, cfg: low_data_sweep(ds, [20, 50], 2, modes=THREE_MODES, config=cfg),
+         [3, 3, 3, 3]),
+        (lambda ds, cfg: stability_sweep(*split(ds)[::2], [0, 2, 4], modes=THREE_MODES,
+                                         config=cfg), [3, 3, 3]),
+        (lambda ds, cfg: prior_quality_study(ds, config=cfg), [4]),
+    ],
+    ids=["lowdata", "stability", "study"],
+)
+def test_sweeps_fit_all_modes_in_one_call_per_split(sweep, cells, monkeypatch):
+    calls = count_fit_cells(monkeypatch)
+    sweep(toy_dataset(200), TrainConfig(max_epochs=2, seed=1))
+    assert calls == cells
 
 
 class TestPriorQualityStudy:
