@@ -132,7 +132,6 @@ def _train_config(args, seed: int) -> TrainConfig:
         patience=args.patience,
         alpha_init=args.alpha_init,
         seed=seed,
-        learn_beta=getattr(args, "learn_beta", False),
     )
 
 
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--mode", choices=(*MODES, "map-user"), default="map-mv")
     train.add_argument("--prior-u", default=None, help="comma list for map-user")
     train.add_argument("--prior-v", default=None, help="comma list for map-user")
-    train.add_argument("--learn-beta", action="store_true")
     train.add_argument("--seed", type=int, default=None)
     train.add_argument("--out", required=True)
     _add_prior_flags(train)

@@ -184,20 +184,27 @@ def build_mode_priors(
     raise DataError(f"unknown mode {mode!r}")
 
 
-def _fit_modes(
-    train: Dataset, val_votes, modes, strength, p, force_abstain, config: TrainConfig
-) -> tuple[list[PriorSpec | None], list[FitResult]]:
-    """Every mode's prior (so an unknown mode raises before any fit), then one
-    stacked fit of all modes under ``config``; a failed cell's error is raised."""
-    priors = [
-        build_mode_priors(mode, train.votes, train.truth, strength, p, force_abstain, config.seed)
+def _mode_priors(
+    train: Dataset, modes, strength, p, force_abstain, seed: int
+) -> list[PriorSpec | None]:
+    """Every mode's prior, built before any fit: an empty or repeated mode
+    list, or a mode not in MODES, raises DataError."""
+    if not modes or len(set(modes)) < len(modes):
+        raise DataError(f"modes must be nonempty and distinct, got {list(modes)}")
+    return [
+        build_mode_priors(mode, train.votes, train.truth, strength, p, force_abstain, seed)
         for mode in modes
     ]
-    results = fit_cells(train.votes, val_votes, priors, [config] * len(priors))
+
+
+def _fit_modes(train_votes, val_votes, priors, config: TrainConfig) -> list[FitResult]:
+    """One stacked fit of every mode's prior under ``config``; a failed
+    cell's error is raised."""
+    results = fit_cells(train_votes, val_votes, priors, [config] * len(priors))
     for result in results:
         if isinstance(result, NumericalError):
             raise result
-    return priors, results
+    return results
 
 
 def _score_labels(grouped, truth, prior: PriorSpec | None, result: FitResult) -> MetricsReport:
@@ -378,11 +385,12 @@ def low_data_sweep(
 
     Subsets are prefix-nested across sizes within a replicate (see
     :func:`low_data_indices`). Sizes and the replicate count must be at
-    least 1, each mode one of MODES and some size no larger than the train
-    split, or DataError names the bad value before anything is fitted.
-    Other sizes larger than the train split are skipped with a warning.
-    Aggregate rows (mean and population standard deviation over replicates,
-    ignoring undefined values) are appended with replicate = 'mean' / 'std'.
+    least 1, the modes distinct members of MODES and some size no larger
+    than the train split, or DataError names the bad value before anything
+    is fitted. Other sizes larger than the train split are skipped with a
+    warning. Aggregate rows (mean and population standard deviation over
+    replicates, ignoring undefined values) are appended with replicate =
+    'mean' / 'std'.
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
@@ -415,9 +423,8 @@ def low_data_sweep(
             )
             sub_train = train.subset(train_idx)
             cfg = replace(base, seed=base.seed + r)
-            priors, results = _fit_modes(
-                sub_train, val.votes[val_idx], modes, strength, p, force_abstain, cfg
-            )
+            priors = _mode_priors(sub_train, modes, strength, p, force_abstain, cfg.seed)
+            results = _fit_modes(sub_train.votes, val.votes[val_idx], priors, cfg)
             for mode, prior, result in zip(modes, priors, results):
                 report = _score_labels(test_grouped, test.truth, prior, result)
                 rows.extend(metric_rows("lowdata", mode, size, str(r), report.as_dict()))
@@ -462,9 +469,10 @@ def stability_sweep(
 ) -> list[dict]:
     """Test metrics after training to each fixed epoch budget (no early
     stopping: the models are fit without a validation split, all modes in one
-    stacked pass per budget, and the final parameters are used). Budget 0
-    scores the initialized model; a negative one, or a mode not in MODES,
-    raises DataError before anything is fitted."""
+    stacked pass per budget, and the final parameters are used). The priors
+    are built once, as no budget changes them. Budget 0 scores the
+    initialized model; a negative one, or a bad mode list (see
+    :func:`_mode_priors`), raises DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
     budgets = list(epoch_grid)
@@ -472,11 +480,11 @@ def stability_sweep(
         if budget < 0:
             raise DataError(f"epoch budget must be >= 0, got {budget}")
     base = config or TrainConfig()
+    priors = _mode_priors(train, modes, strength, p, force_abstain, base.seed)
     test_grouped = VoteRows.grouped(test.votes)
     rows: list[dict] = []
     for budget in budgets:
-        cfg = replace(base, max_epochs=int(budget))
-        priors, results = _fit_modes(train, None, modes, strength, p, force_abstain, cfg)
+        results = _fit_modes(train.votes, None, priors, replace(base, max_epochs=int(budget)))
         for mode, prior, result in zip(modes, priors, results):
             report = _score_labels(test_grouped, test.truth, prior, result)
             rows.extend(metric_rows("stability", mode, int(budget), "0", report.as_dict()))
@@ -504,7 +512,8 @@ def prior_quality_study(
     config = config or TrainConfig()
     train, val, _ = split(dataset, split_spec)
     alpha_star = reference_accuracies(train.votes, train.truth)
-    priors, results = _fit_modes(train, val.votes, modes, strength, p, False, config)
+    priors = _mode_priors(train, modes, strength, p, False, config.seed)
+    results = _fit_modes(train.votes, val.votes, priors, config)
     out: dict[str, dict[str, float | None]] = {}
     for mode, prior, result in zip(modes, priors, results):
         prior_l2 = None

@@ -5,9 +5,8 @@ an LF abstains with probability 1 - coverage, votes the true label with
 probability accuracy * coverage, and votes the wrong label with
 probability (1 - accuracy) * coverage. The true label of each row is a
 latent Bernoulli variable, so the row marginal sums the class-conditional
-joints over both labels. Beta priors over per-LF accuracies (and
-optionally coverages) turn the log objective from plain likelihood into
-a regularized one.
+joints over both labels. Beta priors over per-LF accuracies turn the log
+objective from plain likelihood into a regularized one.
 
 Every probability is computed in the log domain. An entry's probability
 is a coverage factor (the LF votes, with probability b) times, for a vote,
@@ -364,21 +363,16 @@ def _kernel(accuracy: np.ndarray):
     return 0.5 * (logf[2] - logf[0]), 0.5 * (logf[2] + logf[0]), zero
 
 
-def coverage_objectives(
-    rows: VoteRows, coverage: np.ndarray, coverage_prior: BetaPrior | None = None
-) -> np.ndarray:
+def coverage_objectives(rows: VoteRows, coverage: np.ndarray) -> np.ndarray:
     """The coverage half of the log objective, which :func:`log_objectives`
     leaves out as it is the same under both labels: ``count @ log b +
-    (total - count) @ log(1 - b)``, plus the coverage prior's log density
-    where given, shaped as :func:`log_objectives`. A coverage of exactly 0
-    or 1 adds 0 where the rows agree with it and -inf where they do not."""
+    (total - count) @ log(1 - b)``, shaped as :func:`log_objectives`. A
+    coverage of exactly 0 or 1 adds 0 where the rows agree with it and -inf
+    where they do not."""
     with np.errstate(divide="ignore"):
         log_b = np.where(rows.count > 0, np.log(coverage), 0.0)
         log_not_b = np.where(rows.count < rows.total, np.log1p(-coverage), 0.0)
-    total = log_b @ rows.count + log_not_b @ (rows.total - rows.count)
-    if coverage_prior is not None:
-        total = total + coverage_prior.log_density(coverage).sum(axis=-1)
-    return total
+    return log_b @ rows.count + log_not_b @ (rows.total - rows.count)
 
 
 def _impossible(votes: np.ndarray, zero: np.ndarray) -> np.ndarray:

@@ -2,19 +2,18 @@
 
 Accuracies are learned. Coverage cancels out of each row's log-likelihood
 ratio, so neither the labels nor the accuracy gradient read it. It is set
-once, before the loop, in closed form: the train rows' per-column coverage
-rate, or with ``learn_beta`` its MAP under a beta prior centered on that
-rate (:func:`beta_map`). The objective's coverage half is then a constant
-per scored matrix, added to every epoch's objective so the loss histories
-stay the negative log posterior. Updates use the mean per-row gradient of
-each minibatch (so the learning rate is independent of dataset size), with
-the prior gradient weighted by |batch| / n so an epoch of summed minibatch
-gradients matches the full-objective gradient. Every step clamps the
-accuracies into [CLAMP_EPS, 1 - CLAMP_EPS].
+once, before the loop, to the train rows' per-column vote rate. The
+objective's coverage half is then a constant per scored matrix, added to
+every epoch's objective so the loss histories stay the negative log
+posterior. Updates use the mean per-row gradient of each minibatch (so the
+learning rate is independent of dataset size), with the prior gradient
+weighted by |batch| / n so an epoch of summed minibatch gradients matches
+the full-objective gradient. Every step clamps the accuracies into
+[CLAMP_EPS, 1 - CLAMP_EPS].
 
 One loop, :func:`fit_cells`, fits K cells at once: cells that share the
 epoch budget, batch size, patience and seed, and differ in learning rate,
-``alpha_init``, ``learn_beta``, beta priors and label-prior ``p``. Their
+``alpha_init``, beta priors and label-prior ``p``. Their
 parameters are (K, m) arrays, one row per cell and one column of the
 kernel's m x K mat-mats, so each minibatch is gathered once for all cells;
 columns never mix, so each cell equals its own fit up to rounding. Each
@@ -72,7 +71,7 @@ from .model import (
     log_objectives,
     row_majority,
 )
-from .priors import PriorSpec, beta_from_mean
+from .priors import PriorSpec
 
 # Cells fitted in one loop are capped so that the loop's rows x cells
 # arrays (the carried d @ h and the two class-prior gathers that the
@@ -91,7 +90,6 @@ class TrainConfig:
     patience: int = 5
     alpha_init: float = 1.0
     seed: int = 0
-    learn_beta: bool = False
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
@@ -209,10 +207,9 @@ def fit_cells(
     Cells must share ``max_epochs``, ``batch_size``, ``patience`` and
     ``seed``; anything else raises DataError. Each cell's label prior
     anchors to the train matrix's own majority vote, so prior specs built on
-    any matrix with its LFs can share a loop, and so can cells with and
-    without ``learn_beta``: coverage is fixed before the loop. Each cell gets the
-    result :func:`fit` would give it, up to rounding, or the NumericalError
-    that ended it. Cells beyond MAX_STACKED_ENTRIES / n run in further loops
+    any matrix with its LFs can share a loop. Each cell gets the result
+    :func:`fit` would give it, up to rounding, or the NumericalError that
+    ended it. Cells beyond MAX_STACKED_ENTRIES / n run in further loops
     of that many.
     """
     priors, configs = list(priors), list(configs)
@@ -254,22 +251,11 @@ def fit_cells(
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]
     acc = np.clip(np.repeat(alpha, m, axis=1), eps, 1.0 - eps)
-    # Reported coverages: the train rows' rates, or a learning cell's MAP.
-    rate = patterns.count / n
-    coverage = np.tile(rate, (k, 1))
-    coverage_prior = None
-    learns = np.array([c.learn_beta for c in configs])
-    if learns.any():
-        learners = [spec if learn else None for spec, learn in zip(priors, learns)]
-        if any(spec is not None and spec.strength is None for spec in learners):
-            raise DataError("learned-coverage prior requires a scalar prior strength")
-        cov_priors = [None if s is None else BetaPrior(*beta_from_mean(rate, s.strength))
-                      for s in learners]
-        coverage_prior = _stacked_prior(cov_priors, m)
-        coverage[learns] = beta_map(patterns.count, n - patterns.count, coverage_prior)[learns]
-    # The objective's coverage half, constant over the loop, per scored matrix.
+    # Coverage is the train rows' vote rate, shared by every cell, so the
+    # objective's coverage half is one constant per scored matrix.
+    coverage = patterns.count / n
     cov = np.clip(coverage, eps, 1.0 - eps)
-    cov_terms = [coverage_objectives(rows, cov, coverage_prior) for rows in scored]
+    cov_terms = [coverage_objectives(rows, cov) for rows in scored]
 
     # The train rows' half_log_ratios at the current parameters, which the
     # last full-batch objective computed and the next gradient starts from.
@@ -345,7 +331,7 @@ def fit_cells(
     return [
         errors[cell]
         or FitResult(
-            params=ModelParams(best_acc[cell].copy(), coverage[cell]),
+            params=ModelParams(best_acc[cell].copy(), coverage.copy()),
             train_loss_history=train_hist[cell],
             val_loss_history=val_hist[cell],
             stopped_epoch=len(train_hist[cell]),

@@ -129,7 +129,10 @@ def log_objective(rows, p, accuracy, coverage, accuracy_prior=None, coverage_pri
             raise DataError(f"beta prior has {prior.m} entries, params have {m}")
     table = class_prior_table(p)
     accuracy_half = log_objectives(rows, table, acc, accuracy_prior)
-    total = float(accuracy_half + coverage_objectives(rows, cov, coverage_prior))
+    coverage_half = coverage_objectives(rows, cov)
+    if coverage_prior is not None:
+        coverage_half = coverage_half + coverage_prior.log_density(cov).sum()
+    total = float(accuracy_half + coverage_half)
     if not np.isfinite(total):
         raise NumericalError(f"log objective is non-finite ({total})")
     return total

@@ -8,9 +8,7 @@ import pytest
 
 from labelforge import load_model, majority_vote, read_dataset, read_predictions
 from labelforge.cli import cli_main
-from labelforge.model import BetaPrior, VoteRows
-from labelforge.priors import beta_from_mean
-from labelforge.train import beta_map
+from labelforge.model import VoteRows
 
 
 def run(*argv):
@@ -108,20 +106,19 @@ class TestWorkflows:
         assert "map-emp,,0,prior_l2,0.0" in text
 
     def test_train_learn_beta(self, tmp_path, capsys):
-        # coverages are set to their beta MAP under the prior strength; the
-        # model file carries them and labels the data
+        # the flag is gone: coverage is always the train rows' vote rate, which
+        # the model file carries
         data = make_synth(tmp_path, n=300)
-        model, preds = tmp_path / "lb.txt", tmp_path / "lb.csv"
-        assert run("train", "--data", data, "--learn-beta", "--strength", "50",
-                   "--val-frac", "0", "--epochs", "3", "--seed", "7", "--out", model) == 0
-        assert run("predict", "--model", model, "--data", data, "--out", preds) == 0
+        model = tmp_path / "lb.txt"
+        flags = ("--strength", "50", "--val-frac", "0", "--epochs", "3", "--seed", "7",
+                 "--out", model)
+        assert run("train", "--data", data, "--learn-beta", *flags) == 1
+        assert "unrecognized arguments: --learn-beta" in capsys.readouterr().err
+        assert not model.exists()
+        assert run("train", "--data", data, *flags) == 0
         votes = read_dataset(data).votes
         count = (votes != 0).sum(axis=0).astype(np.float64)
-        prior = BetaPrior(*beta_from_mean(count / votes.shape[0], 50.0))
-        coverage = load_model(model).params.coverage
-        np.testing.assert_array_equal(coverage, beta_map(count, votes.shape[0] - count, prior))
-        assert not np.array_equal(coverage, count / votes.shape[0])
-        assert read_predictions(preds).labels.shape == (300,)
+        np.testing.assert_array_equal(load_model(model).params.coverage, count / votes.shape[0])
 
     def test_wide_file_with_truth_between_lf_columns(self, tmp_path):
         # More LFs than the int64 pattern key holds, so rows are keyed by
@@ -456,6 +453,15 @@ class TestExitCodes:
         out = tmp_path / "st.csv"
         assert run("stability", "--data", data, "--epoch-grid", "3,-1", "--out", out) == 2
         assert "epoch budget must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stability_repeated_mode_is_data_error(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=400)
+        out = tmp_path / "st.csv"
+        assert run("stability", "--data", data, "--epoch-grid", "0,3", "--modes",
+                   "map-mv,map-mv", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "modes must be nonempty and distinct, got ['map-mv', 'map-mv']" in err
         assert not out.exists()
 
     def test_help_exits_zero(self):

@@ -1,6 +1,7 @@
 """Experiment protocols: splits, the synthetic generator as sampling oracle,
 grid search selection, and the sweep harnesses."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,24 @@ class TestStabilitySweep:
         expected = score(predict(test.votes, init_params, LabelPrior()), test.truth)
         assert f1 == expected.f1
 
+    def test_priors_are_built_once_per_mode(self, monkeypatch):
+        # no budget changes a prior; the table equals one sweep per budget
+        ds = toy_dataset(150)
+        train, _, test = split(ds, SplitSpec(seed=1))
+        cfg = TrainConfig(learning_rate=0.1, seed=5, alpha_init=0.9)
+        budgets = [0, 1, 3, 5]
+        per_budget = [row for b in budgets for row in stability_sweep(train, test, [b], config=cfg)]
+        built = []
+        real_build = labelforge.experiments.build_mode_priors
+
+        def counting(mode, *args):
+            built.append(mode)
+            return real_build(mode, *args)
+
+        monkeypatch.setattr(labelforge.experiments, "build_mode_priors", counting)
+        assert stability_sweep(train, test, budgets, config=cfg) == per_budget
+        assert built == ["map-mv", "mle"]
+
     def test_identical_seeds_identical_curves(self):
         ds = toy_dataset(150)
         train, _, test = split(ds, SplitSpec(seed=1))
@@ -373,8 +392,13 @@ def test_sweeps_reject_unknown_mode_before_fitting(sweep, monkeypatch):
         raise AssertionError("a model was fitted")
 
     monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit)
+    ds = toy_dataset(200)
     with pytest.raises(DataError, match="unknown mode 'bogus'"):
-        sweep(toy_dataset(200), ("map-mv", "bogus"))
+        sweep(ds, ("map-mv", "bogus"))
+    for modes in ((), ("map-mv", "mle", "map-mv")):
+        message = f"modes must be nonempty and distinct, got {list(modes)}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            sweep(ds, modes)
 
 
 THREE_MODES = ("map-mv", "mle", "map-emp")

@@ -255,17 +255,14 @@ def test_permuting_columns_permutes_gradient(case, random):
 
 
 @PROPERTY
-@given(
-    pattern_cases, st.sampled_from([None, 7]), st.booleans(), st.randoms(use_true_random=False)
-)
-def test_permuting_columns_permutes_the_fit(case, batch_size, learn_beta, random):
+@given(pattern_cases, st.sampled_from([None, 7]), st.randoms(use_true_random=False))
+def test_permuting_columns_permutes_the_fit(case, batch_size, random):
     # the patterns of the permuted matrix come in another order, which moves
     # the fit by rounding only
     m = case.votes.shape[1]
     perm = np.array(random.sample(range(m), m))
     config = TrainConfig(
-        learning_rate=0.05, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7,
-        learn_beta=learn_beta,
+        learning_rate=0.05, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7
     )
     label_prior = LabelPrior(case.p)
     fits, preds = [], []
@@ -351,15 +348,13 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
     pattern_cases,
     st.sampled_from([None, 7, 1000]),
     st.booleans(),
-    st.booleans(),
     st.floats(0.001, 0.2),
 )
-def test_pattern_fit_equals_row_path(case, batch_size, learn_beta, with_val, lr):
+def test_pattern_fit_equals_row_path(case, batch_size, with_val, lr):
     prior = build_mv_priors(case.votes, 10.0, case.p)
     val = case.votes[::-1][: max(1, case.votes.shape[0] // 3)] if with_val else None
     config = TrainConfig(
-        learning_rate=lr, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7,
-        learn_beta=learn_beta,
+        learning_rate=lr, max_epochs=5, patience=5, batch_size=batch_size, alpha_init=0.7
     )
     grouped = fit(case.votes, val, prior, config)
     with row_path():

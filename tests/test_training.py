@@ -157,12 +157,10 @@ class TestFit:
         data = generate_synthetic(SyntheticSpec(m=4, n=300, accuracy=0.75, coverage=0.5, seed=3))
         votes = data.votes
         doubled = np.vstack([votes, votes])
-        # learned coverages under no prior at all: a coverage prior would
-        # weigh less against twice the data
-        for prior, learn_beta in ((build_uniform_priors(4, p=0.8), False), (None, True)):
-            cfg = TrainConfig(
-                learning_rate=0.05, max_epochs=15, alpha_init=0.6, learn_beta=learn_beta
-            )
+        # with a (uniform) accuracy prior and with none: a prior whose weight
+        # came from the pattern count would weigh more against twice the data
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=15, alpha_init=0.6)
+        for prior in (build_uniform_priors(4, p=0.8), None):
             once = fit(votes, None, prior, cfg)
             twice = fit(doubled, None, prior, cfg)
             np.testing.assert_allclose(twice.params.accuracy, once.params.accuracy, rtol=1e-12)
@@ -304,38 +302,37 @@ class TestFullBatchEpoch:
 
 
 class TestLearnBeta:
+    """Coverage estimates. A fit reports the train rows' vote rate; a
+    coverage under a beta prior is :func:`beta_map`'s closed-form mode."""
+
     def test_learned_coverage_near_empirical(self):
         data = generate_synthetic(
             SyntheticSpec(m=3, n=1500, accuracy=(0.85, 0.75, 0.65), coverage=(0.7, 0.4, 0.2), seed=6)
         )
-        prior = build_mv_priors(data.votes, 10.0)
-        cfg = TrainConfig(learning_rate=0.01, max_epochs=80, alpha_init=0.9, seed=1, learn_beta=True)
-        result = fit(data.votes, None, prior, cfg)
         empirical = ref.coverage(data.votes)
-        assert np.linalg.norm(result.params.coverage - empirical) < 0.05
+        hits = (data.votes != 0).sum(axis=0)
+        prior = BetaPrior(*beta_from_mean(empirical, 10.0))
+        assert np.linalg.norm(beta_map(hits, 1500 - hits, prior) - empirical) < 0.05
 
     def test_strong_coverage_prior_pins(self):
         data = generate_synthetic(SyntheticSpec(m=2, n=800, accuracy=0.8, coverage=(0.6, 0.3), seed=7))
-        prior = build_mv_priors(data.votes, 1e6)
-        cfg = TrainConfig(learning_rate=2e-4, max_epochs=150, alpha_init=0.5, seed=1, learn_beta=True)
-        result = fit(data.votes, None, prior, cfg)
-        empirical = ref.coverage(data.votes)
-        assert np.abs(result.params.coverage - empirical).max() < 0.01
+        hits = (data.votes != 0).sum(axis=0)
+        means = np.array([0.5, 0.5])
+        best = beta_map(hits, 800 - hits, BetaPrior(*beta_from_mean(means, 1e6)))
+        assert np.abs(best - means).max() < 0.01
+        assert np.abs(ref.coverage(data.votes) - means).max() > 0.1
 
-    def test_flag_steps_under_empirical_coverage_prior(self):
-        # the flag sets coverage to the mode of the beta posterior whose
-        # prior means are the empirical coverages, in closed form
+    def test_beta_map_is_the_mode_under_empirical_coverage_prior(self):
+        # the mode of the beta posterior whose prior means are the empirical
+        # coverages, in closed form
         data = generate_synthetic(SyntheticSpec(m=2, n=100, accuracy=0.8, coverage=0.5, seed=9))
-        prior = build_mv_priors(data.votes, 10.0)
-        cfg = TrainConfig(learning_rate=0.05, max_epochs=1, seed=3)
-        result = fit(data.votes, None, prior, replace(cfg, learn_beta=True))
         empirical = ref.coverage(data.votes)
         u, v = beta_from_mean(empirical, 10.0)
         votes = (data.votes != 0).sum(axis=0)
         a, b = votes + u - 1.0, (100 - votes) + v - 1.0
         expected = np.clip(a / (a + b), CLAMP_EPS, 1.0 - CLAMP_EPS)
         assert ((a > 0) & (b > 0)).all()
-        np.testing.assert_array_equal(result.params.coverage, expected)
+        np.testing.assert_array_equal(beta_map(votes, 100 - votes, BetaPrior(u, v)), expected)
         assert not np.array_equal(expected, empirical)
 
     def test_fixed_coverage_path_untouched(self):
@@ -348,12 +345,13 @@ class TestLearnBeta:
 class TestBetaMap:
     def test_sign_decides_at_the_clamps(self):
         # (count + u - 1) / (total + u + v - 2) gives (1 - eps, eps) here:
-        # with u, v < 1 an LF that never or always votes makes it negative
+        # with u, v < 1 an LF that never or always votes makes it negative.
+        # A fit reports the rates themselves, unclamped.
         votes = np.array([[0, 1]])
         prior = build_mv_priors(votes, 0.5)
-        cfg = TrainConfig(max_epochs=1, learn_beta=True)
+        cfg = TrainConfig(max_epochs=1)
         expected = [CLAMP_EPS, 1.0 - CLAMP_EPS]
-        np.testing.assert_array_equal(fit(votes, None, prior, cfg).params.coverage, expected)
+        np.testing.assert_array_equal(fit(votes, None, prior, cfg).params.coverage, [0.0, 1.0])
         cov_prior = BetaPrior(*beta_from_mean(np.array([0.0, 1.0]), 0.5))
         np.testing.assert_array_equal(
             beta_map(np.array([0.0, 1.0]), np.array([1.0, 0.0]), cov_prior), expected
@@ -428,12 +426,11 @@ class TestFitCells:
         st.integers(1, 5),
         st.sampled_from([None, 1, 7, 64]),
         st.booleans(),
-        st.booleans(),
         st.integers(0, 3),
         CELLS,
     )
     def test_stacked_cells_equal_separate_fits(
-        self, seed, n, m, batch_size, learn_beta, with_val, patience, cells
+        self, seed, n, m, batch_size, with_val, patience, cells
     ):
         rng = np.random.default_rng(seed)
         votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
@@ -442,7 +439,7 @@ class TestFitCells:
         configs = [
             TrainConfig(
                 learning_rate=lr, max_epochs=6, batch_size=batch_size, patience=patience,
-                alpha_init=alpha, seed=seed % 1000, learn_beta=learn_beta,
+                alpha_init=alpha, seed=seed % 1000,
             )
             for lr, alpha, _, _ in cells
         ]
@@ -546,15 +543,16 @@ class TestFitCells:
         with pytest.raises(DataError):
             fit_cells(votes, None, [None], [base, base])
 
-    def test_cells_with_and_without_learned_coverage_share_a_loop(self):
+    def test_cells_with_and_without_a_prior_share_one_coverage(self):
+        # every cell reports the train rows' rate, each in its own array
         data = generate_synthetic(SyntheticSpec(m=3, n=200, accuracy=0.8, coverage=0.5, seed=4))
         train, val = data.votes[:150], data.votes[150:]
-        prior = build_mv_priors(train, 10.0, 0.7)
-        fixed = TrainConfig(learning_rate=0.05, max_epochs=6, alpha_init=0.8, seed=2)
-        configs = [fixed, replace(fixed, learn_beta=True)]
-        stacked = fit_cells(train, val, [prior, prior], configs)
-        wants = [fit(train, val, prior, config) for config in configs]
+        priors = [build_mv_priors(train, 10.0, 0.7), None]
+        config = TrainConfig(learning_rate=0.05, max_epochs=6, alpha_init=0.8, seed=2)
+        stacked = fit_cells(train, val, priors, [config, config])
+        wants = [fit(train, val, prior, config) for prior in priors]
         for got, want in zip(stacked, wants):
             assert_fits_equal(got, want)
-        np.testing.assert_array_equal(stacked[0].params.coverage, ref.coverage(train))
-        assert not np.array_equal(stacked[1].params.coverage, stacked[0].params.coverage)
+            np.testing.assert_array_equal(got.params.coverage, ref.coverage(train))
+        assert not np.array_equal(stacked[0].params.accuracy, stacked[1].params.accuracy)
+        assert not np.shares_memory(stacked[0].params.coverage, stacked[1].params.coverage)
