@@ -41,7 +41,6 @@ _EXPORTS = {
         "metrics": ("MetricsReport", "l2_distance", "mv_concordance", "score"),
         "experiments": (
             "GridSpec",
-            "SplitSpec",
             "SyntheticSpec",
             "generate_synthetic",
             "grid_search",

@@ -48,7 +48,6 @@ try:
     from .experiments import (
         MODES,
         GridSpec,
-        SplitSpec,
         SyntheticSpec,
         build_mode_priors,
         generate_synthetic,
@@ -227,7 +226,7 @@ def _cmd_evaluate(args, seed: int, digest: str) -> int:
 
 def _cmd_gridsearch(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col, need_truth=True)
-    train, val, _ = split(dataset, SplitSpec(seed=seed))
+    train, val, _ = split(dataset, seed)
     grid = GridSpec() if args.grid is None else read_grid(args.grid)
     base = TrainConfig(
         max_epochs=args.epochs, batch_size=args.batch, patience=args.patience, seed=seed
@@ -258,7 +257,6 @@ def _cmd_lowdata(args, seed: int, digest: str) -> int:
         _parse_list(args.sizes, "--sizes", int),
         args.replicates,
         modes=tuple(args.modes.split(",")),
-        split_spec=SplitSpec(seed=seed),
         config=_train_config(args, seed),
         strength=args.strength,
         p=args.p,
@@ -278,7 +276,7 @@ def _cmd_lowdata(args, seed: int, digest: str) -> int:
 
 def _cmd_stability(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col)
-    train, _, test = split(dataset, SplitSpec(seed=seed))
+    train, _, test = split(dataset, seed)
     rows = stability_sweep(
         train,
         test,
@@ -321,7 +319,6 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
         dataset,
         strength=args.strength,
         p=args.p,
-        split_spec=SplitSpec(seed=seed),
         config=_train_config(args, seed),
     )
     rows = []

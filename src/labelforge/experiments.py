@@ -38,23 +38,10 @@ MODES = ("mle", "map-mv", "map-emp", "map-rand")
 
 WIN_METRICS = ("accuracy", "f1", "precision", "recall", "auc_roc")
 
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/validation/test partition: test = round(n * (1 - train_frac)),
-    validation = max(1, round(remaining * val_frac_of_train))."""
-
-    train_frac: float = 0.8
-    val_frac_of_train: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, frac in (
-            ("train_frac", self.train_frac),
-            ("val_frac_of_train", self.val_frac_of_train),
-        ):
-            if not (0.0 < frac < 1.0):
-                raise DataError(f"{name} must lie in (0, 1), got {frac}")
+# the protocols' partition: train and validation take TRAIN_FRAC of the
+# rows, validation VAL_FRAC of those
+TRAIN_FRAC = 0.8
+VAL_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -119,19 +106,19 @@ def _shuffled_parts(dataset: Dataset, seed: int, *sizes: int) -> list[Dataset]:
     return [dataset.subset(part) for part in np.split(perm, np.cumsum(sizes[:-1]))]
 
 
-def split(dataset: Dataset, spec: SplitSpec | None = None) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded shuffle, then contiguous train/val/test partition."""
-    spec = spec or SplitSpec()
+def split(dataset: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded shuffle, then contiguous train/val/test partition: test =
+    round(n * (1 - TRAIN_FRAC)), validation = max(1, round(rest * VAL_FRAC))."""
     n = dataset.n
     if n < 3:
         raise DataError(f"dataset too small to split, need n >= 3, got {n}")
-    n_test = _half_up(n * (1.0 - spec.train_frac))
+    n_test = _half_up(n * (1.0 - TRAIN_FRAC))
     n_pre = n - n_test
-    n_val = max(1, _half_up(n_pre * spec.val_frac_of_train))
+    n_val = max(1, _half_up(n_pre * VAL_FRAC))
     n_train = n_pre - n_val
     if n_train < 1 or n_test < 1:
         raise DataError(f"degenerate split sizes ({n_train}, {n_val}, {n_test}) for n={n}")
-    train, val, test = _shuffled_parts(dataset, spec.seed, n_train, n_val, n_test)
+    train, val, test = _shuffled_parts(dataset, seed, n_train, n_val, n_test)
     return train, val, test
 
 
@@ -235,9 +222,6 @@ def _grid_cells(grid: GridSpec, mode: str) -> list[dict]:
             {"learning_rate": lr, "alpha_init": init}
             for lr, init in product(grid.learning_rates, grid.alpha_inits)
         ]
-    ps = [p for p in grid.ps if p >= 0.5]
-    if not ps:
-        raise DataError("grid has no label-prior values >= 0.5 for a MAP mode")
     return [
         {
             "strength": s,
@@ -247,7 +231,7 @@ def _grid_cells(grid: GridSpec, mode: str) -> list[dict]:
             "force_abstain": force,
         }
         for s, lr, init, p, force in product(
-            grid.strengths, grid.learning_rates, grid.alpha_inits, ps, grid.force_abstain
+            grid.strengths, grid.learning_rates, grid.alpha_inits, grid.ps, grid.force_abstain
         )
     ]
 
@@ -353,7 +337,7 @@ def metric_rows(experiment: str, mode: str, size, replicate, values: dict) -> li
 
 
 def low_data_indices(
-    train_n: int, val_n: int, size: int, val_frac: float, seed_base: int, replicate: int
+    train_n: int, val_n: int, size: int, seed_base: int, replicate: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices for one (replicate, size) cell of the low-data sweep.
 
@@ -364,7 +348,7 @@ def low_data_indices(
     rng = np.random.default_rng(np.random.SeedSequence([seed_base + replicate, 0]))
     train_order = rng.permutation(train_n)
     val_order = rng.permutation(val_n)
-    n_val = min(val_n, max(1, _half_up(size * val_frac)))
+    n_val = min(val_n, max(1, _half_up(size * VAL_FRAC)))
     return train_order[:size], val_order[:n_val]
 
 
@@ -373,24 +357,24 @@ def low_data_sweep(
     sizes,
     replicates: int,
     modes=("map-mv", "mle"),
-    split_spec: SplitSpec | None = None,
     config: TrainConfig | None = None,
     strength: float = 10.0,
     p: float = 0.5,
     force_abstain: bool = False,
 ) -> list[dict]:
-    """Training-set-size sweep: per replicate, re-split the dataset, subsample
-    train and validation, rebuild priors from the subset, fit all modes in
-    one stacked pass, and score on that replicate's full test split.
+    """Training-set-size sweep: per replicate r, re-split the dataset and fit
+    with seed ``config.seed + r``, subsample train and validation, rebuild
+    priors from the subset, fit all modes in one stacked pass, and score on
+    that replicate's full test split.
 
     Subsets are prefix-nested across sizes within a replicate (see
     :func:`low_data_indices`). Sizes and the replicate count must be at
-    least 1, the modes distinct members of MODES and some size no larger
-    than the train split, or DataError names the bad value before anything
-    is fitted. Other sizes larger than the train split are skipped with a
-    warning. Aggregate rows (mean and population standard deviation over
-    replicates, ignoring undefined values) are appended with replicate =
-    'mean' / 'std'.
+    least 1, the sizes and the modes distinct, the modes in MODES and some
+    size no larger than the train split, or DataError names the bad value
+    before anything is fitted. Other sizes larger than the train split are
+    skipped with a warning. Aggregate rows (mean and population standard
+    deviation over replicates, ignoring undefined values) are appended with
+    replicate = 'mean' / 'std'.
     """
     if dataset.truth is None:
         raise DataError("low-data sweep requires ground-truth labels for scoring")
@@ -400,12 +384,13 @@ def low_data_sweep(
     for size in sizes:
         if size < 1:
             raise DataError(f"low-data size must be >= 1, got {size}")
-    split_spec = split_spec or SplitSpec()
+    if len(set(sizes)) < len(sizes):
+        raise DataError(f"low-data sizes must be distinct, got {sizes}")
     base = config or TrainConfig()
     rows: list[dict] = []
     for r in range(replicates):
-        sp = replace(split_spec, seed=split_spec.seed + r)
-        train, val, test = split(dataset, sp)
+        cfg = replace(base, seed=base.seed + r)
+        train, val, test = split(dataset, cfg.seed)
         if r == 0:  # every replicate's train split has the same size
             too_big = [size for size in sizes if size > train.n]
             if len(too_big) == len(sizes):
@@ -418,11 +403,8 @@ def low_data_sweep(
         for size in sizes:
             if size > train.n:
                 continue
-            train_idx, val_idx = low_data_indices(
-                train.n, val.n, size, split_spec.val_frac_of_train, base.seed, r
-            )
+            train_idx, val_idx = low_data_indices(train.n, val.n, size, base.seed, r)
             sub_train = train.subset(train_idx)
-            cfg = replace(base, seed=base.seed + r)
             priors = _mode_priors(sub_train, modes, strength, p, force_abstain, cfg.seed)
             results = _fit_modes(sub_train.votes, val.votes[val_idx], priors, cfg)
             for mode, prior, result in zip(modes, priors, results):
@@ -471,7 +453,7 @@ def stability_sweep(
     stopping: the models are fit without a validation split, all modes in one
     stacked pass per budget, and the final parameters are used). The priors
     are built once, as no budget changes them. Budget 0 scores the
-    initialized model; a negative one, or a bad mode list (see
+    initialized model; a negative or repeated one, or a bad mode list (see
     :func:`_mode_priors`), raises DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
@@ -479,6 +461,8 @@ def stability_sweep(
     for budget in budgets:
         if budget < 0:
             raise DataError(f"epoch budget must be >= 0, got {budget}")
+    if len(set(budgets)) < len(budgets):
+        raise DataError(f"epoch budgets must be distinct, got {budgets}")
     base = config or TrainConfig()
     priors = _mode_priors(train, modes, strength, p, force_abstain, base.seed)
     test_grouped = VoteRows.grouped(test.votes)
@@ -495,12 +479,12 @@ def prior_quality_study(
     dataset: Dataset,
     strength: float = 100.0,
     p: float = 0.5,
-    split_spec: SplitSpec | None = None,
     config: TrainConfig | None = None,
     modes=("map-mv", "map-rand", "map-emp", "mle"),
 ) -> dict[str, dict[str, float | None]]:
     """Distance of prior means and fitted accuracies from the empirical LF
-    accuracies, per training mode, all modes fitted in one stacked pass.
+    accuracies, per training mode, all modes fitted in one stacked pass on
+    the train split of ``config.seed``.
 
     ``prior_l2`` compares the requested prior means (before boundary
     shrinkage) against the empirical accuracies, so the empirical-prior
@@ -508,9 +492,8 @@ def prior_quality_study(
     """
     if dataset.truth is None:
         raise DataError("prior-quality study requires ground-truth labels")
-    split_spec = split_spec or SplitSpec()
     config = config or TrainConfig()
-    train, val, _ = split(dataset, split_spec)
+    train, val, _ = split(dataset, config.seed)
     alpha_star = reference_accuracies(train.votes, train.truth)
     priors = _mode_priors(train, modes, strength, p, False, config.seed)
     results = _fit_modes(train.votes, val.votes, priors, config)

@@ -11,7 +11,6 @@ import pytest
 from labelforge import (
     LabelPrior,
     ModelParams,
-    SplitSpec,
     SyntheticSpec,
     TrainConfig,
     build_mv_priors,
@@ -223,7 +222,6 @@ def test_criterion_06_prior_quality_ordering():
         study = prior_quality_study(
             data,
             strength=100.0,
-            split_spec=SplitSpec(seed=seed),
             config=TrainConfig(learning_rate=0.05, max_epochs=100, alpha_init=0.9, seed=seed),
         )
         ordering_ok += study["map-emp"]["alpha_l2"] <= study["map-mv"]["alpha_l2"]
@@ -251,7 +249,6 @@ def test_criterion_08_low_data_variance():
     )
     rows = low_data_sweep(
         data, [10, 100, 2000], 5, modes=("map-mv", "mle"),
-        split_spec=SplitSpec(seed=5),
         config=TrainConfig(learning_rate=0.1, max_epochs=300, patience=10**9,
                            alpha_init=0.9, seed=5),
         strength=10.0, p=0.9, force_abstain=True,
@@ -287,7 +284,7 @@ def test_criterion_09_optional_reference_dataset():
         np.abs(acc - np.array([1.00, 0.68, 1.00])) <= 0.01
     ).all()
 
-    train, val, test = split(data, SplitSpec(seed=0))
+    train, val, test = split(data, 0)
     map_prior = build_mv_priors(train.votes, 10.0, p=0.5, force_abstain=True)
     map_fit = fit(train.votes, val.votes,
                   map_prior, TrainConfig(learning_rate=0.01, max_epochs=100, alpha_init=1.0, seed=0))

@@ -298,9 +298,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("values, code, refusal", [
         ({"strengths": [0]}, 2, "data error: strength must be > 0, got 0"),
         ({"alpha_inits": [2.0]}, 2, "data error: alpha_init must lie in [0, 1], got 2.0"),
+        ({"ps": [0.3, 0.7]}, 2, "data error: label prior p must lie in [0.5, 1], got 0.3"),
         ({"strengths": [1e303], "learning_rates": [0.01], "alpha_inits": [0.8], "ps": [0.5],
           "force_abstain": [False]}, 3, "numerical failure: non-finite accuracy gradient"),
-    ], ids=["zero-strength", "alpha-init", "overflowing-strength"])
+    ], ids=["zero-strength", "alpha-init", "low-p", "overflowing-strength"])
     def test_grid_no_cell_can_use_exits_nonzero(self, tmp_path, capsys, values, code, refusal):
         # each exited 0 with a header-only table and a failed cell as "best"
         data = make_synth(tmp_path, n=400)
@@ -462,6 +463,25 @@ class TestExitCodes:
                    "map-mv,map-mv", "--out", out) == 2
         err = capsys.readouterr().err
         assert "modes must be nonempty and distinct, got ['map-mv', 'map-mv']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, refusal", [
+        (("lowdata", "--sizes", "100,100"), "low-data sizes must be distinct, got [100, 100]"),
+        (("stability", "--epoch-grid", "3,3"), "epoch budgets must be distinct, got [3, 3]"),
+    ], ids=["lowdata-sizes", "stability-epoch-grid"])
+    def test_repeated_list_value_is_data_error(self, tmp_path, monkeypatch, capsys, flags,
+                                               refusal):
+        # each exited 0 and wrote every row twice
+        import labelforge.experiments
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit)
+        data = make_synth(tmp_path, n=400)
+        out = tmp_path / "rows.csv"
+        assert run(*flags, "--data", data, "--out", out) == 2
+        assert refusal in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exits_zero(self):

@@ -14,7 +14,6 @@ from labelforge import (
     LabelPrior,
     ModelParams,
     NumericalError,
-    SplitSpec,
     SyntheticSpec,
     TrainConfig,
     generate_synthetic,
@@ -61,30 +60,30 @@ def count_fit_cells(monkeypatch) -> list[int]:
 class TestSplit:
     def test_default_sizes_n10(self):
         ds = toy_dataset(10)
-        train, val, test = split(ds, SplitSpec(seed=1))
+        train, val, test = split(ds, 1)
         assert (train.n, val.n, test.n) == (7, 1, 2)
 
     def test_test_size_matches_published_count(self):
         ds = toy_dataset(1961)
-        _, _, test = split(ds, SplitSpec(seed=1))
+        _, _, test = split(ds, 1)
         assert test.n == 392
 
     def test_same_seed_identical(self):
         ds = toy_dataset(50)
-        a = split(ds, SplitSpec(seed=9))
-        b = split(ds, SplitSpec(seed=9))
+        a = split(ds, 9)
+        b = split(ds, 9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.votes, y.votes)
 
     def test_partition_is_disjoint_and_complete(self):
         ds = toy_dataset(57)
-        train, val, test = split(ds, SplitSpec(seed=4))
+        train, val, test = split(ds, 4)
         assert train.n + val.n + test.n == ds.n
         rebuilt = np.vstack([train.votes, val.votes, test.votes])
         assert sorted(map(tuple, rebuilt.tolist())) == sorted(map(tuple, ds.votes.tolist()))
 
     def test_smallest_legal_split(self):
-        train, val, test = split(toy_dataset(3), SplitSpec())
+        train, val, test = split(toy_dataset(3))
         assert (train.n, val.n, test.n) == (1, 1, 1)
 
     def test_validation_share_follows_seeded_permutation(self):
@@ -101,7 +100,7 @@ class TestSplit:
 
     def test_too_small(self):
         with pytest.raises(DataError):
-            split(Dataset([[1], [0]], [1, -1]), SplitSpec())
+            split(Dataset([[1], [0]], [1, -1]))
 
 
 class TestGenerateSynthetic:
@@ -138,7 +137,7 @@ class TestGenerateSynthetic:
 class TestGridSearch:
     def test_single_cell_wins(self):
         ds = toy_dataset(120)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         grid = GridSpec(strengths=(10.0,), learning_rates=(0.05,), alpha_inits=(0.9,),
                         ps=(0.5,), force_abstain=(False,))
         result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=5, seed=1))
@@ -147,7 +146,7 @@ class TestGridSearch:
 
     def test_dominating_cell_wins(self):
         ds = toy_dataset(400)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         # init 0.9 trains sensibly; init ~0 inverts every vote and loses each metric
         grid = GridSpec(strengths=(10.0,), learning_rates=(1e-6,), alpha_inits=(0.9, 0.05),
                         ps=(0.5,), force_abstain=(False,))
@@ -157,7 +156,7 @@ class TestGridSearch:
 
     def test_mle_grid_ignores_prior_axes(self):
         ds = toy_dataset(120)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         grid = GridSpec(learning_rates=(0.01, 0.05), alpha_inits=(0.8,))
         result = grid_search(train, val, grid, "mle", TrainConfig(max_epochs=3, seed=1))
         assert len(result.cells) == 2
@@ -167,13 +166,19 @@ class TestGridSearch:
         with pytest.raises(DataError):
             GridSpec(strengths=())
 
-    def test_map_grid_restricts_p(self):
+    def test_map_grid_restricts_p(self, monkeypatch):
+        # a label prior p that train refuses fails the whole search before any fit
+        def no_fit_cells(*args):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit_cells)
         ds = toy_dataset(60)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         grid = GridSpec(strengths=(10.0,), learning_rates=(0.05,), alpha_inits=(0.9,),
-                        ps=(0.2, 0.5, 0.8), force_abstain=(False,))
-        result = grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
-        assert sorted(c.settings["p"] for c in result.cells) == [0.5, 0.8]
+                        ps=(0.5, 0.2, 0.8), force_abstain=(False,))
+        message = "label prior p must lie in [0.5, 1], got 0.2"
+        with pytest.raises(DataError, match=re.escape(message)):
+            grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, seed=1))
 
     def test_zero_strength_cell_records_error(self, monkeypatch):
         # a strength that train refuses fails the whole search before any fit
@@ -182,7 +187,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(labelforge.experiments, "fit_cells", no_fit_cells)
         ds = toy_dataset(120)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         grid = GridSpec(strengths=(10.0, 0.0), learning_rates=(0.05,), alpha_inits=(0.9,),
                         ps=(0.5,), force_abstain=(False,))
         with pytest.raises(DataError, match="strength must be > 0, got 0.0"):
@@ -199,7 +204,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(labelforge.experiments, "fit_cells", first_cell_fails)
         ds = toy_dataset(120)
-        train, _, _ = split(ds, SplitSpec(seed=2))
+        train, _, _ = split(ds, 2)
         val = Dataset(np.zeros((10, 4), dtype=np.int8), np.ones(10, dtype=np.int8))
         grid = GridSpec(strengths=(1.0, 10.0), learning_rates=(0.05,), alpha_inits=(0.9,),
                         ps=(0.5,), force_abstain=(True,))
@@ -216,7 +221,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(labelforge.experiments, "fit_cells", all_fail)
         ds = toy_dataset(120)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         grid = GridSpec(strengths=(10.0,), learning_rates=(0.05,), alpha_inits=(0.9, 0.8),
                         ps=(0.5,), force_abstain=(False,))
         with pytest.raises(NumericalError, match="^cell 0 blew up$"):
@@ -230,7 +235,7 @@ class TestGridSearch:
     ], ids=["grid-minibatch", "default"])
     def test_force_abstain_cells_share_a_fit(self, monkeypatch, grid, fits):
         ds = toy_dataset(300)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         config = TrainConfig(max_epochs=2, batch_size=64, seed=1)
         calls = count_fit_cells(monkeypatch)
         result = grid_search(train, val, grid, "map-mv", config)
@@ -249,7 +254,7 @@ class TestGridSearch:
 
     def test_erroring_cell_scores_zero_wins(self, monkeypatch):
         ds = toy_dataset(120)
-        train, val, _ = split(ds, SplitSpec(seed=2))
+        train, val, _ = split(ds, 2)
         real_fit_cells = labelforge.experiments.fit_cells
 
         def flaky_fit_cells(votes, val_votes, priors, configs):
@@ -273,13 +278,12 @@ class TestLowDataSweep:
                              ids=["mle", "three-modes"])
     def test_full_size_single_replicate_matches_plain_run(self, modes):
         ds = toy_dataset(200)
-        spec = SplitSpec(seed=3)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=8, seed=7)
-        train, val, test = split(ds, SplitSpec(seed=spec.seed + 0))
-        rows = low_data_sweep(ds, [train.n], 1, modes=modes, split_spec=spec, config=cfg)
+        train, val, test = split(ds, cfg.seed)
+        rows = low_data_sweep(ds, [train.n], 1, modes=modes, config=cfg)
         agg = collect_aggregates(rows)
 
-        train_idx, val_idx = low_data_indices(train.n, val.n, train.n, 0.1, cfg.seed, 0)
+        train_idx, val_idx = low_data_indices(train.n, val.n, train.n, cfg.seed, 0)
         sub_train, sub_val = train.subset(train_idx), val.subset(val_idx)
         from labelforge import fit
         for mode in modes:
@@ -294,14 +298,14 @@ class TestLowDataSweep:
 
     def test_reproducible(self):
         ds = toy_dataset(200)
-        kwargs = dict(split_spec=SplitSpec(seed=3), config=TrainConfig(max_epochs=4, seed=7))
+        kwargs = dict(config=TrainConfig(max_epochs=4, seed=7))
         a = low_data_sweep(ds, [20, 50], 2, modes=("map-mv",), **kwargs)
         b = low_data_sweep(ds, [20, 50], 2, modes=("map-mv",), **kwargs)
         assert a == b
 
     def test_subsets_nested_across_sizes(self):
-        small_t, small_v = low_data_indices(144, 16, 10, 0.1, 7, 2)
-        large_t, large_v = low_data_indices(144, 16, 100, 0.1, 7, 2)
+        small_t, small_v = low_data_indices(144, 16, 10, 7, 2)
+        large_t, large_v = low_data_indices(144, 16, 100, 7, 2)
         assert set(small_t) <= set(large_t)
         assert set(small_v) <= set(large_v)
         assert len(small_t) == 10 and len(large_t) == 100
@@ -310,7 +314,6 @@ class TestLowDataSweep:
         ds = toy_dataset(60)
         with pytest.warns(UserWarning, match="skipping"):
             rows = low_data_sweep(ds, [10, 10_000], 1, modes=("mle",),
-                                  split_spec=SplitSpec(seed=1),
                                   config=TrainConfig(max_epochs=2, seed=1))
         sizes = {row["size"] for row in rows}
         assert 10_000 not in sizes
@@ -319,7 +322,7 @@ class TestLowDataSweep:
 class TestStabilitySweep:
     def test_budget_zero_scores_initialized_model(self):
         ds = toy_dataset(150)
-        train, _, test = split(ds, SplitSpec(seed=1))
+        train, _, test = split(ds, 1)
         cfg = TrainConfig(learning_rate=0.05, alpha_init=0.8, seed=2)
         rows = stability_sweep(train, test, [0], modes=("mle",), config=cfg)
         f1 = [r["value"] for r in rows if r["metric"] == "f1"][0]
@@ -333,7 +336,7 @@ class TestStabilitySweep:
     def test_priors_are_built_once_per_mode(self, monkeypatch):
         # no budget changes a prior; the table equals one sweep per budget
         ds = toy_dataset(150)
-        train, _, test = split(ds, SplitSpec(seed=1))
+        train, _, test = split(ds, 1)
         cfg = TrainConfig(learning_rate=0.1, seed=5, alpha_init=0.9)
         budgets = [0, 1, 3, 5]
         per_budget = [row for b in budgets for row in stability_sweep(train, test, [b], config=cfg)]
@@ -350,7 +353,7 @@ class TestStabilitySweep:
 
     def test_identical_seeds_identical_curves(self):
         ds = toy_dataset(150)
-        train, _, test = split(ds, SplitSpec(seed=1))
+        train, _, test = split(ds, 1)
         cfg = TrainConfig(learning_rate=0.1, seed=5, alpha_init=0.9)
         a = stability_sweep(train, test, [0, 3, 6], config=cfg)
         b = stability_sweep(train, test, [0, 3, 6], config=cfg)
@@ -363,7 +366,7 @@ class TestStabilitySweep:
             SyntheticSpec(m=5, n=140, accuracy=(0.9, 0.85, 0.8, 0.3, 0.25),
                           coverage=(0.6, 0.5, 0.6, 0.2, 0.15), seed=21)
         )
-        train, _, test = split(ds, SplitSpec(seed=3))
+        train, _, test = split(ds, 3)
         rows = stability_sweep(
             train, test, [30, 60, 120, 250, 500], modes=("map-mv", "mle"),
             config=TrainConfig(learning_rate=0.8, alpha_init=0.9, seed=9),
