@@ -123,14 +123,16 @@ def _read(path, truth_col: str, need_truth: bool = False):
     return dataset
 
 
+# each training flag and the TrainConfig field it sets
+_TRAIN_FLAGS = {"lr": "learning_rate", "epochs": "max_epochs", "batch": "batch_size",
+                "patience": "patience", "alpha_init": "alpha_init"}
+
+
 def _train_config(args, seed: int) -> TrainConfig:
+    """The config of the training flags the command takes; the rest keep their defaults."""
+    given = vars(args)
     return TrainConfig(
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
-        batch_size=args.batch,
-        patience=args.patience,
-        alpha_init=args.alpha_init,
-        seed=seed,
+        seed=seed, **{field: given[flag] for flag, field in _TRAIN_FLAGS.items() if flag in given}
     )
 
 
@@ -228,10 +230,7 @@ def _cmd_gridsearch(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col, need_truth=True)
     train, val, _ = split(dataset, seed)
     grid = GridSpec() if args.grid is None else read_grid(args.grid)
-    base = TrainConfig(
-        max_epochs=args.epochs, batch_size=args.batch, patience=args.patience, seed=seed
-    )
-    result = grid_search(train, val, grid, args.mode, base)
+    result = grid_search(train, val, grid, args.mode, _train_config(args, seed))
     for cell in result.cells:
         if cell.error is not None:
             print(f"cell #{cell.index} failed: {cell.error}", file=sys.stderr)
@@ -332,10 +331,11 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
     return 0
 
 
-def _add_train_flags(sub, with_init: bool = True) -> None:
-    sub.add_argument("--epochs", type=int, default=100)
+def _add_train_flags(sub, with_init: bool = True, with_stop: bool = True) -> None:
     sub.add_argument("--batch", type=int, default=None)
-    sub.add_argument("--patience", type=int, default=5)
+    if with_stop:
+        sub.add_argument("--epochs", type=int, default=100)
+        sub.add_argument("--patience", type=int, default=5)
     if with_init:
         sub.add_argument("--lr", type=float, default=0.01)
         sub.add_argument("--alpha-init", type=float, default=1.0)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int, default=None)
     st.add_argument("--out", default=None)
     _add_prior_flags(st)
-    _add_train_flags(st)
+    _add_train_flags(st, with_stop=False)  # each budget sets the epochs; no validation split
     st.set_defaults(func=_cmd_stability)
 
     sy = sub.add_parser("synth", help="sample a synthetic dataset from the model")

@@ -3,9 +3,11 @@ sweeps, prior-quality comparison, and the synthetic-data generator that
 serves as the model's sampling oracle.
 
 Every protocol is a pure function of (data, spec, seeds); reruns produce
-identical tables. Each protocol fits the models of one split as the cells
-of one stacked training pass (:func:`~labelforge.train.fit_cells`), since
-they share the seeded minibatch order: one cell per mode in the sweeps,
+identical tables. Each protocol groups each split into vote patterns once
+and fits the models of one split as the cells of one stacked training
+pass (:func:`~labelforge.train.fit_cells`), since they share the seeded
+minibatch order: one cell per mode in the low-data sweep and the
+prior-quality study, one per (mode, epoch budget) in the stability sweep,
 one per distinct setting in grid search. Each cell's result equals a
 stand-alone fit up to rounding. Sweep results are returned as flat rows
 with keys (experiment, mode, size, replicate, metric, value) so they can
@@ -184,10 +186,11 @@ def _mode_priors(
     ]
 
 
-def _fit_modes(train_votes, val_votes, priors, config: TrainConfig) -> list[FitResult]:
-    """One stacked fit of every mode's prior under ``config``; a failed
-    cell's error is raised."""
-    results = fit_cells(train_votes, val_votes, priors, [config] * len(priors))
+def _fit_stacked(train_votes, val_votes, priors, configs) -> list[FitResult]:
+    """One stacked fit of every (prior, config) cell, each split grouped
+    once; a failed cell's error is raised."""
+    val = None if val_votes is None else VoteRows.grouped(val_votes)
+    results = fit_cells(VoteRows.grouped(train_votes), val, priors, configs)
     for result in results:
         if isinstance(result, NumericalError):
             raise result
@@ -291,11 +294,13 @@ def grid_search(
 
     # force_abstain, the grid's innermost axis, only labels: neighbours share a fit
     per_fit = 1 if mode == "mle" else len(grid.force_abstain)
-    results = fit_cells(train.votes, val.votes, priors[::per_fit], configs[::per_fit])
+    val_grouped = VoteRows.grouped(val.votes)
+    results = fit_cells(
+        VoteRows.grouped(train.votes), val_grouped, priors[::per_fit], configs[::per_fit]
+    )
     failed = [result for result in results if isinstance(result, NumericalError)]
     if len(failed) == len(results):
         raise failed[0]
-    val_grouped = VoteRows.grouped(val.votes)
     for cell, prior in zip(cells, priors):
         result = results[cell.index // per_fit]
         if isinstance(result, NumericalError):
@@ -406,7 +411,9 @@ def low_data_sweep(
             train_idx, val_idx = low_data_indices(train.n, val.n, size, base.seed, r)
             sub_train = train.subset(train_idx)
             priors = _mode_priors(sub_train, modes, strength, p, force_abstain, cfg.seed)
-            results = _fit_modes(sub_train.votes, val.votes[val_idx], priors, cfg)
+            results = _fit_stacked(
+                sub_train.votes, val.votes[val_idx], priors, [cfg] * len(priors)
+            )
             for mode, prior, result in zip(modes, priors, results):
                 report = _score_labels(test_grouped, test.truth, prior, result)
                 rows.extend(metric_rows("lowdata", mode, size, str(r), report.as_dict()))
@@ -450,11 +457,12 @@ def stability_sweep(
     force_abstain: bool = False,
 ) -> list[dict]:
     """Test metrics after training to each fixed epoch budget (no early
-    stopping: the models are fit without a validation split, all modes in one
-    stacked pass per budget, and the final parameters are used). The priors
-    are built once, as no budget changes them. Budget 0 scores the
-    initialized model; a negative or repeated one, or a bad mode list (see
-    :func:`_mode_priors`), raises DataError before anything is fitted."""
+    stopping: the models are fit without a validation split, one cell per
+    (budget, mode) in one stacked pass to the largest budget, and each cell's
+    final parameters are used). The priors are built once, as no budget
+    changes them. Budget 0 scores the initialized model; a negative or
+    repeated one, or a bad mode list (see :func:`_mode_priors`), raises
+    DataError before anything is fitted."""
     if test.truth is None:
         raise DataError("stability sweep requires ground-truth labels for scoring")
     budgets = list(epoch_grid)
@@ -466,12 +474,13 @@ def stability_sweep(
     base = config or TrainConfig()
     priors = _mode_priors(train, modes, strength, p, force_abstain, base.seed)
     test_grouped = VoteRows.grouped(test.votes)
+    cells = [(int(b), mode, prior) for b in budgets for mode, prior in zip(modes, priors)]
+    configs = [replace(base, max_epochs=budget) for budget, _, _ in cells]
+    results = _fit_stacked(train.votes, None, [prior for _, _, prior in cells], configs)
     rows: list[dict] = []
-    for budget in budgets:
-        results = _fit_modes(train.votes, None, priors, replace(base, max_epochs=int(budget)))
-        for mode, prior, result in zip(modes, priors, results):
-            report = _score_labels(test_grouped, test.truth, prior, result)
-            rows.extend(metric_rows("stability", mode, int(budget), "0", report.as_dict()))
+    for (budget, mode, prior), result in zip(cells, results):
+        report = _score_labels(test_grouped, test.truth, prior, result)
+        rows.extend(metric_rows("stability", mode, budget, "0", report.as_dict()))
     return rows
 
 
@@ -496,7 +505,7 @@ def prior_quality_study(
     train, val, _ = split(dataset, config.seed)
     alpha_star = reference_accuracies(train.votes, train.truth)
     priors = _mode_priors(train, modes, strength, p, False, config.seed)
-    results = _fit_modes(train.votes, val.votes, priors, config)
+    results = _fit_stacked(train.votes, val.votes, priors, [config] * len(priors))
     out: dict[str, dict[str, float | None]] = {}
     for mode, prior, result in zip(modes, priors, results):
         prior_l2 = None

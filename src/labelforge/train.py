@@ -11,32 +11,31 @@ weighted by |batch| / n so an epoch of summed minibatch gradients matches
 the full-objective gradient. Every step clamps the accuracies into
 [CLAMP_EPS, 1 - CLAMP_EPS].
 
-One loop, :func:`fit_cells`, fits K cells at once: cells that share the
-epoch budget, batch size, patience and seed, and differ in learning rate,
-``alpha_init``, beta priors and label-prior ``p``. Their
-parameters are (K, m) arrays, one row per cell and one column of the
-kernel's m x K mat-mats, so each minibatch is gathered once for all cells;
-columns never mix, so each cell equals its own fit up to rounding. Each
-cell stops early on its own, and a cell whose gradient or objective turns
-non-finite fails alone. A cell's label prior enters only through the
-cells' (3, K) table of log class priors
-(:func:`~labelforge.model.class_prior_table`), from which the gradient and
-the objectives read each row's priors by its anchor, the majority vote of
-its own votes, as they need them, so no rows x cells prior array outlives
-a call. Every cell's label prior therefore anchors to the train matrix it
-is fitted on, whatever matrix its prior spec was built from. Grids too
-large for MAX_STACKED_ENTRIES run as several such loops. :func:`fit` is
-the one-cell call.
+One loop, :func:`fit_cells`, fits K cells at once. Cells share the batch
+size, patience and seed, which fix the batch stream and the stop rule;
+each runs to its own ``max_epochs`` with its own learning rate,
+``alpha_init``, beta priors and label-prior ``p``. Their parameters are
+(K, m) arrays, one row per cell and one column of the kernel's m x K
+mat-mats, so each minibatch is gathered once for all cells; columns never
+mix, so each cell equals its own fit up to rounding. A cell stops early,
+or fails on a non-finite gradient or objective, alone. A cell's label
+prior enters only through the cells' (3, K) table of log class priors
+(:func:`~labelforge.model.class_prior_table`), read by each row's anchor,
+the majority vote of its own votes, so no rows x cells prior array
+outlives a call, and every label prior anchors to the train matrix it is
+fitted on, whatever matrix its spec was built from. :func:`fit` is the
+one-cell call.
 
-The train and validation matrices are checked and converted to
-:class:`~labelforge.model.VoteRows` once. Sums over rows are weighted, and
-the step size and prior weight use the weight total (the number of rows a
-batch stands for), so a full batch and the per-epoch train and validation
-objectives run over distinct vote patterns
-(:meth:`~labelforge.model.VoteRows.grouped`), while minibatches keep one
-unit-weight row per input row in the seeded order, each converted from the
-checked int8 votes when it is drawn, so no float64 copy of the whole matrix
-is made.
+Each split comes as the ``(rows, inverse)`` pair of
+:meth:`~labelforge.model.VoteRows.grouped`, so a caller that fits and
+labels a matrix groups it once. Sums over rows are weighted, and the step
+size and prior weight use the weight total, so a full batch and the
+objectives run over distinct vote patterns; minibatches keep one
+unit-weight row per input row in the seeded order, gathered from its
+pattern (``rows.d[inverse[idx]]``) when drawn, so no float64 copy of the
+whole matrix is made. A loop's arrays hold patterns x cells entries, so
+grids beyond MAX_STACKED_ENTRIES / (the larger split's pattern count)
+cells run as several loops.
 
 A full-batch epoch makes two passes over the train votes: its gradient
 needs ``d @ h`` and ``(w tanh) @ d``, its train objective ``d @ h`` at the
@@ -64,12 +63,10 @@ from .model import (
     BetaPrior,
     ModelParams,
     VoteRows,
-    as_lf_matrix,
     class_prior_table,
     coverage_objectives,
     half_log_ratios,
     log_objectives,
-    row_majority,
 )
 from .priors import PriorSpec
 
@@ -192,64 +189,54 @@ def _stacked_prior(priors: list[BetaPrior | None], m: int) -> BetaPrior:
     return BetaPrior(u, v)
 
 
-def _shared(config: TrainConfig) -> tuple:
-    return (config.max_epochs, config.batch_size, config.patience, config.seed)
-
-
 def fit_cells(
-    train_votes,
-    val_votes,
+    train: tuple[VoteRows, np.ndarray],
+    val: tuple[VoteRows, np.ndarray] | None,
     priors: Sequence[PriorSpec | None],
     configs: Sequence[TrainConfig],
 ) -> list[FitResult | NumericalError]:
     """Fit one model per (prior spec, config) cell, all in one training loop.
 
-    Cells must share ``max_epochs``, ``batch_size``, ``patience`` and
-    ``seed``; anything else raises DataError. Each cell's label prior
-    anchors to the train matrix's own majority vote, so prior specs built on
-    any matrix with its LFs can share a loop. Each cell gets the result
-    :func:`fit` would give it, up to rounding, or the NumericalError that
-    ended it. Cells beyond MAX_STACKED_ENTRIES / n run in further loops
-    of that many.
+    ``train`` and ``val`` (or None) are the ``(rows, inverse)`` pairs of
+    :meth:`~labelforge.model.VoteRows.grouped`. Cells must share
+    ``batch_size``, ``patience`` and ``seed``, or DataError is raised; each
+    runs to its own ``max_epochs``. Each cell gets the result :func:`fit`
+    would give it, up to rounding, or the NumericalError that ended it.
+    Cells beyond MAX_STACKED_ENTRIES / (the larger split's pattern count)
+    run in further loops of that many.
     """
     priors, configs = list(priors), list(configs)
     if not configs or len(priors) != len(configs):
         raise DataError(f"need one prior per config, got {len(priors)} and {len(configs)}")
     config = configs[0]
-    if any(_shared(c) != _shared(config) for c in configs):
-        raise DataError("stacked cells must share max_epochs, batch_size, patience and seed")
-    votes = as_lf_matrix(train_votes)
-    n, m = votes.shape
+    if len({(c.batch_size, c.patience, c.seed) for c in configs}) > 1:
+        raise DataError("stacked cells must share batch_size, patience and seed")
+    # The objectives and a full batch sum over rows in any order, so they
+    # run over one weighted row per distinct vote pattern.
+    patterns, inverse = train
+    scored = [patterns] if val is None else [patterns, val[0]]
+    n, m = inverse.shape[0], patterns.d.shape[1]
+    if scored[-1].d.shape[1] != m:
+        raise DataError(f"validation matrix has {scored[-1].d.shape[1]} columns, train has {m}")
     k = len(configs)
     eps = CLAMP_EPS
 
-    block = max(1, MAX_STACKED_ENTRIES // n)
+    block = max(1, MAX_STACKED_ENTRIES // max(rows.n for rows in scored))
     if k > block:
         return [
             result
             for start in range(0, k, block)
             for result in fit_cells(
-                votes, val_votes, priors[start : start + block], configs[start : start + block]
+                train, val, priors[start : start + block], configs[start : start + block]
             )
         ]
     acc_prior = _stacked_prior([None if s is None else s.accuracy_prior for s in priors], m)
     prior_table = class_prior_table([0.5 if s is None else s.label_prior.p for s in priors])
-
-    # The objectives and a full batch sum over rows in any order, so they
-    # run over one weighted row per distinct vote pattern.
-    patterns, _ = VoteRows.grouped(votes)
-    scored = [patterns]
-    if val_votes is not None and np.asarray(val_votes).shape[0] > 0:
-        val = as_lf_matrix(val_votes)
-        if val.shape[1] != m:
-            raise DataError(f"validation matrix has {val.shape[1]} columns, train has {m}")
-        scored.append(VoteRows.grouped(val)[0])
     full_batch = config.batch_size is None or config.batch_size >= n
-    if not full_batch:
-        anchors = row_majority(votes)
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
     alpha = np.array([c.alpha_init for c in configs])[:, None]
+    budgets = np.array([c.max_epochs for c in configs])
     acc = np.clip(np.repeat(alpha, m, axis=1), eps, 1.0 - eps)
     # Coverage is the train rows' vote rate, shared by every cell, so the
     # objective's coverage half is one constant per scored matrix.
@@ -277,24 +264,25 @@ def fit_cells(
 
     # non-finite gradients and objectives become NumericalErrors, not warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for epoch in range(1, config.max_epochs + 1):
+        for epoch in range(1, budgets.max() + 1):
+            running[budgets < epoch] = False
             if not running.any():
                 break
             if full_batch:
                 batches = (patterns,)
             else:
                 rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch]))
-                order = rng.permutation(n)
+                order = inverse[rng.permutation(n)]  # the drawn rows' patterns
                 size = config.batch_size
                 batches = (
-                    VoteRows(votes[idx].astype(np.float64), np.ones(idx.size), anchors[idx])
+                    VoteRows(patterns.d[idx], np.ones(idx.size), patterns.anchor[idx])
                     for idx in (order[start : start + size] for start in range(0, n, size))
                 )
             for batch in batches:
                 weight = batch.total / n
                 step = lr / batch.total
-                # A stopped or failed cell is still stepped (a NaN stays in its
-                # own row) but no longer recorded.
+                # A cell that stopped, used up its budget or failed is still
+                # stepped (a NaN stays in its own row) but no longer recorded.
                 g_acc = grad_accuracy(batch, prior_table, acc, acc_prior, weight, train_dh)
                 bad = running & ~np.isfinite(g_acc).all(axis=1)
                 acc = np.clip(acc + step * g_acc, eps, 1.0 - eps)
@@ -356,7 +344,10 @@ def fit(
     parameters are returned. Patience 0 behaves like patience 1. This is
     the one-cell call of :func:`fit_cells`.
     """
-    (result,) = fit_cells(train_votes, val_votes, [prior_spec], [config or TrainConfig()])
+    train = VoteRows.grouped(train_votes)
+    has_val = val_votes is not None and np.asarray(val_votes).shape[0] > 0
+    val = VoteRows.grouped(val_votes) if has_val else None
+    (result,) = fit_cells(train, val, [prior_spec], [config or TrainConfig()])
     if isinstance(result, NumericalError):
         raise result
     return result

@@ -95,8 +95,8 @@ class TestWorkflows:
         assert any(",mean," in line for line in lines)
 
         stab_path = tmp_path / "stab.csv"
-        assert run("stability", "--data", data, "--epoch-grid", "0,3", "--epochs", "1",
-                   "--seed", "5", "--out", stab_path) == 0
+        assert run("stability", "--data", data, "--epoch-grid", "0,3", "--seed", "5",
+                   "--out", stab_path) == 0
         assert stab_path.exists()
 
         study_path = tmp_path / "study.csv"
@@ -178,15 +178,22 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert run("frobnicate") == 1
 
-    @pytest.mark.parametrize("flags", [("gridsearch", "--lr", "0.5"),
-                                       ("priors-study", "--force-abstain")],
-                             ids=["gridsearch-lr", "priors-study-force-abstain"])
-    def test_removed_dead_flag_is_usage_error(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("command, dead", [
+        (("gridsearch", "--epochs", "1"), ("--lr", "0.5")),
+        (("priors-study", "--epochs", "1"), ("--force-abstain",)),
+        (("stability", "--epoch-grid", "1"), ("--epochs", "1")),
+        (("stability", "--epoch-grid", "1"), ("--patience", "1")),
+    ], ids=["gridsearch-lr", "priors-study-force-abstain", "stability-epochs",
+            "stability-patience"])
+    def test_removed_dead_flag_is_usage_error(self, tmp_path, capsys, command, dead):
         # each was accepted and changed no output: a grid sets each cell's
-        # learning rate, and labelling moves neither distance of the study
+        # learning rate, labelling moves neither distance of the study, and
+        # stability's budgets set the epochs of fits without a validation split
         data = make_synth(tmp_path, n=120)
-        assert run(*flags, "--data", data, "--epochs", "1") == 1
-        assert f"unrecognized arguments: {' '.join(flags[1:])}" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert run(*command, *dead, "--data", data, "--out", out) == 1
+        assert f"unrecognized arguments: {' '.join(dead)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("predict", "--model", tmp_path / "no.txt",

@@ -32,8 +32,9 @@ from labelforge.experiments import (
     holdout,
     low_data_indices,
 )
-from labelforge.model import CLAMP_EPS
+from labelforge.model import CLAMP_EPS, VoteRows
 import labelforge.experiments
+import labelforge.train
 
 import kernel_reference as ref
 
@@ -54,6 +55,19 @@ def count_fit_cells(monkeypatch) -> list[int]:
         return real_fit_cells(votes, val_votes, priors, configs)
 
     monkeypatch.setattr(labelforge.experiments, "fit_cells", counting)
+    return calls
+
+
+def count_groupings(monkeypatch) -> list[int]:
+    """Wrap VoteRows.grouped; the returned list gets each call's row count."""
+    calls = []
+    real_grouped = VoteRows.grouped.__func__
+
+    def counting(cls, votes):
+        calls.append(len(votes))
+        return real_grouped(cls, votes)
+
+    monkeypatch.setattr(VoteRows, "grouped", classmethod(counting))
     return calls
 
 
@@ -248,6 +262,19 @@ class TestGridSearch:
                 (c.settings, c.report, c.best_epoch) for c in alone.cells
             ]
 
+    def test_each_split_is_grouped_once(self, monkeypatch):
+        # the fit and the labelling share the validation grouping, and loops
+        # beyond the stacking cap share both
+        ds = toy_dataset(300)
+        train, val, _ = split(ds, 2)
+        grid = GridSpec(strengths=(10.0,), learning_rates=(0.01, 0.05), alpha_inits=(0.8, 1.0),
+                        ps=(0.5, 0.9))
+        patterns = VoteRows.grouped(train.votes)[0].n
+        monkeypatch.setattr(labelforge.train, "MAX_STACKED_ENTRIES", 3 * patterns)
+        calls = count_groupings(monkeypatch)
+        grid_search(train, val, grid, "map-mv", TrainConfig(max_epochs=2, batch_size=64, seed=1))
+        assert sorted(calls) == sorted([train.n, val.n])
+
     def test_default_map_grid_size(self):
         assert min(GridSpec().ps) == 0.5
         assert len(_grid_cells(GridSpec(), "map-mv")) == 144
@@ -334,12 +361,11 @@ class TestStabilitySweep:
         assert f1 == expected.f1
 
     def test_priors_are_built_once_per_mode(self, monkeypatch):
-        # no budget changes a prior; the table equals one sweep per budget
+        # no budget changes a prior; the table equals one sweep per budget,
+        # full batch and in minibatches
         ds = toy_dataset(150)
         train, _, test = split(ds, 1)
-        cfg = TrainConfig(learning_rate=0.1, seed=5, alpha_init=0.9)
         budgets = [0, 1, 3, 5]
-        per_budget = [row for b in budgets for row in stability_sweep(train, test, [b], config=cfg)]
         built = []
         real_build = labelforge.experiments.build_mode_priors
 
@@ -348,8 +374,14 @@ class TestStabilitySweep:
             return real_build(mode, *args)
 
         monkeypatch.setattr(labelforge.experiments, "build_mode_priors", counting)
-        assert stability_sweep(train, test, budgets, config=cfg) == per_budget
-        assert built == ["map-mv", "mle"]
+        for batch_size in (None, 16):
+            cfg = TrainConfig(learning_rate=0.1, batch_size=batch_size, seed=5, alpha_init=0.9)
+            per_budget = [
+                row for b in budgets for row in stability_sweep(train, test, [b], config=cfg)
+            ]
+            built.clear()
+            assert stability_sweep(train, test, budgets, config=cfg) == per_budget
+            assert built == ["map-mv", "mle"]
 
     def test_identical_seeds_identical_curves(self):
         ds = toy_dataset(150)
@@ -413,12 +445,13 @@ THREE_MODES = ("map-mv", "mle", "map-emp")
         (lambda ds, cfg: low_data_sweep(ds, [20, 50], 2, modes=THREE_MODES, config=cfg),
          [3, 3, 3, 3]),
         (lambda ds, cfg: stability_sweep(*split(ds)[::2], [0, 2, 4], modes=THREE_MODES,
-                                         config=cfg), [3, 3, 3]),
+                                         config=cfg), [9]),
         (lambda ds, cfg: prior_quality_study(ds, config=cfg), [4]),
     ],
     ids=["lowdata", "stability", "study"],
 )
 def test_sweeps_fit_all_modes_in_one_call_per_split(sweep, cells, monkeypatch):
+    # stability fits every (budget, mode) cell in one call
     calls = count_fit_cells(monkeypatch)
     sweep(toy_dataset(200), TrainConfig(max_epochs=2, seed=1))
     assert calls == cells

@@ -391,13 +391,14 @@ class TestPredictAfterFit:
 
 
 # One grid cell: learning rate, alpha_init, accuracy-prior strength (None for
-# the plain likelihood) and label-prior p.
+# the plain likelihood), label-prior p and epoch budget.
 CELLS = st.lists(
     st.tuples(
         st.floats(0.001, 0.5),
         st.sampled_from([0.55, 0.8, 1.0]),
         st.sampled_from([None, 2.0, 10.0, 1e4]),
         st.sampled_from([0.5, 0.7, 0.95, 1.0]),
+        st.integers(0, 6),
     ),
     min_size=1,
     max_size=5,
@@ -406,6 +407,11 @@ CELLS = st.lists(
 
 def cell_prior(votes, strength, p):
     return None if strength is None else build_mv_priors(votes, strength, p)
+
+
+def grouped(votes):
+    """The (rows, inverse) pair :func:`fit_cells` takes; None stays None."""
+    return None if votes is None else VoteRows.grouped(votes)
 
 
 def assert_fits_equal(got, want):
@@ -435,15 +441,15 @@ class TestFitCells:
         rng = np.random.default_rng(seed)
         votes = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
         val = rng.integers(-1, 2, size=(max(1, n // 3), m)) if with_val else None
-        priors = [cell_prior(votes, strength, p) for _, _, strength, p in cells]
+        priors = [cell_prior(votes, strength, p) for _, _, strength, p, _ in cells]
         configs = [
             TrainConfig(
-                learning_rate=lr, max_epochs=6, batch_size=batch_size, patience=patience,
+                learning_rate=lr, max_epochs=epochs, batch_size=batch_size, patience=patience,
                 alpha_init=alpha, seed=seed % 1000,
             )
-            for lr, alpha, _, _ in cells
+            for lr, alpha, _, _, epochs in cells
         ]
-        stacked = fit_cells(votes, val, priors, configs)
+        stacked = fit_cells(grouped(votes), grouped(val), priors, configs)
         assert len(stacked) == len(cells)
         for got, prior, config in zip(stacked, priors, configs):
             want = fit(votes, val, prior, config)
@@ -462,7 +468,7 @@ class TestFitCells:
             TrainConfig(learning_rate=lr, max_epochs=40, patience=2, alpha_init=0.9, seed=2)
             for lr in (0.5, 0.02, 0.2)
         ]
-        stacked = fit_cells(train, val, priors, configs)
+        stacked = fit_cells(grouped(train), grouped(val), priors, configs)
         wants = [fit(train, val, prior, config) for prior, config in zip(priors, configs)]
         assert len({want.stopped_epoch for want in wants}) > 1
         for got, want in zip(stacked, wants):
@@ -477,7 +483,7 @@ class TestFitCells:
         for batch_size in (None, 16):
             config = TrainConfig(learning_rate=0.05, max_epochs=5, batch_size=batch_size)
             with np.errstate(all="ignore"):
-                stacked = fit_cells(train, val, priors, [config] * 3)
+                stacked = fit_cells(grouped(train), grouped(val), priors, [config] * 3)
                 with pytest.raises(NumericalError, match="non-finite"):
                     fit(train, val, huge, config)
             assert isinstance(stacked[1], NumericalError)
@@ -485,20 +491,29 @@ class TestFitCells:
                 assert_fits_equal(stacked[cell], fit(train, val, priors[cell], config))
 
     def test_cells_beyond_the_cap_run_in_further_loops(self, monkeypatch):
+        # the cap counts the larger split's patterns, and every loop reuses
+        # the caller's groupings
         data = generate_synthetic(SyntheticSpec(m=3, n=120, accuracy=0.8, coverage=0.5, seed=8))
-        train, val = data.votes[:100], data.votes[100:]
-        priors = [build_mv_priors(train, s, p) for s in (2.0, 50.0) for p in (0.5, 0.9)] + [None]
+        train, val = grouped(data.votes[:100]), grouped(data.votes[100:])
+        priors = [build_mv_priors(data.votes[:100], s, p)
+                  for s in (2.0, 50.0) for p in (0.5, 0.9)] + [None]
         configs = [TrainConfig(learning_rate=lr, max_epochs=4, batch_size=16, seed=1)
                    for lr in (0.01, 0.05, 0.1, 0.2, 0.3)]
         whole = fit_cells(train, val, priors, configs)
         sizes = []
 
-        def counted(train_votes, val_votes, priors, configs):
+        def counted(train, val, priors, configs):
             sizes.append(len(configs))
-            return fit_cells(train_votes, val_votes, priors, configs)
+            return fit_cells(train, val, priors, configs)
 
-        monkeypatch.setattr(labelforge.train, "MAX_STACKED_ENTRIES", 2 * 100)
+        def no_grouping(cls, votes):
+            raise AssertionError("fit_cells grouped a matrix")
+
+        patterns = max(train[0].n, val[0].n)
+        assert patterns < 100  # rows repeat, so a cap of 2 * rows would fit 5 cells in a loop
+        monkeypatch.setattr(labelforge.train, "MAX_STACKED_ENTRIES", 2 * patterns)
         monkeypatch.setattr(labelforge.train, "fit_cells", counted)
+        monkeypatch.setattr(VoteRows, "grouped", classmethod(no_grouping))
         blocks = fit_cells(train, val, priors, configs)
         assert sizes == [2, 2, 1]
         assert len(blocks) == len(whole) == 5
@@ -526,14 +541,15 @@ class TestFitCells:
             assert got.train_loss_history == want.train_loss_history
             assert got.val_loss_history == want.val_loss_history
             # and the two specs stack in one loop, each cell equal to its fit
-            for got in fit_cells(train.votes, val.votes, [built, plain], [config, config]):
+            for got in fit_cells(grouped(train.votes), grouped(val.votes), [built, plain],
+                                 [config, config]):
                 assert_fits_equal(got, want)
 
     def test_cells_must_share_the_loop_settings(self):
-        votes = np.array([[1, 0], [0, -1], [1, -1], [-1, -1]])
+        # the batch stream and the stop rule are shared; each cell has its own budget
+        votes = grouped(np.array([[1, 0], [0, -1], [1, -1], [-1, -1]]))
         base = TrainConfig(max_epochs=3)
         for other in (
-            replace(base, max_epochs=4),
             replace(base, batch_size=2),
             replace(base, patience=1),
             replace(base, seed=1),
@@ -542,6 +558,8 @@ class TestFitCells:
                 fit_cells(votes, None, [None, None], [base, other])
         with pytest.raises(DataError):
             fit_cells(votes, None, [None], [base, base])
+        three, four = fit_cells(votes, None, [None, None], [base, replace(base, max_epochs=4)])
+        assert (three.stopped_epoch, four.stopped_epoch) == (3, 4)
 
     def test_cells_with_and_without_a_prior_share_one_coverage(self):
         # every cell reports the train rows' rate, each in its own array
@@ -549,7 +567,7 @@ class TestFitCells:
         train, val = data.votes[:150], data.votes[150:]
         priors = [build_mv_priors(train, 10.0, 0.7), None]
         config = TrainConfig(learning_rate=0.05, max_epochs=6, alpha_init=0.8, seed=2)
-        stacked = fit_cells(train, val, priors, [config, config])
+        stacked = fit_cells(grouped(train), grouped(val), priors, [config, config])
         wants = [fit(train, val, prior, config) for prior in priors]
         for got, want in zip(stacked, wants):
             assert_fits_equal(got, want)
