@@ -8,6 +8,11 @@ overrides; a negative seed exits 2), prints a reproducibility line with
 the package version, the seed, and a digest of the resolved options, and
 hands the seed and the digest to the command.
 
+Shared flags: every command takes --seed and --out, and every command but
+synth takes --data and --truth-col. :func:`_add_command` declares them
+when it registers a subcommand and its handler, so a flag that every
+command takes is one line there.
+
 Threads: a command runs numpy's BLAS on one thread. At the sizes a command
 handles, OpenBLAS's second thread spins between calls, costing CPU time and
 saving no wall time. OpenBLAS reads its thread count once, when numpy loads
@@ -136,6 +141,20 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
+def _label(model: ModelFile, dataset):
+    """The predictions of ``model`` on ``dataset``, whose LF count must match."""
+    if dataset.m != model.params.m:
+        raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
+    return predict(dataset.votes, model.params, model.label_prior)
+
+
+def _write_results(path, rows, what: str = "results") -> None:
+    """Write ``rows`` as a results table to ``path``, if one is given."""
+    if path:
+        write_results_table(path, rows)
+        print(f"{what} written to {path}")
+
+
 def _cmd_train(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col)
     train, val = holdout(dataset, args.val_frac, seed)
@@ -168,45 +187,26 @@ def _cmd_train(args, seed: int, digest: str) -> int:
 
 def _cmd_predict(args, seed: int, digest: str) -> int:
     model = load_model(args.model)
-    dataset = _read(args.data, args.truth_col)
-    if dataset.m != model.params.m:
-        raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
-    preds = predict(dataset.votes, model.params, model.label_prior)
-    write_predictions(args.out, preds)
+    write_predictions(args.out, _label(model, _read(args.data, args.truth_col)))
     print(f"predictions written to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args, seed: int, digest: str) -> int:
-    sources = [args.pred is not None, args.model is not None, args.mode == "mv"]
-    if sum(sources) != 1:
-        print(
-            "error: supply exactly one of --pred, --model (with --data), or --mode mv",
-            file=sys.stderr,
-        )
-        return 1
-
+    # argparse admits exactly one source: --pred, --model or --mode mv
     dataset = None
     if args.data is not None:
         dataset = _read(args.data, args.truth_col, need_truth=args.truth is None)
     if args.pred is not None:
-        preds = read_predictions(args.pred)
-        row_tag = "pred"
+        preds, row_tag = read_predictions(args.pred), "pred"
+    elif dataset is None:
+        source = "--model" if args.model is not None else "--mode mv"
+        print(f"error: {source} requires --data", file=sys.stderr)
+        return 1
     elif args.model is not None:
-        if dataset is None:
-            print("error: --model requires --data", file=sys.stderr)
-            return 1
-        model = load_model(args.model)
-        if dataset.m != model.params.m:
-            raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
-        preds = predict(dataset.votes, model.params, model.label_prior)
-        row_tag = "model"
+        preds, row_tag = _label(load_model(args.model), dataset), "model"
     else:
-        if dataset is None:
-            print("error: --mode mv requires --data", file=sys.stderr)
-            return 1
-        preds = majority_vote_predictions(dataset.votes)
-        row_tag = "mv"
+        preds, row_tag = majority_vote_predictions(dataset.votes), "mv"
 
     if args.truth is not None:
         truth = _read(args.truth, args.truth_col, need_truth=True).truth
@@ -219,10 +219,8 @@ def _cmd_evaluate(args, seed: int, digest: str) -> int:
     report = score(preds, truth)
     for line in report_lines(report):
         print(line)
-    if args.out:
-        rows = metric_rows("evaluate", row_tag, len(preds), "0", report.as_dict())
-        write_results_table(args.out, rows)
-        print(f"report written to {args.out}")
+    _write_results(args.out, metric_rows("evaluate", row_tag, len(preds), "0", report.as_dict()),
+                   "report")
     return 0
 
 
@@ -235,17 +233,13 @@ def _cmd_gridsearch(args, seed: int, digest: str) -> int:
         if cell.error is not None:
             print(f"cell #{cell.index} failed: {cell.error}", file=sys.stderr)
     print(f"best cell #{result.best.index} wins={result.best.wins}: {result.best.settings}")
-    if args.out:
-        rows = [
-            row
-            for cell in result.cells
-            if cell.report is not None
-            for row in metric_rows(
-                "gridsearch", args.mode, "", str(cell.index), cell.report.as_dict()
-            )
-        ]
-        write_results_table(args.out, rows)
-        print(f"per-cell metrics written to {args.out}")
+    rows = [
+        row
+        for cell in result.cells
+        if cell.report is not None
+        for row in metric_rows("gridsearch", args.mode, "", str(cell.index), cell.report.as_dict())
+    ]
+    _write_results(args.out, rows, "per-cell metrics")
     return 0
 
 
@@ -267,9 +261,7 @@ def _cmd_lowdata(args, seed: int, digest: str) -> int:
                 f"size={row['size']} mode={row['mode']} f1_{row['replicate']}="
                 f"{format_percent(row['value'])}"
             )
-    if args.out:
-        write_results_table(args.out, rows)
-        print(f"results written to {args.out}")
+    _write_results(args.out, rows)
     return 0
 
 
@@ -289,9 +281,7 @@ def _cmd_stability(args, seed: int, digest: str) -> int:
     for row in rows:
         if row["metric"] == "f1":
             print(f"epochs={row['size']} mode={row['mode']} f1={format_percent(row['value'])}")
-    if args.out:
-        write_results_table(args.out, rows)
-        print(f"results written to {args.out}")
+    _write_results(args.out, rows)
     return 0
 
 
@@ -325,10 +315,23 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
         prior_text = "-" if entry["prior_l2"] is None else f"{entry['prior_l2']:.3f}"
         print(f"{mode}: prior_l2={prior_text} alpha_l2={entry['alpha_l2']:.3f}")
         rows.extend(metric_rows("priors_study", mode, "", "0", entry))
-    if args.out:
-        write_results_table(args.out, rows)
-        print(f"results written to {args.out}")
+    _write_results(args.out, rows)
     return 0
+
+
+def _add_command(sub, name: str, func, summary: str, *, out_required: bool = False,
+                 data: bool | None = True):
+    """Register the subcommand ``name``, run by ``func``, with the flags every
+    command takes: --seed and --out, and --data (required if ``data`` is True,
+    optional if False, absent if None) with --truth-col."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.set_defaults(func=func)
+    cmd.add_argument("--seed", type=int, default=None)
+    cmd.add_argument("--out", required=out_required, default=None)
+    if data is not None:
+        cmd.add_argument("--data", required=data, default=None)
+        cmd.add_argument("--truth-col", default="y")
+    return cmd
 
 
 def _add_train_flags(sub, with_init: bool = True, with_stop: bool = True) -> None:
@@ -355,89 +358,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="fit a model and write a model file")
-    train.add_argument("--data", required=True)
-    train.add_argument("--truth-col", default="y")
+    train = _add_command(sub, "train", _cmd_train, "fit a model and write a model file",
+                         out_required=True)
     train.add_argument("--val-frac", type=float, default=0.1)
     train.add_argument("--mode", choices=(*MODES, "map-user"), default="map-mv")
     train.add_argument("--prior-u", default=None, help="comma list for map-user")
     train.add_argument("--prior-v", default=None, help="comma list for map-user")
-    train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--out", required=True)
     _add_prior_flags(train)
     _add_train_flags(train)
-    train.set_defaults(func=_cmd_train)
 
-    pred = sub.add_parser("predict", help="label a dataset with a saved model")
+    pred = _add_command(sub, "predict", _cmd_predict, "label a dataset with a saved model",
+                        out_required=True)
     pred.add_argument("--model", required=True)
-    pred.add_argument("--data", required=True)
-    pred.add_argument("--truth-col", default="y")
-    pred.add_argument("--seed", type=int, default=None)
-    pred.add_argument("--out", required=True)
-    pred.set_defaults(func=_cmd_predict)
 
-    ev = sub.add_parser("evaluate", help="score predictions against ground truth")
-    ev.add_argument("--pred", default=None)
-    ev.add_argument("--model", default=None)
-    ev.add_argument("--data", default=None)
-    ev.add_argument("--mode", choices=("mv",), default=None)
+    ev = _add_command(sub, "evaluate", _cmd_evaluate, "score predictions against ground truth",
+                      data=False)
+    source = ev.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pred", default=None)
+    source.add_argument("--model", default=None, help="needs --data")
+    source.add_argument("--mode", choices=("mv",), default=None, help="needs --data")
     ev.add_argument("--truth", default=None)
-    ev.add_argument("--truth-col", default="y")
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--out", default=None)
-    ev.set_defaults(func=_cmd_evaluate)
 
-    gs = sub.add_parser("gridsearch", help="hyperparameter grid search on a split")
-    gs.add_argument("--data", required=True)
-    gs.add_argument("--truth-col", default="y")
+    gs = _add_command(sub, "gridsearch", _cmd_gridsearch, "hyperparameter grid search on a split")
     gs.add_argument("--grid", default=None, help="JSON file of candidate value lists")
     gs.add_argument("--mode", choices=MODES, default="map-mv")
-    gs.add_argument("--seed", type=int, default=None)
-    gs.add_argument("--out", default=None)
     _add_train_flags(gs, with_init=False)  # the grid sets --lr and --alpha-init
-    gs.set_defaults(func=_cmd_gridsearch)
 
-    ld = sub.add_parser("lowdata", help="training-set-size sweep")
-    ld.add_argument("--data", required=True)
-    ld.add_argument("--truth-col", default="y")
+    ld = _add_command(sub, "lowdata", _cmd_lowdata, "training-set-size sweep")
     ld.add_argument("--sizes", required=True, help="comma list of training sizes")
     ld.add_argument("--replicates", type=int, default=5)
     ld.add_argument("--modes", default="map-mv,mle")
-    ld.add_argument("--seed", type=int, default=None)
-    ld.add_argument("--out", default=None)
     _add_prior_flags(ld)
     _add_train_flags(ld)
-    ld.set_defaults(func=_cmd_lowdata)
 
-    st = sub.add_parser("stability", help="test metrics per fixed epoch budget")
-    st.add_argument("--data", required=True)
-    st.add_argument("--truth-col", default="y")
+    st = _add_command(sub, "stability", _cmd_stability, "test metrics per fixed epoch budget")
     st.add_argument("--epoch-grid", required=True, help="comma list of epoch budgets")
     st.add_argument("--modes", default="map-mv,mle")
-    st.add_argument("--seed", type=int, default=None)
-    st.add_argument("--out", default=None)
     _add_prior_flags(st)
     _add_train_flags(st, with_stop=False)  # each budget sets the epochs; no validation split
-    st.set_defaults(func=_cmd_stability)
 
-    sy = sub.add_parser("synth", help="sample a synthetic dataset from the model")
+    sy = _add_command(sub, "synth", _cmd_synth, "sample a synthetic dataset from the model",
+                      out_required=True, data=None)
     sy.add_argument("--m", type=int, required=True)
     sy.add_argument("--n", type=int, required=True)
     sy.add_argument("--alpha", required=True, help="accuracy value or comma list")
     sy.add_argument("--beta", required=True, help="coverage value or comma list")
     sy.add_argument("--balance", type=float, default=0.5)
-    sy.add_argument("--seed", type=int, default=None)
-    sy.add_argument("--out", required=True)
-    sy.set_defaults(func=_cmd_synth)
 
-    ps = sub.add_parser("priors-study", help="prior and accuracy distances per mode")
-    ps.add_argument("--data", required=True)
-    ps.add_argument("--truth-col", default="y")
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--out", default=None)
+    ps = _add_command(sub, "priors-study", _cmd_priors_study,
+                      "prior and accuracy distances per mode")
     _add_prior_flags(ps, with_abstain=False)
     _add_train_flags(ps)
-    ps.set_defaults(func=_cmd_priors_study)
 
     return parser
 

@@ -22,7 +22,6 @@ types it stores (:class:`ModelFile`), whose own checks are its range checks.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import dataclasses
@@ -683,21 +682,10 @@ def load_model(path) -> ModelFile:
     return ModelFile(params, prior, fields["config_digest"], label_prior)
 
 
-def _grid_value_ok(key: str, value) -> bool:
-    if key == "force_abstain":
-        return isinstance(value, bool)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def read_grid(path) -> GridSpec:
     """Parse a grid-search file: a JSON object mapping any of the GridSpec
-    fields to a nonempty list of values (finite numbers; booleans for
-    ``force_abstain``). Anything else raises DataError naming the key."""
+    fields to a value list that GridSpec accepts. Anything else raises
+    DataError naming the file and the key."""
     try:
         raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -707,12 +695,7 @@ def read_grid(path) -> GridSpec:
     unknown = set(raw) - {grid_field.name for grid_field in dataclasses.fields(GridSpec)}
     if unknown:
         raise DataError(f"{path}: unknown grid keys {sorted(unknown)}")
-    for key, values in raw.items():
-        if not isinstance(values, list) or not values or not all(
-            _grid_value_ok(key, value) for value in values
-        ):
-            kind = "booleans" if key == "force_abstain" else "finite numbers"
-            raise DataError(
-                f"{path}: grid key {key!r} must be a nonempty list of {kind}, got {values!r}"
-            )
-    return GridSpec(**{key: tuple(values) for key, values in raw.items()})
+    try:
+        return GridSpec(**raw)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -46,9 +46,23 @@ TRAIN_FRAC = 0.8
 VAL_FRAC = 0.1
 
 
+def _grid_value_ok(key: str, value) -> bool:
+    if key == "force_abstain":
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate hyperparameter values explored combinatorially."""
+    """Candidate hyperparameter values explored combinatorially. Each field
+    takes a nonempty list or tuple of finite numbers (booleans for
+    ``force_abstain``), stored as a tuple; anything else raises DataError
+    naming the field."""
 
     strengths: tuple = (10.0, 100.0)
     learning_rates: tuple = (0.001, 0.01)
@@ -58,8 +72,15 @@ class GridSpec:
 
     def __post_init__(self):
         for grid_field in fields(self):
-            if len(getattr(self, grid_field.name)) == 0:
-                raise DataError(f"grid value list {grid_field.name} must be nonempty")
+            key, values = grid_field.name, getattr(self, grid_field.name)
+            if not isinstance(values, (list, tuple)) or not values or not all(
+                _grid_value_ok(key, value) for value in values
+            ):
+                kind = "booleans" if key == "force_abstain" else "finite numbers"
+                raise DataError(
+                    f"grid key {key!r} must be a nonempty list of {kind}, got {values!r}"
+                )
+            object.__setattr__(self, key, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -402,8 +402,15 @@ class TestExitCodes:
 
     def test_evaluate_source_conflict_is_usage_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
-        assert run("evaluate", "--data", data) == 1
-        assert "exactly one" in capsys.readouterr().err
+        capsys.readouterr()
+        for sources, refusal in (
+            ((), "one of the arguments --pred --model --mode is required"),
+            (("--pred", tmp_path / "p.csv", "--mode", "mv"), "not allowed with"),
+        ):
+            assert run("evaluate", *sources, "--data", data) == 1
+            captured = capsys.readouterr()
+            assert refusal in captured.err
+            assert captured.out == ""  # refused before the reproducibility line
 
     def lowdata_refused(self, tmp_path, monkeypatch, capsys, *flags) -> str:
         """Run lowdata on a 400-row file with ``flags``, which must exit 2
@@ -560,6 +567,35 @@ def test_negative_seed_is_data_error(
     assert "Traceback" not in captured.err
     assert captured.out == ""  # refused before the reproducibility line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_command_help_exits_zero(command, capsys):
+    assert run(command, "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: labelforge {command} ")
+
+
+# each command's config digest for SEED_COMMANDS with --seed 7; paths are
+# left out of the digest, so the tmp paths do not move it
+CONFIG_DIGESTS = {
+    "evaluate": "79804a9f50b2",
+    "gridsearch": "d6388b4d9699",
+    "lowdata": "28131f71332c",
+    "predict": "7b3d9af5e536",
+    "priors-study": "20b98fba8be2",
+    "stability": "b919d3ad9ce9",
+    "synth": "53ce408e05b0",
+    "train": "2898385e164a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_config_digest_is_pinned(seed_inputs, tmp_path, capsys, command):
+    argv = [a.format(out=tmp_path / "out.txt", **seed_inputs) for a in SEED_COMMANDS[command]]
+    capsys.readouterr()
+    assert run(command, *argv, "--seed", "7") == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith(f" command={command} seed=7 config={CONFIG_DIGESTS[command]}")
 
 
 class TestDeterminism:

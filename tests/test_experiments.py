@@ -180,6 +180,19 @@ class TestGridSearch:
         with pytest.raises(DataError):
             GridSpec(strengths=())
 
+    @pytest.mark.parametrize("values", [
+        {"strengths": 10.0},  # raised TypeError: no len()
+        {"strengths": ("10",)},  # grid_search raised TypeError comparing str and int
+        {"alpha_inits": (True,)},  # fitted alpha 1.0, a value read_grid refuses
+    ], ids=["scalar", "string", "boolean"])
+    def test_malformed_grid_values_rejected(self, values):
+        (key,) = values
+        with pytest.raises(DataError, match=f"grid key '{key}'"):
+            GridSpec(**values)
+
+    def test_grid_values_stored_as_tuples(self):
+        assert GridSpec(strengths=[10, 100.0]).strengths == (10, 100.0)
+
     def test_map_grid_restricts_p(self, monkeypatch):
         # a label prior p that train refuses fails the whole search before any fit
         def no_fit_cells(*args):
