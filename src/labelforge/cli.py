@@ -145,7 +145,7 @@ def _label(model: ModelFile, dataset):
     """The predictions of ``model`` on ``dataset``, whose LF count must match."""
     if dataset.m != model.params.m:
         raise DataError(f"model expects {model.params.m} LF columns, data has {dataset.m}")
-    return predict(dataset.votes, model.params, model.label_prior)
+    return predict(dataset.votes, model.params, model.prior.label_prior)
 
 
 def _write_results(path, rows, what: str = "results") -> None:
@@ -159,9 +159,6 @@ def _cmd_train(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col)
     train, val = holdout(dataset, args.val_frac, seed)
     if args.mode == "map-user":
-        if args.prior_u is None or args.prior_v is None:
-            print("error: --mode map-user requires --prior-u and --prior-v", file=sys.stderr)
-            return 1
         prior = build_user_priors(
             _parse_list(args.prior_u, "--prior-u"),
             _parse_list(args.prior_v, "--prior-v"),
@@ -193,30 +190,20 @@ def _cmd_predict(args, seed: int, digest: str) -> int:
 
 
 def _cmd_evaluate(args, seed: int, digest: str) -> int:
-    # argparse admits exactly one source: --pred, --model or --mode mv
+    # argparse admits exactly one source, and --data where it is needed
     dataset = None
     if args.data is not None:
         dataset = _read(args.data, args.truth_col, need_truth=args.truth is None)
     if args.pred is not None:
         preds, row_tag = read_predictions(args.pred), "pred"
-    elif dataset is None:
-        source = "--model" if args.model is not None else "--mode mv"
-        print(f"error: {source} requires --data", file=sys.stderr)
-        return 1
     elif args.model is not None:
         preds, row_tag = _label(load_model(args.model), dataset), "model"
     else:
         preds, row_tag = majority_vote_predictions(dataset.votes), "mv"
 
-    if args.truth is not None:
-        truth = _read(args.truth, args.truth_col, need_truth=True).truth
-    elif dataset is not None:
-        truth = dataset.truth
-    else:
-        print("error: no ground truth (--truth file or truth column in --data)", file=sys.stderr)
-        return 1
-
-    report = score(preds, truth)
+    if args.truth is not None:  # scored against the truth file, else against --data
+        dataset = _read(args.truth, args.truth_col, need_truth=True)
+    report = score(preds, dataset.truth)
     for line in report_lines(report):
         print(line)
     _write_results(args.out, metric_rows("evaluate", row_tag, len(preds), "0", report.as_dict()),
@@ -243,18 +230,16 @@ def _cmd_gridsearch(args, seed: int, digest: str) -> int:
     return 0
 
 
+def _sweep_options(args, seed: int) -> dict:
+    """The options lowdata and stability pass their sweep alike."""
+    return dict(modes=tuple(args.modes.split(",")), config=_train_config(args, seed),
+                strength=args.strength, p=args.p, force_abstain=args.force_abstain)
+
+
 def _cmd_lowdata(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col)
-    rows = low_data_sweep(
-        dataset,
-        _parse_list(args.sizes, "--sizes", int),
-        args.replicates,
-        modes=tuple(args.modes.split(",")),
-        config=_train_config(args, seed),
-        strength=args.strength,
-        p=args.p,
-        force_abstain=args.force_abstain,
-    )
+    rows = low_data_sweep(dataset, _parse_list(args.sizes, "--sizes", int), args.replicates,
+                          **_sweep_options(args, seed))
     for row in rows:
         if row["replicate"] in ("mean", "std") and row["metric"] == "f1":
             print(
@@ -268,16 +253,8 @@ def _cmd_lowdata(args, seed: int, digest: str) -> int:
 def _cmd_stability(args, seed: int, digest: str) -> int:
     dataset = _read(args.data, args.truth_col)
     train, _, test = split(dataset, seed)
-    rows = stability_sweep(
-        train,
-        test,
-        _parse_list(args.epoch_grid, "--epoch-grid", int),
-        modes=tuple(args.modes.split(",")),
-        config=_train_config(args, seed),
-        strength=args.strength,
-        p=args.p,
-        force_abstain=args.force_abstain,
-    )
+    rows = stability_sweep(train, test, _parse_list(args.epoch_grid, "--epoch-grid", int),
+                           **_sweep_options(args, seed))
     for row in rows:
         if row["metric"] == "f1":
             print(f"epochs={row['size']} mode={row['mode']} f1={format_percent(row['value'])}")
@@ -319,6 +296,33 @@ def _cmd_priors_study(args, seed: int, digest: str) -> int:
     return 0
 
 
+def _train_refusal(args) -> str | None:
+    if args.mode == "map-user" and None in (args.prior_u, args.prior_v):
+        return "--mode map-user requires --prior-u and --prior-v"
+
+
+def _evaluate_refusal(args) -> str | None:
+    if args.data is None and args.pred is None:
+        return f"{'--model' if args.model is not None else '--mode mv'} requires --data"
+    if args.data is None and args.truth is None:
+        return "--pred requires --truth or --data"
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. ``refusal(args)`` names a combination of flags
+    that the command refuses and argparse cannot declare (None if there is
+    none), which is then a usage error like any other."""
+
+    refusal = staticmethod(lambda args: None)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.refusal(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
+
 def _add_command(sub, name: str, func, summary: str, *, out_required: bool = False,
                  data: bool | None = True):
     """Register the subcommand ``name``, run by ``func``, with the flags every
@@ -356,10 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="labelforge",
         description="Denoise labeling-function vote matrices with a regularized generative model.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     train = _add_command(sub, "train", _cmd_train, "fit a model and write a model file",
                          out_required=True)
+    train.refusal = _train_refusal
     train.add_argument("--val-frac", type=float, default=0.1)
     train.add_argument("--mode", choices=(*MODES, "map-user"), default="map-mv")
     train.add_argument("--prior-u", default=None, help="comma list for map-user")
@@ -373,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = _add_command(sub, "evaluate", _cmd_evaluate, "score predictions against ground truth",
                       data=False)
+    ev.refusal = _evaluate_refusal
     source = ev.add_mutually_exclusive_group(required=True)
     source.add_argument("--pred", default=None)
     source.add_argument("--model", default=None, help="needs --data")
@@ -426,7 +432,7 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (LabelForgeError, OSError) as exc:
+    except (LabelForgeError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ from .errors import DataError
 from .experiments import GridSpec
 from .infer import REASON_DEGENERATE, REASON_FORCED, REASON_NONE, REASON_TIE, Predictions
 from .model import BetaPrior, Dataset, LabelPrior, ModelParams
-from .priors import PriorSpec
+from .priors import PriorSpec, build_mle_priors
 
 MODEL_FORMAT_VERSION = 1
 
@@ -71,9 +71,6 @@ _SCORE_WIDTH, _REASON_WIDTH = 32, 16
 
 _TAIL = _SCORE_WIDTH  # zero bytes after the body, so a window of that width from any cell fits
 _CHUNK = 1 << 16  # bytes of text searched at a time for cell offsets
-# Fewest LF columns for which read_dataset copies them out as a slice rather
-# than gathering them (about 0.3 against 0.4 ms per million cells at 20).
-_SLICE_COPY_LFS = 16
 # _WORD_MASKS[k] keeps the first k bytes of a uint64 word and zeroes the rest.
 _WORD_MASKS = np.frombuffer(
     b"".join(b"\xff" * k + b"\0" * (8 - k) for k in range(9)), dtype=np.uint64
@@ -406,14 +403,9 @@ def read_dataset(path, truth_col: str = "y") -> Dataset:
         return Dataset(values)
     bad[:, truth_idx] |= values[:, truth_idx] == 0
     table.check(bad, lf_idx + [truth_idx], expected + ["-1 or 1"])
-    # The votes must come out contiguous: a whole-array pass over a strided
-    # view loops once per row. With the truth column at either end they are
-    # a slice, whose copy goes a row at a time; a column gather (which comes
-    # out Fortran-ordered) goes a cell at a time, faster for narrow rows only.
-    if truth_idx in (0, len(header) - 1) and len(lf_idx) >= _SLICE_COPY_LFS:
-        votes = (values[:, 1:] if truth_idx == 0 else values[:, :-1]).copy()
-    else:
-        votes = values[:, lf_idx]
+    # A whole-array pass over a strided view loops once per row, so the LF
+    # columns either side of the truth column are copied into one C-ordered array.
+    votes = np.delete(values, truth_idx, axis=1)
     return Dataset(votes, values[:, truth_idx].copy())
 
 
@@ -522,18 +514,12 @@ def write_results_table(path, rows: list[dict]) -> None:
 @dataclasses.dataclass(frozen=True)
 class ModelFile:
     """What a model file stores: the fitted params, the prior spec of the fit
-    (None for mle), the run's config digest, and the label prior, which
-    defaults to the spec's, or to ``LabelPrior()`` when there is none."""
+    (whose label prior labels rows; plain likelihood by default) and the
+    run's config digest."""
 
     params: ModelParams
-    prior: PriorSpec | None = None
+    prior: PriorSpec = dataclasses.field(default_factory=build_mle_priors)
     config_digest: str = "none"
-    label_prior: LabelPrior | None = None
-
-    def __post_init__(self):
-        if self.label_prior is None:
-            default = LabelPrior() if self.prior is None else self.prior.label_prior
-            object.__setattr__(self, "label_prior", default)
 
 
 def _vector_text(vec: np.ndarray | None) -> str:
@@ -589,21 +575,19 @@ def _read_text(path) -> str:
 
 def save_model(path, model: ModelFile) -> None:
     """Write ``model`` as a model file, one ``key: value`` line per field."""
-    prior, label_prior = model.prior, model.label_prior
-    strength = None if prior is None else prior.strength
-    beta = None if prior is None else prior.accuracy_prior
+    prior, beta = model.prior, model.prior.accuracy_prior
     fields = {
         "format_version": str(MODEL_FORMAT_VERSION),
         "m": str(model.params.m),
         "accuracy": _vector_text(model.params.accuracy),
         "coverage": _vector_text(model.params.coverage),
-        "prior_source": "none" if prior is None else prior.source,
-        "prior_strength": "none" if strength is None else repr(float(strength)),
-        "prior_p": repr(float(label_prior.p)),
-        "prior_force_abstain": "true" if label_prior.force_abstain else "false",
+        "prior_source": prior.source,
+        "prior_strength": "none" if prior.strength is None else repr(float(prior.strength)),
+        "prior_p": repr(float(prior.label_prior.p)),
+        "prior_force_abstain": "true" if prior.label_prior.force_abstain else "false",
         "prior_u": _vector_text(None if beta is None else beta.u),
         "prior_v": _vector_text(None if beta is None else beta.v),
-        "prior_means": _vector_text(None if prior is None else prior.means),
+        "prior_means": _vector_text(prior.means),
         "config_digest": model.config_digest,
     }
     lines = [f"{key}: {fields[key]}" for key in _MODEL_KEYS]
@@ -614,7 +598,7 @@ def load_model(path) -> ModelFile:
     """Parse a model file; any malformed, inconsistent or out-of-range field
     raises DataError naming the file and the field. Values are range-checked
     by the types that hold them in use: ModelParams, LabelPrior, BetaPrior
-    and PriorSpec. Only a ``prior_source`` other than ``none`` has a prior."""
+    and PriorSpec. A ``prior_source`` of ``none`` has no beta prior."""
     fields: dict[str, str] = {}
     for line in _read_text(path).splitlines():
         if not line.strip():
@@ -671,15 +655,13 @@ def load_model(path) -> ModelFile:
     label_prior = checked(
         "'prior_p'", lambda: LabelPrior(parsed["prior_p"], parsed["prior_force_abstain"])
     )
-    prior = None
-    if source != "none":
-        beta = checked("'prior_u', 'prior_v'", lambda: BetaPrior(u, v))
-        prior = checked(
-            "'prior_source', 'prior_strength', 'prior_means'",
-            lambda: PriorSpec(beta, label_prior, parsed["prior_strength"], source,
-                              parsed["prior_means"]),
-        )
-    return ModelFile(params, prior, fields["config_digest"], label_prior)
+    beta = None if u is None else checked("'prior_u', 'prior_v'", lambda: BetaPrior(u, v))
+    prior = checked(
+        "'prior_source', 'prior_strength', 'prior_means'",
+        lambda: PriorSpec(beta, label_prior, parsed["prior_strength"], source,
+                          parsed["prior_means"]),
+    )
+    return ModelFile(params, prior, fields["config_digest"])
 
 
 def read_grid(path) -> GridSpec:

@@ -30,6 +30,7 @@ from .model import Dataset, LabelPrior, VoteRows
 from .priors import (
     PriorSpec,
     build_empirical_priors,
+    build_mle_priors,
     build_mv_priors,
     build_random_priors,
     reference_accuracies,
@@ -114,6 +115,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise DataError(f"synthetic spec needs m >= 1 and n >= 1, got m={self.m}, n={self.n}")
+        if int(self.n) * int(self.m) > np.iinfo(np.intp).max // 8:  # the n x m draws
+            raise DataError(f"synthetic n x m = {self.n} x {self.m} exceeds any float64 array")
         if not (0.0 <= self.class_balance <= 1.0):
             raise DataError(f"class_balance must lie in [0, 1], got {self.class_balance}")
         self.vectors()
@@ -179,10 +182,11 @@ def build_mode_priors(
     p: float,
     force_abstain: bool,
     seed: int,
-) -> PriorSpec | None:
-    """Prior construction for one of the named training modes (None for mle)."""
+) -> PriorSpec:
+    """Prior construction for one of the named training modes; mle has the
+    label prior only."""
     if mode == "mle":
-        return None
+        return build_mle_priors(p, force_abstain)
     if mode == "map-mv":
         return build_mv_priors(votes, strength, p, force_abstain)
     if mode == "map-emp":
@@ -196,7 +200,7 @@ def build_mode_priors(
 
 def _mode_priors(
     train: Dataset, modes, strength, p, force_abstain, seed: int
-) -> list[PriorSpec | None]:
+) -> list[PriorSpec]:
     """Every mode's prior, built before any fit: an empty or repeated mode
     list, or a mode not in MODES, raises DataError."""
     if not modes or len(set(modes)) < len(modes):
@@ -218,10 +222,9 @@ def _fit_stacked(train_votes, val_votes, priors, configs) -> list[FitResult]:
     return results
 
 
-def _score_labels(grouped, truth, prior: PriorSpec | None, result: FitResult) -> MetricsReport:
+def _score_labels(grouped, truth, prior: PriorSpec, result: FitResult) -> MetricsReport:
     """Score a fit's labels of a grouped matrix under its prior's label prior."""
-    label_prior = prior.label_prior if prior is not None else LabelPrior()
-    return score(predict_grouped(grouped, result.params, label_prior), truth)
+    return score(predict_grouped(grouped, result.params, prior.label_prior), truth)
 
 
 @dataclass
@@ -293,7 +296,7 @@ def grid_search(
     # p and force_abstain only set the label prior, so the priors built for
     # one strength serve all its cells
     built: dict = {}
-    priors: list[PriorSpec | None] = []
+    priors: list[PriorSpec] = []
     configs: list[TrainConfig] = []
     for cell in cells:
         settings = cell.settings
@@ -303,11 +306,8 @@ def grid_search(
                 mode, train.votes, train.truth, strength, 0.5, False, base.seed
             )
         prior = built[strength]
-        if prior is not None:
-            label_prior = replace(
-                prior.label_prior, p=settings["p"], force_abstain=settings["force_abstain"]
-            )
-            prior = replace(prior, label_prior=label_prior)
+        if mode != "mle":  # mle cells keep the symmetric label prior
+            prior = replace(prior, label_prior=LabelPrior(settings["p"], settings["force_abstain"]))
         priors.append(prior)
         configs.append(replace(
             base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
@@ -529,11 +529,8 @@ def prior_quality_study(
     results = _fit_stacked(train.votes, val.votes, priors, [config] * len(priors))
     out: dict[str, dict[str, float | None]] = {}
     for mode, prior, result in zip(modes, priors, results):
-        prior_l2 = None
-        if prior is not None and prior.means is not None:
-            prior_l2 = l2_distance(alpha_star, prior.means)
         out[mode] = {
-            "prior_l2": prior_l2,
+            "prior_l2": None if prior.means is None else l2_distance(alpha_star, prior.means),
             "alpha_l2": l2_distance(alpha_star, result.params.accuracy),
         }
     return out

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError
 from .model import BetaPrior, LabelPrior, as_label_vector, as_lf_matrix, row_majority
 
-PRIOR_SOURCES = ("mv", "empirical", "random", "uniform", "user")
+PRIOR_SOURCES = ("none", "mv", "empirical", "random", "uniform", "user")
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,13 @@ class PriorSpec:
     say): the label prior anchors to the rows being fitted. A spec read from
     a model file is checked here too: its strength must be finite, > 0 and
     equal to each LF's u + v (up to rounding), its means in [0, 1].
+
+    Plain likelihood (the ``mle`` mode) is the spec of source ``none``: the
+    label prior only, with no accuracy prior, strength or means. Every
+    other source has an accuracy prior.
     """
 
-    accuracy_prior: BetaPrior
+    accuracy_prior: BetaPrior | None
     label_prior: LabelPrior
     strength: float | None
     source: str
@@ -43,6 +47,12 @@ class PriorSpec:
     def __post_init__(self):
         if self.source not in PRIOR_SOURCES:
             raise DataError(f"unknown prior source {self.source!r}")
+        if self.source == "none":
+            if any(x is not None for x in (self.accuracy_prior, self.strength, self.means)):
+                raise DataError("a 'none' prior has no accuracy prior, strength or means")
+            return
+        if self.accuracy_prior is None:
+            raise DataError(f"a {self.source!r} prior needs an accuracy prior")
         if self.strength is not None and not 0 < self.strength < np.inf:
             raise DataError(f"prior strength must be a finite number > 0, got {self.strength}")
         mass = self.accuracy_prior.u + self.accuracy_prior.v  # the strength, up to rounding
@@ -165,6 +175,11 @@ def build_uniform_priors(m: int, p: float = 0.5, force_abstain: bool = False) ->
         source="uniform",
         means=np.full(m, 0.5),
     )
+
+
+def build_mle_priors(p: float = 0.5, force_abstain: bool = False) -> PriorSpec:
+    """The plain-likelihood spec: the label prior, and no accuracy prior."""
+    return PriorSpec(None, LabelPrior(p=p, force_abstain=force_abstain), None, "none")
 
 
 def build_user_priors(u, v, p: float = 0.5, force_abstain: bool = False) -> PriorSpec:

@@ -68,7 +68,7 @@ from .model import (
     half_log_ratios,
     log_objectives,
 )
-from .priors import PriorSpec
+from .priors import PriorSpec, build_mle_priors
 
 # Cells fitted in one loop are capped so that the loop's rows x cells
 # arrays (the carried d @ h and the two class-prior gathers that the
@@ -127,7 +127,7 @@ def grad_accuracy(
     rows: VoteRows,
     prior_table: np.ndarray,
     accuracy: np.ndarray,
-    accuracy_prior: BetaPrior | None,
+    accuracy_prior: BetaPrior,
     prior_weight: float,
     dh: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -156,43 +156,41 @@ def grad_accuracy(
     e *= rows.w
     de = e @ rows.d
     grad = 0.5 * ((rows.count + de) / acc - (rows.count - de) / (1.0 - acc))
-    if accuracy_prior is not None:
-        grad = grad + prior_weight * accuracy_prior.log_density_grad(acc)
-    return grad
+    return grad + prior_weight * accuracy_prior.log_density_grad(acc)
 
 
-def beta_map(hits, misses, prior: BetaPrior | None) -> np.ndarray:
-    """The mode of Beta(hits + u, misses + v), u = v = 1 for no prior: the b in
+def beta_map(hits, misses, prior: BetaPrior) -> np.ndarray:
+    """The mode of Beta(hits + u, misses + v): the b in
     [CLAMP_EPS, 1 - CLAMP_EPS] that maximises A log b + B log(1 - b), with
     A = hits + u - 1 and B = misses + v - 1, per cell for a (K, m) prior.
     A / (A + B) lands on the wrong end when A or B is negative, so the sign
     decides: CLAMP_EPS where A <= 0 and A <= B, else 1 - CLAMP_EPS where
     B <= 0, else A / (A + B), clipped.
     """
-    u, v = (1.0, 1.0) if prior is None else (prior.u, prior.v)
-    a = hits + u - 1.0
-    b = misses + v - 1.0
+    a = hits + prior.u - 1.0
+    b = misses + prior.v - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         mode = np.clip(a / (a + b), CLAMP_EPS, 1.0 - CLAMP_EPS)
     return np.where((a <= 0) & (a <= b), CLAMP_EPS, np.where(b <= 0, 1.0 - CLAMP_EPS, mode))
 
 
-def _stacked_prior(priors: list[BetaPrior | None], m: int) -> BetaPrior:
-    """One (K, m) prior from K cells' priors; a cell without one gets the
-    uniform u = v = 1, whose log density and gradient are exactly 0."""
-    u, v = np.ones((len(priors), m)), np.ones((len(priors), m))
-    for row, prior in enumerate(priors):
-        if prior is not None:
-            if prior.m != m:
-                raise DataError(f"accuracy prior has {prior.m} entries, matrix has {m} columns")
-            u[row], v[row] = prior.u, prior.v
+def _stacked_prior(specs: list[PriorSpec], m: int) -> BetaPrior:
+    """One (K, m) accuracy prior from K cells' specs; a cell without one (the
+    plain likelihood) gets the uniform u = v = 1, whose log density and
+    gradient are exactly 0."""
+    u, v = np.ones((len(specs), m)), np.ones((len(specs), m))
+    for row, beta in enumerate(spec.accuracy_prior for spec in specs):
+        if beta is not None:
+            if beta.m != m:
+                raise DataError(f"accuracy prior has {beta.m} entries, matrix has {m} columns")
+            u[row], v[row] = beta.u, beta.v
     return BetaPrior(u, v)
 
 
 def fit_cells(
     train: tuple[VoteRows, np.ndarray],
     val: tuple[VoteRows, np.ndarray] | None,
-    priors: Sequence[PriorSpec | None],
+    priors: Sequence[PriorSpec],
     configs: Sequence[TrainConfig],
 ) -> list[FitResult | NumericalError]:
     """Fit one model per (prior spec, config) cell, all in one training loop.
@@ -230,8 +228,8 @@ def fit_cells(
                 train, val, priors[start : start + block], configs[start : start + block]
             )
         ]
-    acc_prior = _stacked_prior([None if s is None else s.accuracy_prior for s in priors], m)
-    prior_table = class_prior_table([0.5 if s is None else s.label_prior.p for s in priors])
+    acc_prior = _stacked_prior(priors, m)
+    prior_table = class_prior_table([spec.label_prior.p for spec in priors])
     full_batch = config.batch_size is None or config.batch_size >= n
 
     lr = np.array([c.learning_rate for c in configs])[:, None]
@@ -332,7 +330,7 @@ def fit_cells(
 def fit(
     train_votes,
     val_votes=None,
-    prior_spec: PriorSpec | None = None,
+    prior_spec=None,
     config: TrainConfig | None = None,
 ) -> FitResult:
     """Fit accuracies by seeded SGD ascent (coverages are closed-form).
@@ -347,7 +345,8 @@ def fit(
     train = VoteRows.grouped(train_votes)
     has_val = val_votes is not None and np.asarray(val_votes).shape[0] > 0
     val = VoteRows.grouped(val_votes) if has_val else None
-    (result,) = fit_cells(train, val, [prior_spec], [config or TrainConfig()])
+    spec = prior_spec or build_mle_priors()
+    (result,) = fit_cells(train, val, [spec], [config or TrainConfig()])
     if isinstance(result, NumericalError):
         raise result
     return result

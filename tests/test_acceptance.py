@@ -129,7 +129,8 @@ def test_criterion_02_mle_map_reduction():
         obj_map = ref.log_objective(rows, 0.5, map_acc, map_cov, uniform.accuracy_prior)
         obj_mle = ref.log_objective(rows, 0.5, mle_acc, mle_cov)
         g_map = grad_accuracy(rows, table, map_acc, uniform.accuracy_prior, 1.0)
-        g_mle = grad_accuracy(rows, table, mle_acc, None, 1.0)
+        # the likelihood's gradient alone: the prior weighted by 0
+        g_mle = grad_accuracy(rows, table, mle_acc, uniform.accuracy_prior, 0.0)
         p_map = predict(votes, map_res.params, uniform.label_prior)
         p_mle = predict(votes, mle_res.params, LabelPrior())
         same = (

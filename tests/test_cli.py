@@ -54,6 +54,24 @@ class TestWorkflows:
         votes = read_dataset(data).votes
         np.testing.assert_array_equal(preds.labels, majority_vote(votes))
 
+    def test_mle_labels_under_the_runs_label_prior(self, tmp_path):
+        # mle has no accuracy prior, but --p and --force-abstain set its
+        # label prior, which the model file keeps and predict applies
+        data = make_synth(tmp_path, n=300)
+        model = tmp_path / "mle.txt"
+        preds_path = tmp_path / "preds.csv"
+        assert run("train", "--data", data, "--mode", "mle", "--p", "0.9", "--force-abstain",
+                   "--epochs", "3", "--seed", "2", "--out", model) == 0
+        lines = model.read_text().splitlines()
+        for line in ("prior_source: none", "prior_p: 0.9", "prior_force_abstain: true"):
+            assert line in lines
+        assert run("predict", "--model", model, "--data", data, "--out", preds_path) == 0
+        preds = read_predictions(preds_path)
+        mv_abstains = majority_vote(read_dataset(data).votes) == 0
+        assert mv_abstains.any()
+        np.testing.assert_array_equal(preds.abstain_reason == "forced", mv_abstains)
+        np.testing.assert_array_equal(preds.labels[mv_abstains], 0)
+
     def test_evaluate_from_prediction_file(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=200)
         model = tmp_path / "model.txt"
@@ -122,8 +140,9 @@ class TestWorkflows:
 
     def test_wide_file_with_truth_between_lf_columns(self, tmp_path):
         # More LFs than the int64 pattern key holds, so rows are keyed by
-        # their bytes. A truth column between LF columns makes the votes
-        # Fortran-ordered, which a byte view cannot take as they are.
+        # their bytes. A truth column between LF columns leaves the votes
+        # C-ordered, as at either end; Fortran-ordered ones, which a byte
+        # view cannot take as they are, group the same.
         data = make_synth(tmp_path, m=45, n=600, alpha="0.8", beta="0.05", seed=7)
         mid = tmp_path / "mid.csv"
         moved = []
@@ -133,8 +152,12 @@ class TestWorkflows:
             moved.append(",".join(cells))
         mid.write_text("\n".join(moved) + "\n")
         votes = read_dataset(mid).votes
-        assert votes.flags.f_contiguous and not votes.flags.c_contiguous
-        assert VoteRows.grouped(votes)[0].n < votes.shape[0]  # rows repeat
+        assert votes.flags.c_contiguous
+        rows, inverse = VoteRows.grouped(votes)
+        assert rows.n < votes.shape[0]  # rows repeat
+        fortran_rows, fortran_inverse = VoteRows.grouped(np.asfortranarray(votes))
+        np.testing.assert_array_equal(fortran_rows.d, rows.d)
+        np.testing.assert_array_equal(fortran_inverse, inverse)
         outputs = []
         for path in (data, mid):
             model, preds = tmp_path / f"{path.stem}.txt", tmp_path / f"{path.stem}.pred.csv"
@@ -402,15 +425,36 @@ class TestExitCodes:
 
     def test_evaluate_source_conflict_is_usage_error(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=120)
+        preds, model, user = tmp_path / "p.csv", tmp_path / "m.txt", tmp_path / "u.txt"
         capsys.readouterr()
-        for sources, refusal in (
-            ((), "one of the arguments --pred --model --mode is required"),
-            (("--pred", tmp_path / "p.csv", "--mode", "mv"), "not allowed with"),
+        for argv, refusal in (
+            (("evaluate", "--data", data),
+             "one of the arguments --pred --model --mode is required"),
+            (("evaluate", "--pred", preds, "--mode", "mv", "--data", data), "not allowed with"),
+            # flag combinations argparse cannot declare, refused while parsing too
+            (("evaluate", "--model", model), "--model requires --data"),
+            (("evaluate", "--mode", "mv", "--truth", data), "--mode mv requires --data"),
+            (("evaluate", "--pred", preds), "--pred requires --truth or --data"),
+            (("train", "--data", data, "--mode", "map-user", "--prior-u", "9,8,7,6",
+              "--out", user), "--mode map-user requires --prior-u and --prior-v"),
         ):
-            assert run("evaluate", *sources, "--data", data) == 1
+            assert run(*argv) == 1
             captured = capsys.readouterr()
             assert refusal in captured.err
+            assert "usage:" in captured.err
             assert captured.out == ""  # refused before the reproducibility line
+        assert not user.exists()
+
+    @pytest.mark.parametrize("n", ["1000000000000000", "4611686018427387904"])
+    def test_synth_beyond_memory_is_data_error(self, tmp_path, capsys, n):
+        # both fail before allocating: no machine holds 7 PiB for the first
+        # n floats, and n x m floats of the second exceed any array's size
+        out = tmp_path / "s.csv"
+        assert run("synth", "--m", "3", "--n", n, "--alpha", "0.9", "--beta", "0.5",
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def lowdata_refused(self, tmp_path, monkeypatch, capsys, *flags) -> str:
         """Run lowdata on a 400-row file with ``flags``, which must exit 2

@@ -28,7 +28,7 @@ from labelforge import (
     SyntheticSpec,
 )
 from labelforge.dataio import read_grid
-from labelforge.priors import build_uniform_priors
+from labelforge.priors import build_mle_priors, build_uniform_priors
 
 SAMPLE = """lf_0,lf_1,lf_2,lf_3,lf_4,lf_5,lf_6,lf_7,lf_8,lf_9,y
 0,0,0,0,0,1,0,0,0,0,1
@@ -145,8 +145,9 @@ class TestReadDataset:
     @pytest.mark.parametrize("m", [3, 20])
     @pytest.mark.parametrize("truth_at", [0, 1, -1])
     def test_votes_come_out_contiguous(self, tmp_path, m, truth_at):
-        # whole-array passes over a strided view loop once per row; a column
-        # gather comes out Fortran-ordered, which they take in one loop too
+        # whole-array passes over a strided view loop once per row, and the
+        # vote-pattern key reads each row's bytes, so the votes come out
+        # C-ordered wherever the truth column is (first, between LFs, last)
         rng = np.random.default_rng(m)
         votes = rng.integers(-1, 2, size=(30, m)).astype(np.int8)
         truth = rng.choice(np.array([-1, 1], dtype=np.int8), 30)
@@ -159,9 +160,10 @@ class TestReadDataset:
             ",".join(header) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in grid)
         )
         ds = read_dataset(path)
+        np.testing.assert_array_equal(ds.votes, grid[:, [k for k in range(m + 1) if k != at]])
         np.testing.assert_array_equal(ds.votes, votes)
         np.testing.assert_array_equal(ds.truth, truth)
-        assert ds.votes.flags.c_contiguous or ds.votes.flags.f_contiguous
+        assert ds.votes.flags.c_contiguous
 
     def test_non_utf8_header(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -333,18 +335,18 @@ class TestModelFile:
         save_model(path, ModelFile(params, prior, "d1"))
         loaded = load_model(path)
         a = predict(ds.votes, params, prior.label_prior)
-        b = predict(ds.votes, loaded.params, loaded.label_prior)
+        b = predict(ds.votes, loaded.params, loaded.prior.label_prior)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.score_pos, b.score_pos)
 
     def test_mle_model_file(self, tmp_path):
         params = ModelParams([0.8], [0.4])
         path = tmp_path / "mle.txt"
-        save_model(path, ModelFile(params, None, "d2"))
+        save_model(path, ModelFile(params, build_mle_priors(), "d2"))
         assert "prior_source: none\nprior_strength: none\n" in path.read_text()
         loaded = load_model(path)
-        assert loaded.prior is None
-        assert loaded.label_prior == LabelPrior()
+        assert loaded.prior == build_mle_priors()
+        assert loaded.prior.label_prior == LabelPrior()
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -419,9 +421,8 @@ class TestModelFile:
     )
     def test_every_prior_source_round_trips(self, tmp_path, source):
         ds = generate_synthetic(SyntheticSpec(m=3, n=60, accuracy=0.8, coverage=0.5, seed=7))
-        label_prior = None
         if source == "mle":
-            prior, label_prior = None, LabelPrior(p=0.8, force_abstain=True)
+            prior = build_mle_priors(p=0.8, force_abstain=True)
         elif source == "mv":
             prior = build_mv_priors(ds.votes, 10.0, p=0.7, force_abstain=True)
         elif source == "empirical":
@@ -436,19 +437,18 @@ class TestModelFile:
             prior = build_uniform_priors(3, force_abstain=True)
         params = ModelParams([0.812345678901234, 0.7, 1e-06], [0.5, 0.45, 1.0 - 1e-06])
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
-        save_model(first, ModelFile(params, prior, "abc123", label_prior))
+        save_model(first, ModelFile(params, prior, "abc123"))
         loaded = load_model(first)
         save_model(second, loaded)
         assert second.read_bytes() == first.read_bytes()
         np.testing.assert_array_equal(loaded.params.accuracy, params.accuracy)
         np.testing.assert_array_equal(loaded.params.coverage, params.coverage)
-        assert loaded.label_prior == (prior.label_prior if label_prior is None else label_prior)
         assert loaded.config_digest == "abc123"
-        if prior is None:
-            assert loaded.prior is None
-            return
         assert (loaded.prior.source, loaded.prior.strength) == (prior.source, prior.strength)
         assert loaded.prior.label_prior == prior.label_prior
+        if source == "mle":
+            assert loaded.prior == prior
+            return
         np.testing.assert_array_equal(loaded.prior.accuracy_prior.u, prior.accuracy_prior.u)
         np.testing.assert_array_equal(loaded.prior.accuracy_prior.v, prior.accuracy_prior.v)
         np.testing.assert_array_equal(loaded.prior.means, prior.means)
@@ -456,7 +456,7 @@ class TestModelFile:
     def test_unsupported_version(self, tmp_path):
         params = ModelParams([0.8], [0.4])
         path = tmp_path / "v.txt"
-        save_model(path, ModelFile(params, None, "d3"))
+        save_model(path, ModelFile(params, config_digest="d3"))
         text = path.read_text().replace("format_version: 1", "format_version: 99")
         path.write_text(text)
         with pytest.raises(DataError, match="version"):

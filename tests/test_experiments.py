@@ -331,8 +331,7 @@ class TestLowDataSweep:
                 mode, sub_train.votes, sub_train.truth, 10.0, 0.5, False, cfg.seed
             )
             result = fit(sub_train.votes, sub_val.votes, prior, cfg)
-            label_prior = LabelPrior() if prior is None else prior.label_prior
-            report = score(predict(test.votes, result.params, label_prior), test.truth)
+            report = score(predict(test.votes, result.params, prior.label_prior), test.truth)
             assert agg[(mode, train.n, "f1", "mean")] == pytest.approx(report.f1, rel=1e-12)
             assert agg[(mode, train.n, "f1", "std")] == 0.0
 

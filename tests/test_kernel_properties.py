@@ -325,6 +325,8 @@ def test_byte_key_groups_like_int64_key(case):
 def test_pattern_objective_and_gradients_equal_row_path(case):
     rows, patterns = case.rows(), case.patterns()
     cov_prior = BetaPrior(*beta_from_mean(case.cov, 10.0))
+    # no accuracy prior: the gradient takes the uniform one, of gradient 0
+    uniform = BetaPrior(np.ones(case.acc.size), np.ones(case.acc.size))
     for prior, weight in ((None, 1.0), (case.prior, 0.3)):
         np.testing.assert_allclose(
             ref.log_objective(patterns, case.p, case.acc, case.cov, prior, cov_prior),
@@ -332,8 +334,8 @@ def test_pattern_objective_and_gradients_equal_row_path(case):
             rtol=RTOL,
         )
         np.testing.assert_allclose(
-            grad_accuracy(patterns, case.table, case.acc, prior, weight),
-            grad_accuracy(rows, case.table, case.acc, prior, weight),
+            grad_accuracy(patterns, case.table, case.acc, prior or uniform, weight),
+            grad_accuracy(rows, case.table, case.acc, prior or uniform, weight),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )
@@ -435,10 +437,10 @@ def test_widest_grouped_matrix_next_to_row_path():
             ref.log_objective(plain, 0.8, acc, cov),
             rtol=RTOL,
         )
-        table = class_prior_table(0.8)
+        table, uniform = class_prior_table(0.8), BetaPrior(np.ones(m), np.ones(m))
         np.testing.assert_allclose(
-            grad_accuracy(rows, table, acc, None, 1.0),
-            grad_accuracy(plain, table, acc, None, 1.0),
+            grad_accuracy(rows, table, acc, uniform, 1.0),
+            grad_accuracy(plain, table, acc, uniform, 1.0),
             rtol=RTOL,
             atol=GRAD_ATOL,
         )

@@ -6,6 +6,7 @@ import pytest
 from labelforge import (
     DataError,
     LabelPrior,
+    PriorSpec,
     build_empirical_priors,
     build_mv_priors,
     build_random_priors,
@@ -14,6 +15,7 @@ from labelforge import (
 )
 from labelforge.priors import (
     beta_from_mean,
+    build_mle_priors,
     build_uniform_priors,
     reference_accuracies,
     vote_fraction,
@@ -162,6 +164,23 @@ class TestBuilders:
         np.testing.assert_array_equal(spec.accuracy_prior.u, np.ones(4))
         np.testing.assert_array_equal(spec.accuracy_prior.v, np.ones(4))
         assert spec.source == "uniform"
+
+    def test_mle_spec_has_the_label_prior_only(self):
+        spec = build_mle_priors(p=0.9, force_abstain=True)
+        assert (spec.source, spec.accuracy_prior, spec.strength, spec.means) == (
+            "none", None, None, None
+        )
+        assert spec.label_prior == LabelPrior(0.9, force_abstain=True)
+
+    def test_source_none_exactly_without_an_accuracy_prior(self):
+        beta = build_uniform_priors(2).accuracy_prior
+        for args in ((beta, LabelPrior(), None, "none"),
+                     (None, LabelPrior(), 2.0, "none"),
+                     (None, LabelPrior(), None, "none", np.full(2, 0.5))):
+            with pytest.raises(DataError, match="'none' prior has no accuracy prior"):
+                PriorSpec(*args)
+        with pytest.raises(DataError, match="'uniform' prior needs an accuracy prior"):
+            PriorSpec(None, LabelPrior(), 2.0, "uniform")
 
     def test_user_priors_pass_through(self):
         spec = build_user_priors([2.0, 3.0], [1.0, 6.0], p=0.7)

@@ -25,11 +25,13 @@ from labelforge import (
 )
 from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
 from labelforge.experiments import holdout
-from labelforge.priors import beta_from_mean, build_uniform_priors
+from labelforge.priors import beta_from_mean, build_mle_priors, build_uniform_priors
 import labelforge.train
 from labelforge.train import beta_map, fit_cells, grad_accuracy
 
 import kernel_reference as ref
+
+MLE = build_mle_priors()  # the plain likelihood under the symmetric label prior
 
 
 def finite_difference(objective, x0, step=1e-5):
@@ -130,6 +132,20 @@ class TestFit:
         result = fit([[0]], None, None, TrainConfig(max_epochs=5, alpha_init=0.8))
         assert result.params.accuracy[0] == pytest.approx(0.8)
         assert result.params.coverage[0] == 0.0
+
+    def test_no_prior_spec_is_the_mle_spec(self):
+        # fit's None stands for the spec without an accuracy prior, bit for bit
+        data = generate_synthetic(SyntheticSpec(m=4, n=200, accuracy=0.8, coverage=0.6, seed=9))
+        votes, val = data.votes[:160], data.votes[160:]
+        for batch_size in (None, 16):
+            cfg = TrainConfig(learning_rate=0.05, max_epochs=6, batch_size=batch_size,
+                              alpha_init=0.8, seed=3)
+            plain, spec = fit(votes, val, None, cfg), fit(votes, val, MLE, cfg)
+            np.testing.assert_array_equal(plain.params.accuracy, spec.params.accuracy)
+            np.testing.assert_array_equal(plain.params.coverage, spec.params.coverage)
+            assert plain.train_loss_history == spec.train_loss_history
+            assert plain.val_loss_history == spec.val_loss_history
+            assert (plain.stopped_epoch, plain.best_epoch) == (spec.stopped_epoch, spec.best_epoch)
 
     def test_deterministic(self):
         data = generate_synthetic(SyntheticSpec(m=3, n=120, accuracy=0.8, coverage=0.6, seed=2))
@@ -406,7 +422,7 @@ CELLS = st.lists(
 
 
 def cell_prior(votes, strength, p):
-    return None if strength is None else build_mv_priors(votes, strength, p)
+    return build_mle_priors(p) if strength is None else build_mv_priors(votes, strength, p)
 
 
 def grouped(votes):
@@ -454,16 +470,15 @@ class TestFitCells:
         for got, prior, config in zip(stacked, priors, configs):
             want = fit(votes, val, prior, config)
             assert_fits_equal(got, want)
-            label_prior = LabelPrior() if prior is None else prior.label_prior
             np.testing.assert_array_equal(
-                predict(votes, got.params, label_prior).labels,
-                predict(votes, want.params, label_prior).labels,
+                predict(votes, got.params, prior.label_prior).labels,
+                predict(votes, want.params, prior.label_prior).labels,
             )
 
     def test_cells_stop_at_their_own_epochs(self):
         data = generate_synthetic(SyntheticSpec(m=4, n=400, accuracy=0.8, coverage=0.5, seed=5))
         train, val = data.votes[:300], data.votes[300:]
-        priors = [build_mv_priors(train, 10.0, 0.7), None, build_mv_priors(train, 10.0, 1.0)]
+        priors = [build_mv_priors(train, 10.0, 0.7), MLE, build_mv_priors(train, 10.0, 1.0)]
         configs = [
             TrainConfig(learning_rate=lr, max_epochs=40, patience=2, alpha_init=0.9, seed=2)
             for lr in (0.5, 0.02, 0.2)
@@ -479,7 +494,7 @@ class TestFitCells:
         train, val = data.votes[:150], data.votes[150:]
         # at alpha_init 1.0 pseudo-counts this large overflow the prior gradient
         huge = build_user_priors([1e305] * 3, [1e305] * 3)
-        priors = [build_mv_priors(train, 10.0, 0.7), huge, None]
+        priors = [build_mv_priors(train, 10.0, 0.7), huge, MLE]
         for batch_size in (None, 16):
             config = TrainConfig(learning_rate=0.05, max_epochs=5, batch_size=batch_size)
             with np.errstate(all="ignore"):
@@ -496,7 +511,7 @@ class TestFitCells:
         data = generate_synthetic(SyntheticSpec(m=3, n=120, accuracy=0.8, coverage=0.5, seed=8))
         train, val = grouped(data.votes[:100]), grouped(data.votes[100:])
         priors = [build_mv_priors(data.votes[:100], s, p)
-                  for s in (2.0, 50.0) for p in (0.5, 0.9)] + [None]
+                  for s in (2.0, 50.0) for p in (0.5, 0.9)] + [MLE]
         configs = [TrainConfig(learning_rate=lr, max_epochs=4, batch_size=16, seed=1)
                    for lr in (0.01, 0.05, 0.1, 0.2, 0.3)]
         whole = fit_cells(train, val, priors, configs)
@@ -555,17 +570,17 @@ class TestFitCells:
             replace(base, seed=1),
         ):
             with pytest.raises(DataError, match="share"):
-                fit_cells(votes, None, [None, None], [base, other])
+                fit_cells(votes, None, [MLE, MLE], [base, other])
         with pytest.raises(DataError):
-            fit_cells(votes, None, [None], [base, base])
-        three, four = fit_cells(votes, None, [None, None], [base, replace(base, max_epochs=4)])
+            fit_cells(votes, None, [MLE], [base, base])
+        three, four = fit_cells(votes, None, [MLE, MLE], [base, replace(base, max_epochs=4)])
         assert (three.stopped_epoch, four.stopped_epoch) == (3, 4)
 
     def test_cells_with_and_without_a_prior_share_one_coverage(self):
         # every cell reports the train rows' rate, each in its own array
         data = generate_synthetic(SyntheticSpec(m=3, n=200, accuracy=0.8, coverage=0.5, seed=4))
         train, val = data.votes[:150], data.votes[150:]
-        priors = [build_mv_priors(train, 10.0, 0.7), None]
+        priors = [build_mv_priors(train, 10.0, 0.7), MLE]
         config = TrainConfig(learning_rate=0.05, max_epochs=6, alpha_init=0.8, seed=2)
         stacked = fit_cells(grouped(train), grouped(val), priors, [config, config])
         wants = [fit(train, val, prior, config) for prior in priors]
