@@ -10,9 +10,10 @@ the bytes, a chunk at a time, locates every cell's closing separator and
 reads each cell as a vote from the three bytes before it, so the working
 memory is a few times the file's size and holds no per-byte offsets or
 full-grid temporaries. Text cells are read as fixed-width words and
-grouped by their bytes: each distinct score text is cast to float once,
-and the predictions writer formats each distinct (label, score, reason)
-tail once, to which each row adds only its index. A malformed file raises
+grouped exactly by their bytes with :func:`~labelforge.model.group_rows`:
+each distinct score text is cast to float once, and the predictions
+writer formats each distinct (label, score, reason) tail once, to which
+each row adds only its index. A malformed file raises
 DataError naming the first bad row (and column). The model file is a
 human-diffable key-value record whose floats are written with repr, so a
 write -> read -> write round trip is byte-identical. It is read into the
@@ -34,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .experiments import GridSpec
 from .infer import REASON_DEGENERATE, REASON_FORCED, REASON_NONE, REASON_TIE, Predictions
-from .model import BetaPrior, Dataset, LabelPrior, ModelParams
+from .model import BetaPrior, Dataset, LabelPrior, ModelParams, group_rows
 from .priors import PriorSpec, build_mle_priors
 
 MODEL_FORMAT_VERSION = 1
@@ -75,7 +76,6 @@ _CHUNK = 1 << 16  # bytes of text searched at a time for cell offsets
 _WORD_MASKS = np.frombuffer(
     b"".join(b"\xff" * k + b"\0" * (8 - k) for k in range(9)), dtype=np.uint64
 )
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _separator(byte: np.ndarray) -> np.ndarray:
@@ -154,39 +154,6 @@ def _read_votes(last, before, first, value, bad) -> None:
     opens &= _separator(first)  # a sign opens the cell
     opens |= _separator(before)  # or the digit does
     bad |= ~opens
-
-
-def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of equal integer columns: (first, inverse), where
-    ``first[g]`` is a row of group g and ``inverse[i]`` the group of row i.
-
-    Groups are found by sorting a 64-bit hash of each row's columns; rows
-    whose columns differ from their group's first row after all (a hash
-    collision) get a group each, so only equal rows ever share one.
-    """
-    key = np.zeros(columns[0].size, dtype=np.uint64)
-    for col in columns:
-        key ^= col.astype(np.uint64, copy=False)
-        key *= _MIX
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.empty(key.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    del key
-    first = order[starts]
-    group = np.cumsum(starts)
-    group -= 1
-    del starts
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = group
-    del order, group
-    differs = np.zeros(inverse.size, dtype=bool)
-    for col in columns:
-        differs |= col[first][inverse] != col
-    odd = np.flatnonzero(differs)
-    inverse[odd] = first.size + np.arange(odd.size)
-    return np.concatenate([first, odd]), inverse
 
 
 class _Table:
@@ -331,7 +298,7 @@ class _Table:
         cell, and ``bad`` marks the rows whose cell that string does not hold
         exactly (longer than width, or ending in NUL bytes)."""
         words, length = self._words(col, width)
-        first, inverse = _group(*words.T, length)
+        first, inverse = group_rows(*words.T, length)
         texts = words[first].view(f"S{width}").reshape(-1)
         bad = np.char.str_len(texts) != length[first]
         return texts, inverse, bad[inverse]
@@ -443,7 +410,7 @@ def write_predictions(path, predictions: Predictions) -> None:
     chars = reasons.dtype.itemsize // 4 + 1 & ~1  # an even count fills whole uint64 words
     reasons = np.ascontiguousarray(reasons, dtype=f"<U{chars}")
     reason_words = reasons.view(np.uint64).reshape(n, chars // 2)
-    first, inverse = _group(scores.view(np.uint64), labels, *reason_words.T)
+    first, inverse = group_rows(scores.view(np.uint64), labels, *reason_words.T)
     tails = [
         f",{_LABEL_TEXT[label + 1]},{score!r},{reason}\n".encode()
         for label, score, reason in zip(

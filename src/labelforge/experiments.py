@@ -244,23 +244,11 @@ class GridSearchResult:
 
 
 def _grid_cells(grid: GridSpec, mode: str) -> list[dict]:
-    if mode == "mle":
-        return [
-            {"learning_rate": lr, "alpha_init": init}
-            for lr, init in product(grid.learning_rates, grid.alpha_inits)
-        ]
-    return [
-        {
-            "strength": s,
-            "learning_rate": lr,
-            "alpha_init": init,
-            "p": p,
-            "force_abstain": force,
-        }
-        for s, lr, init, p, force in product(
-            grid.strengths, grid.learning_rates, grid.alpha_inits, grid.ps, grid.force_abstain
-        )
-    ]
+    # a cell's keys are the grid's field names in the singular; mle cells,
+    # with no accuracy prior, take every axis but the strengths
+    names = [grid_field.name for grid_field in fields(grid)][mode == "mle" :]
+    cells = product(*(getattr(grid, name) for name in names))
+    return [{name.removesuffix("s"): value for name, value in zip(names, cell)} for cell in cells]
 
 
 def grid_search(
@@ -276,7 +264,8 @@ def grid_search(
     Every cell's priors and config are built before anything is fitted, so a
     grid value that ``train`` would refuse (a strength of 0, an alpha_init
     outside [0, 1]) raises its DataError for the whole search. The priors are
-    built once per strength. Cells that differ only in ``force_abstain``
+    built once per strength; mle cells, having no accuracy prior, take every
+    axis but ``strengths``. Cells that differ only in ``force_abstain``
     share a fit, and every fit runs in one stacked
     :func:`~labelforge.train.fit_cells` pass, equal to a stand-alone
     :func:`~labelforge.train.fit` up to rounding. Each cell labels the
@@ -305,16 +294,14 @@ def grid_search(
             built[strength] = build_mode_priors(
                 mode, train.votes, train.truth, strength, 0.5, False, base.seed
             )
-        prior = built[strength]
-        if mode != "mle":  # mle cells keep the symmetric label prior
-            prior = replace(prior, label_prior=LabelPrior(settings["p"], settings["force_abstain"]))
-        priors.append(prior)
+        label_prior = LabelPrior(settings["p"], settings["force_abstain"])
+        priors.append(replace(built[strength], label_prior=label_prior))
         configs.append(replace(
             base, learning_rate=settings["learning_rate"], alpha_init=settings["alpha_init"]
         ))
 
     # force_abstain, the grid's innermost axis, only labels: neighbours share a fit
-    per_fit = 1 if mode == "mle" else len(grid.force_abstain)
+    per_fit = len(grid.force_abstain)
     val_grouped = VoteRows.grouped(val.votes)
     results = fit_cells(
         VoteRows.grouped(train.votes), val_grouped, priors[::per_fit], configs[::per_fit]
@@ -456,15 +443,6 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
         for stat, value in (("mean", mean), ("std", std)):
             out.extend(metric_rows(experiment, mode, size, stat, {metric: value}))
     return out
-
-
-def collect_aggregates(rows: list[dict]) -> dict[tuple, float | None]:
-    """Index aggregate rows by (mode, size, metric, stat) for easy lookup."""
-    return {
-        (row["mode"], row["size"], row["metric"], row["replicate"]): row["value"]
-        for row in rows
-        if row["replicate"] in ("mean", "std")
-    }
 
 
 def stability_sweep(

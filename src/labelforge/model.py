@@ -38,7 +38,8 @@ row carries a weight, and every sum over rows (the objective's log
 marginals, the gradient's vote masses, the vote counts) is weighted.
 :meth:`VoteRows.grouped` keeps one row per distinct vote pattern with its
 count as weight, so a full-batch pass costs O(patterns) rather than
-O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs.
+O(rows): at most 3^m patterns, about 12k in 100k rows of 10 LFs, found by
+:func:`group_rows`, the one exact row grouper, which dataio uses too.
 Training keeps accuracies and coverages inside [CLAMP_EPS, 1 - CLAMP_EPS]
 so every log stays finite; prediction uses the accuracies as given, and a
 row that is impossible under both labels (only accuracies at exactly 0 or
@@ -61,9 +62,9 @@ CLAMP_EPS = 1e-6
 
 VALID_VOTES = (-1, 0, 1)
 
-# Widest matrix whose rows :meth:`VoteRows.grouped` keys by the base-3 code
-# of their votes, an int64 below 3^m (3^39 < 2^63). Wider rows are keyed by
-# their bytes, which groups them alike but sorts more slowly.
+# Columns of a run that :meth:`VoteRows.grouped` keys by the base-3 code of
+# its votes, an int64 below 3^38 (3^39 < 2^63). Wider rows take one code per
+# run of this many columns, which :func:`group_rows` hashes into one key.
 MAX_PATTERN_LFS = 38
 
 # Entries of |d| that VoteRows.count holds at once, 256 KiB of float64, and
@@ -259,6 +260,58 @@ def class_prior_table(p) -> np.ndarray:
         return np.log(np.stack([1.0 - p, np.full_like(p, 0.5), p]))
 
 
+def _mix(key: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer (Steele, Lea & Flood, OOPSLA 2014), in place."""
+    key ^= key >> np.uint64(30)
+    key *= np.uint64(0xBF58476D1CE4E5B9)
+    key ^= key >> np.uint64(27)
+    key *= np.uint64(0x94D049BB133111EB)
+    key ^= key >> np.uint64(31)
+    return key
+
+
+def group_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of integer columns: (first, inverse), where
+    ``first[g]`` is a row of group g and ``inverse[i]`` the group of row i.
+    The groups are exactly the distinct rows.
+
+    One column is its own key, and its groups come in ascending order, as
+    np.unique returns them. More columns are folded into one uint64 key per
+    row through :func:`_mix`, and their groups come in key order; the rows
+    that differ from their group's first row after all (a hash collision)
+    are grouped again among themselves by their values.
+    """
+    key = columns[0]
+    if len(columns) > 1:
+        key = np.zeros(key.shape[0], dtype=np.uint64)
+        for col in columns:
+            key ^= col.astype(np.uint64, copy=False)
+            key = _mix(key)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    del key
+    first = order[starts]
+    group = np.cumsum(starts) - 1
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = group
+    del order, starts, group
+    if len(columns) == 1:
+        return first, inverse
+    differs = np.zeros(inverse.size, dtype=bool)
+    for col in columns:
+        differs |= col[first][inverse] != col
+    odd = np.flatnonzero(differs)
+    if odd.size:  # rare: np.unique over just those rows
+        rows = np.stack([col[odd].astype(np.uint64) for col in columns], axis=1)
+        _, odd_first, odd_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        inverse[odd] = first.size + odd_inverse.reshape(-1)  # its shape varies by numpy release
+        first = np.concatenate([first, odd[odd_first]])
+    return first, inverse
+
+
 @dataclass(frozen=True, eq=False)
 class VoteRows:
     """Rows of a vote matrix converted once for the log-joint kernel.
@@ -290,30 +343,32 @@ class VoteRows:
         """The distinct rows (vote patterns) of a vote matrix, each weighted
         by how often it occurs and anchored to its own majority vote.
 
-        Each row is keyed by the base-3 code of its votes, an int64 up to
-        MAX_PATTERN_LFS columns, or by its bytes when wider, and the keys
-        are made unique. Returns the patterns and the index ``inverse`` that
-        maps each input row to its pattern (``rows.d[inverse]`` is the input,
+        Each row is keyed by the base-3 codes of its votes, one int64 per
+        run of MAX_PATTERN_LFS columns, grouped by :func:`group_rows`.
+        Returns the patterns and the index ``inverse`` that maps each input
+        row to its pattern (``rows.d[inverse]`` is the input,
         ``rows.anchor[inverse]`` its rows' anchors).
         """
         votes = as_lf_matrix(votes)
         n, m = votes.shape
+        width = min(m, MAX_PATTERN_LFS)
+        runs = -(-m // width)
+        powers = 3 ** np.arange(width - 1, -1, -1, dtype=np.int64)
         step = max(1, _COUNT_BLOCK // m)
-        if m <= MAX_PATTERN_LFS:
-            powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-            key = np.empty(n, dtype=np.int64)
-            for lo in range(0, n, step):  # no (n, m) int64 temporary
-                key[lo : lo + step] = (votes[lo : lo + step] + 1) @ powers
-        else:
-            key = np.ascontiguousarray(votes).view(np.dtype((np.void, m))).ravel()
-        inverse, counts = np.unique(key, return_inverse=True, return_counts=True)[1:]
-        one_row = np.empty(counts.shape[0], dtype=np.intp)
-        one_row[inverse] = np.arange(n)  # the rows of a key are all alike
+        padded = np.zeros((min(n, step), runs * width), dtype=np.int64)  # past column m: 0
+        keys = np.empty((n, runs), dtype=np.int64)
+        for lo in range(0, n, step):  # no (n, m) int64 temporary
+            block = padded[: min(step, n - lo)]
+            np.add(votes[lo : lo + step], 1, out=block[:, :m])
+            keys[lo : lo + step] = block.reshape(-1, runs, width) @ powers
+        first, inverse = group_rows(*keys.T)
+        del padded, block, keys
         # gathered straight into float64, with no int8 copy of the patterns
-        d = np.empty((one_row.shape[0], m))
-        for lo in range(0, one_row.shape[0], step):
-            d[lo : lo + step] = votes[one_row[lo : lo + step]]
-        return cls(d, counts.astype(np.float64), row_majority(d)), inverse
+        d = np.empty((first.shape[0], m))
+        for lo in range(0, first.shape[0], step):
+            d[lo : lo + step] = votes[first[lo : lo + step]]
+        w = np.bincount(inverse, minlength=first.shape[0]).astype(np.float64)
+        return cls(d, w, row_majority(d)), inverse
 
     @property
     def n(self) -> int:

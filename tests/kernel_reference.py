@@ -17,7 +17,9 @@ they need the objective itself (finite differences, bitwise comparisons),
 so that the kernel can be held to the reference under any pair of class
 priors, not only those of the rows' majority votes, ``ungrouped`` is the
 row path that grouped rows are held to (one unit-weight row per input
-row), and ``batch_rows`` selects a minibatch of converted rows.
+row), and ``batch_rows`` selects a minibatch of converted rows. Apart
+from the model, ``collect_aggregates`` indexes the mean and std rows of a
+sweep's results.
 """
 
 import math
@@ -160,3 +162,12 @@ def batch_rows(rows: VoteRows, idx) -> VoteRows:
     """The rows of ``rows`` at ``idx``, with their weights and anchors: a
     minibatch as training draws it."""
     return VoteRows(rows.d[idx], rows.w[idx], rows.anchor[idx])
+
+
+def collect_aggregates(rows: list[dict]) -> dict[tuple, float | None]:
+    """Index a sweep's aggregate rows by (mode, size, metric, stat)."""
+    return {
+        (row["mode"], row["size"], row["metric"], row["replicate"]): row["value"]
+        for row in rows
+        if row["replicate"] in ("mean", "std")
+    }

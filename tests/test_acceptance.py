@@ -31,7 +31,6 @@ from labelforge import (
 )
 from labelforge.cli import cli_main
 from labelforge.dataio import ModelFile
-from labelforge.experiments import collect_aggregates
 from labelforge.metrics import format_percent, metrics_from_confusion
 from labelforge.model import CLAMP_EPS, BetaPrior, VoteRows, class_prior_table
 from labelforge.priors import beta_from_mean, build_uniform_priors, reference_accuracies
@@ -254,7 +253,7 @@ def test_criterion_08_low_data_variance():
                            alpha_init=0.9, seed=5),
         strength=10.0, p=0.9, force_abstain=True,
     )
-    agg = collect_aggregates(rows)
+    agg = ref.collect_aggregates(rows)
     std_map = agg[("map-mv", 10, "f1", "std")]
     std_mle = agg[("mle", 10, "f1", "std")]
     gap = abs(agg[("map-mv", 2000, "f1", "mean")] - agg[("mle", 2000, "f1", "mean")])

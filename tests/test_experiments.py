@@ -16,6 +16,7 @@ from labelforge import (
     NumericalError,
     SyntheticSpec,
     TrainConfig,
+    fit,
     generate_synthetic,
     grid_search,
     low_data_sweep,
@@ -28,7 +29,6 @@ from labelforge import (
 from labelforge.experiments import (
     _grid_cells,
     build_mode_priors,
-    collect_aggregates,
     holdout,
     low_data_indices,
 )
@@ -169,12 +169,37 @@ class TestGridSearch:
         assert result.best.wins == 5
 
     def test_mle_grid_ignores_prior_axes(self):
+        # mle has no accuracy prior, so the strengths make no cells
         ds = toy_dataset(120)
         train, val, _ = split(ds, 2)
-        grid = GridSpec(learning_rates=(0.01, 0.05), alpha_inits=(0.8,))
+        grid = GridSpec(strengths=(10.0, 100.0), learning_rates=(0.01, 0.05), alpha_inits=(0.8,),
+                        ps=(0.5,), force_abstain=(False,))
         result = grid_search(train, val, grid, "mle", TrainConfig(max_epochs=3, seed=1))
         assert len(result.cells) == 2
         assert "strength" not in result.cells[0].settings
+
+    def test_mle_cells_fit_and_label_under_their_label_prior(self):
+        # each mle cell is a stand-alone mle fit at its own p, labelled with
+        # its own force_abstain
+        ds = toy_dataset(300)
+        train, val, _ = split(ds, 2)
+        config = TrainConfig(max_epochs=3, seed=1)
+        grid = GridSpec(learning_rates=(0.05,), alpha_inits=(0.9,), ps=(0.5, 0.9),
+                        force_abstain=(True, False))
+        result = grid_search(train, val, grid, "mle", config)
+        assert len(result.cells) == 4 == len(_grid_cells(grid, "mle"))
+        for cell in result.cells:
+            settings = cell.settings
+            assert set(settings) == {"learning_rate", "alpha_init", "p", "force_abstain"}
+            prior = build_mode_priors(
+                "mle", train.votes, None, None, settings["p"], settings["force_abstain"], 1
+            )
+            alone = fit(train.votes, val.votes, prior,
+                        replace(config, learning_rate=0.05, alpha_init=0.9))
+            report = score(predict(val.votes, alone.params, prior.label_prior), val.truth)
+            assert cell.report == report and cell.best_epoch == alone.best_epoch
+        reports = {(c.settings["p"], c.settings["force_abstain"]): c.report for c in result.cells}
+        assert reports[(0.9, True)] != reports[(0.5, False)]
 
     def test_empty_grid_axis_rejected(self):
         with pytest.raises(DataError):
@@ -291,6 +316,7 @@ class TestGridSearch:
     def test_default_map_grid_size(self):
         assert min(GridSpec().ps) == 0.5
         assert len(_grid_cells(GridSpec(), "map-mv")) == 144
+        assert len(_grid_cells(GridSpec(), "mle")) == 72
 
     def test_erroring_cell_scores_zero_wins(self, monkeypatch):
         ds = toy_dataset(120)
@@ -321,7 +347,7 @@ class TestLowDataSweep:
         cfg = TrainConfig(learning_rate=0.05, max_epochs=8, seed=7)
         train, val, test = split(ds, cfg.seed)
         rows = low_data_sweep(ds, [train.n], 1, modes=modes, config=cfg)
-        agg = collect_aggregates(rows)
+        agg = ref.collect_aggregates(rows)
 
         train_idx, val_idx = low_data_indices(train.n, val.n, train.n, cfg.seed, 0)
         sub_train, sub_val = train.subset(train_idx), val.subset(val_idx)

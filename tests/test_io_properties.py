@@ -30,7 +30,7 @@ from labelforge import (
     write_dataset,
     write_predictions,
 )
-from labelforge import dataio
+from labelforge import dataio, model
 from labelforge.cli import cli_main
 from labelforge.dataio import ModelFile, read_grid
 from labelforge.infer import Predictions
@@ -314,7 +314,7 @@ def test_hash_collisions_never_merge_cells(scratch, preds):
     """With every row hashed alike, grouping rests on the byte comparison
     alone: reading and writing still treat each cell as its own."""
     path = scratch / "collide.csv"
-    with mock.patch.object(dataio, "_MIX", np.uint64(0)):
+    with mock.patch.object(model, "_mix", np.zeros_like):
         write_predictions(path, preds)
         assert path.read_bytes() == ref_write_predictions(preds)
         back = read_predictions(path)

@@ -13,13 +13,15 @@ full-batch gradient, and predictions do not depend on coverage. Then the
 vote-pattern path (distinct rows weighted by their counts), at widths on
 both sides of MAX_PATTERN_LFS, is checked against the row path of
 ``kernel_reference.ungrouped``: the objective, the accuracy gradient, the
-coverage MAP, whole fits and predictions; and the byte key of wide rows is
-checked to group narrow rows as the int64 key does. Last, the factored
-objective, which takes the label-free part of every row out of the
-log-sum-exp, is checked against the reference's sum of per-row log
-marginals.
+coverage MAP, whole fits and predictions; the hashed key of wide rows is
+checked to group narrow rows as the int64 key does, and ``group_rows`` to
+partition votes and prediction columns as np.unique does, also when every
+row hashes alike. Last, the factored objective, which takes the
+label-free part of every row out of the log-sum-exp, is checked against
+the reference's sum of per-row log marginals.
 """
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -143,7 +145,7 @@ def cases_and_paths(**kwargs):
 certain_or_not = st.one_of(st.just(1.0), st.floats(0.5, 0.99))
 
 
-# Few LFs, keyed by int64, or more than MAX_PATTERN_LFS, keyed by bytes.
+# Few LFs, one int64 key, or more than MAX_PATTERN_LFS, keys hashed into one.
 pattern_widths = st.one_of(
     st.integers(1, 4), st.integers(MAX_PATTERN_LFS + 1, MAX_PATTERN_LFS + 8)
 )
@@ -158,8 +160,9 @@ def row_path():
 
 
 def byte_key():
-    """Context in which every matrix is grouped by the bytes of its rows."""
-    return mock.patch.object(model, "MAX_PATTERN_LFS", 0)
+    """Context in which every column is a run of its own, so every matrix of
+    more than one LF is grouped by the hash of its columns."""
+    return mock.patch.object(model, "MAX_PATTERN_LFS", 1)
 
 
 @PROPERTY
@@ -318,6 +321,62 @@ def test_byte_key_groups_like_int64_key(case):
     np.testing.assert_array_equal(by_bytes.anchor[bytes_inverse], by_code.anchor[code_inverse])
     order = np.lexsort(by_bytes.d.T[::-1])  # the int64 key sorts by column 0 first
     np.testing.assert_array_equal(by_bytes.d[order], by_code.d)
+
+
+def same_partition(inverse: np.ndarray, values: np.ndarray) -> bool:
+    """Whether ``inverse`` groups the rows of ``values`` as np.unique does:
+    one group per distinct row, and each group's rows all alike."""
+    unique_inverse = np.unique(values, axis=0, return_inverse=True)[1].reshape(-1)
+    groups = inverse.max() + 1
+    pairs = np.unique(np.stack([inverse, unique_inverse], axis=1), axis=0)
+    return groups == unique_inverse.max() + 1 == pairs.shape[0]
+
+
+# Widths on both sides of one and of two runs of MAX_PATTERN_LFS columns.
+run_widths = st.sampled_from(
+    [1, 2, 10] + [k * MAX_PATTERN_LFS + d for k in (1, 2) for d in (-1, 0, 1, 2)]
+)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    m=run_widths,
+    coverage=st.sampled_from([0.03, 0.5, 1.0]),
+    copies=st.booleans(),
+    collide=st.booleans(),
+)
+def test_group_rows_partitions_votes_as_unique(seed, n, m, coverage, copies, collide):
+    # sparse, dense and wide votes; with collide, every row hashes alike
+    rng = np.random.default_rng(seed)
+    votes = (rng.random((n, m)) < coverage) * rng.choice(np.array([-1, 1], dtype=np.int8), (n, m))
+    if copies:
+        votes = votes[rng.integers(0, max(1, n // 4), n)]
+    votes = votes.astype(np.int8)
+    with mock.patch.object(model, "_mix", np.zeros_like) if collide else nullcontext():
+        rows, inverse = VoteRows.grouped(votes)
+        first, by_columns = model.group_rows(*votes.T)
+    assert same_partition(inverse, votes) and rows.n == inverse.max() + 1
+    np.testing.assert_array_equal(rows.d[inverse], votes)
+    assert same_partition(by_columns, votes)
+    np.testing.assert_array_equal(votes[first][by_columns], votes)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), collide=st.booleans())
+def test_group_rows_partitions_prediction_columns_as_unique(seed, n, collide):
+    # the columns write_predictions groups: score bits, label, reason words
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.array([0.0, -0.0, 0.5, 0.25, 1.0, 1e-300]), n)
+    labels = rng.integers(-1, 2, n).astype(np.int8)
+    reasons = rng.choice(np.array(["", "tie", "forced", "degenerate"], dtype="<U10"), n)
+    columns = [scores.view(np.uint64), labels, *reasons.view(np.uint64).reshape(n, 5).T]
+    with mock.patch.object(model, "_mix", np.zeros_like) if collide else nullcontext():
+        first, inverse = model.group_rows(*columns)
+    values = np.stack([col.astype(np.uint64) for col in columns], axis=1)
+    assert same_partition(inverse, values)
+    np.testing.assert_array_equal(values[first][inverse], values)
 
 
 @PROPERTY
